@@ -9,8 +9,9 @@
 # hammers the concurrent pieces (runtime query service, network front
 # end, morsel parallelism, shared feedback stores, parallel executors,
 # write-path snapshot consistency, metrics registry, span tracer), then a
-# UBSan build over the tracing/metrics/runtime/parallel/network/write
-# suites.
+# UBSan build over the tracing/metrics/runtime/parallel/network/write/
+# optimizer suites, then an AddressSanitizer build over the optimizer's
+# DP table (indexed by table-set bitmasks) and its differential oracles.
 #
 # The release ctest runs everything including tests labeled "slow"
 # (parallel_stress_test); use `ctest -L fast` locally for the quick loop.
@@ -206,7 +207,8 @@ else
         --target runtime_test observability_test operator_test pop_test \
         morsel_test parallel_equivalence_test plan_cache_test \
         plan_cache_equivalence_test batch_differential_test \
-        reopt_differential_test fuzz_test txn_test net_test dist_test
+        reopt_differential_test fuzz_test txn_test net_test dist_test \
+        enumerator_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/observability_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/runtime_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/operator_test
@@ -221,8 +223,11 @@ else
   # watches for; run the differential oracle's full light corpus here too.
   UBSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
       ./build-ubsan/tests/batch_differential_test
-  # Memo invalidation is bit-twiddling over table sets (low_bit loops,
-  # superset masks) — UBSan's shift/overflow checks cover exactly that.
+  # DP enumeration and memo invalidation are bit-twiddling over table sets
+  # (subset walks, neighbour masks, superset masks) — UBSan's shift and
+  # overflow checks cover exactly that. The golden plan table pins the
+  # costing arithmetic.
+  UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/enumerator_test
   UBSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
       ./build-ubsan/tests/reopt_differential_test
   UBSAN_OPTIONS="halt_on_error=1" \
@@ -233,5 +238,22 @@ else
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/net_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/dist_test
 fi
+
+echo "=== AddressSanitizer build + optimizer tests ==="
+# The DP table is a flat array indexed by table-set bitmasks and the memo
+# carries it across re-optimizations: out-of-bounds or stale-entry reads
+# are exactly what ASan catches.
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DPOPDB_SANITIZE=address
+cmake --build build-asan -j \
+      --target enumerator_test reopt_differential_test fuzz_test \
+      plan_cache_equivalence_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/enumerator_test
+ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
+    ./build-asan/tests/reopt_differential_test
+ASAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/fuzz_test --gtest_filter='*IncrementalReopt*'
+ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
+    ./build-asan/tests/plan_cache_equivalence_test
 
 echo "=== ci.sh: all stages passed ==="

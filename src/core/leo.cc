@@ -32,48 +32,89 @@ std::string CanonicalPred(const Predicate& pred,
                    rhs.c_str());
 }
 
+/// The canonical signature pieces of one query, rendered and sorted once:
+/// one fragment per table (name plus its sorted predicate list) and one per
+/// join predicate (sides order-normalized). The signature of any table set
+/// is its member tables' fragments and its internal joins' fragments, in
+/// sorted order — a filter over the two sorted lists, so a caller that
+/// needs many subsets of one query renders each predicate once.
+class SignatureFragments {
+ public:
+  explicit SignatureFragments(const QuerySpec& query) {
+    for (int t = 0; t < query.num_tables(); ++t) {
+      std::vector<std::string> preds;
+      for (int pid : query.PredsOnTable(t)) {
+        preds.push_back(CanonicalPred(
+            query.local_preds()[static_cast<size_t>(pid)], query.params()));
+      }
+      std::sort(preds.begin(), preds.end());
+      tables_.push_back({query.table_name(t) + "[" + StrJoin(preds, "&") + "]",
+                         TableBit(t)});
+    }
+    for (const JoinPredicate& j : query.join_preds()) {
+      std::string a = StrFormat("%s.c%d",
+                                query.table_name(j.left.table_id).c_str(),
+                                j.left.column);
+      std::string b = StrFormat("%s.c%d",
+                                query.table_name(j.right.table_id).c_str(),
+                                j.right.column);
+      if (b < a) std::swap(a, b);
+      joins_.push_back({a + "=" + b, TableBit(j.left.table_id) |
+                                         TableBit(j.right.table_id)});
+    }
+    auto by_text = [](const Fragment& x, const Fragment& y) {
+      return x.text < y.text;
+    };
+    std::sort(tables_.begin(), tables_.end(), by_text);
+    std::sort(joins_.begin(), joins_.end(), by_text);
+  }
+
+  /// Writes the signature of `set` into `*out` (replacing its content).
+  void Render(TableSet set, std::string* out) const {
+    out->clear();
+    AppendMembers(tables_, set, ",", out);
+    out->push_back('|');
+    AppendMembers(joins_, set, "&", out);
+  }
+
+ private:
+  struct Fragment {
+    std::string text;
+    TableSet tables = 0;  ///< Tables the fragment refers to.
+  };
+
+  static void AppendMembers(const std::vector<Fragment>& fragments,
+                            TableSet set, const char* sep, std::string* out) {
+    bool first = true;
+    for (const Fragment& f : fragments) {
+      if ((f.tables & set) != f.tables) continue;
+      if (!first) out->append(sep);
+      out->append(f.text);
+      first = false;
+    }
+  }
+
+  std::vector<Fragment> tables_;  ///< Sorted by text.
+  std::vector<Fragment> joins_;   ///< Sorted by text.
+};
+
 }  // namespace
 
 std::string QueryFeedbackStore::SubplanSignature(const QuerySpec& query,
                                                  TableSet set) {
-  std::vector<std::string> tables;
-  for (int t = 0; t < query.num_tables(); ++t) {
-    if (!ContainsTable(set, t)) continue;
-    std::vector<std::string> preds;
-    for (const Predicate& p : query.local_preds()) {
-      if (p.col.table_id == t) {
-        preds.push_back(CanonicalPred(p, query.params()));
-      }
-    }
-    std::sort(preds.begin(), preds.end());
-    tables.push_back(query.table_name(t) + "[" + StrJoin(preds, "&") + "]");
-  }
-  std::sort(tables.begin(), tables.end());
-
-  std::vector<std::string> joins;
-  for (const JoinPredicate& j : query.join_preds()) {
-    if (!ContainsTable(set, j.left.table_id) ||
-        !ContainsTable(set, j.right.table_id)) {
-      continue;
-    }
-    std::string a = StrFormat("%s.c%d", query.table_name(j.left.table_id).c_str(),
-                              j.left.column);
-    std::string b = StrFormat("%s.c%d",
-                              query.table_name(j.right.table_id).c_str(),
-                              j.right.column);
-    if (b < a) std::swap(a, b);
-    joins.push_back(a + "=" + b);
-  }
-  std::sort(joins.begin(), joins.end());
-  return StrJoin(tables, ",") + "|" + StrJoin(joins, "&");
+  std::string sig;
+  SignatureFragments(query).Render(set, &sig);
+  return sig;
 }
 
 void QueryFeedbackStore::Absorb(const QuerySpec& query,
                                 const FeedbackMap& feedback) {
+  const SignatureFragments fragments(query);
+  std::string sig;
   std::lock_guard<std::mutex> lock(mu_);
   bool changed = false;
   for (const auto& [set, fb] : feedback) {
-    const std::string sig = SubplanSignature(query, set);
+    fragments.Render(set, &sig);
     CardFeedback& stored = store_[sig];
     if (fb.exact >= 0) {
       if (stored.exact != fb.exact) {
@@ -96,14 +137,17 @@ void QueryFeedbackStore::Seed(const QuerySpec& query,
   std::lock_guard<std::mutex> lock(mu_);
   ++seed_lookups_;
   if (store_.empty()) return;
-  // Enumerate connected-ish subsets lazily: signatures are computed per
-  // subset; queries are small (<= ~12 tables), so the full power set is
-  // affordable and simpler than tracking connectivity.
+  // Probe every subset: queries are small (<= ~12 tables), so the full
+  // power set is affordable and simpler than tracking connectivity. The
+  // fragments are rendered once; each probe only filters and concatenates.
   const TableSet full = query.AllTables();
   if (query.num_tables() > 16) return;  // Guard pathological inputs.
+  const SignatureFragments fragments(query);
+  std::string sig;
   int64_t seeded = 0;
   for (TableSet set = 1; set <= full; ++set) {
-    auto it = store_.find(SubplanSignature(query, set));
+    fragments.Render(set, &sig);
+    auto it = store_.find(sig);
     if (it == store_.end()) continue;
     if (it->second.exact >= 0) {
       out->RecordExact(set, it->second.exact);

@@ -89,7 +89,7 @@ struct PlacementStats {
   int total() const { return lc + lcem + ecb + ecwc + ecdc; }
 };
 
-/// Post-optimization pass inserting CHECK operators into a (deep-cloned,
+/// Post-optimization pass inserting CHECK operators into a (private,
 /// mutable) plan per the paper's placement policy (Section 4):
 ///   - LC above every SORT/TEMP materialization point and on hash-join
 ///     builds, guarded by that edge's validity range;

@@ -225,7 +225,8 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
         // The stale skeleton's subplans untouched by the feedback delta are
         // still the DP best plans for their table sets, so they warm-start
         // the memo and the optimization below only recomputes the rest.
-        memo->SeedFromSkeleton(*cached.stale_plan, cached.stale_feedback,
+        memo->SeedFromSkeleton(cached.stale_plan,
+                               std::move(cached.stale_feedback),
                                QueryMemoFingerprint(query));
         if (stats != nullptr) ++stats->memo_warm_starts;
       }
@@ -237,7 +238,7 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
         // re-optimizes incrementally instead of falling back to full DP.
         // Validity hits do NOT qualify — their skeleton was chosen under
         // different feedback.
-        memo->SeedFromSkeleton(*cached.plan, feedback_snapshot,
+        memo->SeedFromSkeleton(cached.plan, feedback_snapshot,
                                QueryMemoFingerprint(query));
       }
       if (cached.hit()) {

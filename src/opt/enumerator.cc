@@ -20,22 +20,86 @@ bool IsJoin(const PlanNode& node) {
   return node.kind == PlanOpKind::kNljn || node.kind == PlanOpKind::kHsjn ||
          node.kind == PlanOpKind::kMgjn;
 }
-}  // namespace
 
-namespace {
+int LowTable(TableSet set) { return __builtin_ctzll(set); }
+
 /// Re-optimization-opportunity risk of a plan's root operator: 0 = both
 /// inputs materialized (merge join), 1 = fully pipelined (NLJN).
-double OperatorRisk(const PlanNode& node) {
-  switch (node.kind) {
-    case PlanOpKind::kMgjn:
+double OperatorRisk(DpOp op) {
+  switch (op) {
+    case DpOp::kMgjn:
       return 0.0;
-    case PlanOpKind::kHsjn:
+    case DpOp::kHsjn:
       return 0.5;  // Build side materialized, probe side pipelined.
-    case PlanOpKind::kNljn:
+    case DpOp::kNljn:
+    case DpOp::kNljnOverMv:
       return 1.0;
     default:
       return 0.0;
   }
+}
+
+// Operator and cumulative cost of one plan operator. The DP loop's
+// candidate costing and the Make* constructors both go through these
+// helpers, so the two evaluate the same floating-point expressions and
+// cannot drift apart.
+struct OpCost {
+  double op = 0.0;
+  double total = 0.0;
+};
+
+OpCost HsjnCosts(const CostModel& cm, double probe_card, double probe_cost,
+                 double build_card, double build_cost) {
+  const double op = cm.HsjnCost(probe_card, build_card);
+  return {op, probe_cost + build_cost + op};
+}
+
+OpCost SortCosts(const CostModel& cm, double card, double cost) {
+  const double op = cm.SortCost(card);
+  return {op, cost + op};
+}
+
+/// `left_cost` / `right_cost` are the merge inputs' costs (sorts included).
+OpCost MgjnCosts(const CostModel& cm, double left_card, double left_cost,
+                 double right_card, double right_cost, double out_card) {
+  const double op = cm.MgjnCost(left_card, right_card, out_card);
+  return {op, left_cost + right_cost + op};
+}
+
+OpCost NljnCosts(const CostModel& cm, double outer_card, double outer_cost,
+                 double per_probe) {
+  const double op = cm.NljnCost(outer_card, per_probe);
+  return {op, outer_cost + op};
+}
+
+/// NLJN over a matview: an indexed probe also pays the one-off index build.
+OpCost NljnOverMvCosts(const CostModel& cm, double outer_card,
+                       double outer_cost, double per_probe, bool indexed,
+                       double mv_card) {
+  double op = cm.NljnCost(outer_card, per_probe);
+  if (indexed) op = op + cm.IndexBuildCost(mv_card);
+  return {op, outer_cost + op};
+}
+
+std::vector<SortKey> MatViewSortKeys(const AvailableMatView& mv) {
+  std::vector<SortKey> keys;
+  keys.reserve(mv.sorted_positions.size());
+  for (int pos : mv.sorted_positions) keys.push_back(SortKey{pos, false});
+  return keys;
+}
+
+/// True if rows ordered by `sort_keys` are already in merge order on
+/// `required` (the interesting-orders payoff of harvesting SORT results as
+/// views).
+bool SortedOn(const std::vector<SortKey>& sort_keys,
+              const std::vector<int>& required) {
+  if (sort_keys.size() < required.size()) return false;
+  for (size_t k = 0; k < required.size(); ++k) {
+    if (sort_keys[k].pos != required[k] || sort_keys[k].descending) {
+      return false;
+    }
+  }
+  return true;
 }
 }  // namespace
 
@@ -44,35 +108,50 @@ bool SamePartition(const PlanNode& a, const PlanNode& b) {
   return PartitionOf(a) == PartitionOf(b);
 }
 
-void IncrementalMemo::SeedFromSkeleton(const PlanNode& skeleton,
-                                       const FeedbackMap& feedback,
+void IncrementalMemo::SeedFromSkeleton(std::shared_ptr<const PlanNode> skeleton,
+                                       FeedbackMap feedback,
                                        uint64_t fingerprint) {
   Reset();
-  std::shared_ptr<PlanNode> root = skeleton.Clone();
-  std::function<void(const std::shared_ptr<PlanNode>&)> walk =
-      [&](const std::shared_ptr<PlanNode>& node) {
-        // Memo entries are pre-narrowing; the skeleton was narrowed after
-        // its install-time enumeration.
-        for (ValidityRange& range : node->child_validity) {
-          range = ValidityRange{};
-        }
-        if ((node->kind == PlanOpKind::kNljn ||
-             node->kind == PlanOpKind::kHsjn ||
-             node->kind == PlanOpKind::kMgjn) &&
-            node->set != 0) {
-          entries_[node->set] = node;
-        }
-        for (const std::shared_ptr<PlanNode>& child : node->children) {
-          walk(child);
-        }
-      };
-  walk(root);
-  feedback_ = feedback;
+  skeleton_ = std::move(skeleton);
+  feedback_ = std::move(feedback);
   // Cached skeletons never contain matview scans (the plan cache rejects
   // them), and the install-time enumeration ran without matviews.
-  matviews_.clear();
   fingerprint_ = fingerprint;
   valid_ = true;
+}
+
+int64_t IncrementalMemo::entries() const {
+  return std::count_if(entries_.begin(), entries_.end(), [](const DpEntry& e) {
+    return e.op != DpOp::kNone;
+  });
+}
+
+void IncrementalMemo::ConvertSkeleton(int num_tables) {
+  entries_.assign(size_t{1} << num_tables, DpEntry{});
+  const TableSet full = (TableSet{1} << num_tables) - 1;
+  std::function<void(const PlanNode&)> walk = [&](const PlanNode& node) {
+    // Join nodes only: base tables are re-costed by every enumeration. The
+    // skeleton's validity ranges are dropped — entries are pre-narrowing.
+    const bool nljn_over_table =
+        node.kind == PlanOpKind::kNljn &&
+        node.children[1]->kind == PlanOpKind::kTableScan;
+    if ((nljn_over_table || node.kind == PlanOpKind::kHsjn ||
+         node.kind == PlanOpKind::kMgjn) &&
+        node.set != 0 && (node.set & ~full) == 0) {
+      DpEntry& e = entries_[node.set];
+      e.op = node.kind == PlanOpKind::kNljn   ? DpOp::kNljn
+             : node.kind == PlanOpKind::kHsjn ? DpOp::kHsjn
+                                              : DpOp::kMgjn;
+      e.child0 = static_cast<uint32_t>(LogicalChild(node, 0)->set);
+      e.child1 = static_cast<uint32_t>(LogicalChild(node, 1)->set);
+      e.card = node.card;
+      e.cost = node.cost;
+      e.assumptions = node.assumptions;
+    }
+    for (const std::shared_ptr<PlanNode>& child : node.children) walk(*child);
+  };
+  walk(*skeleton_);
+  skeleton_.reset();
 }
 
 JoinEnumerator::JoinEnumerator(const Catalog& catalog, const QuerySpec& query,
@@ -80,14 +159,13 @@ JoinEnumerator::JoinEnumerator(const Catalog& catalog, const QuerySpec& query,
                                const CostModel& cost,
                                const JoinMethodConfig& methods,
                                const std::vector<AvailableMatView>* matviews,
-                               PruneObserver* observer, IncrementalMemo* memo)
+                               IncrementalMemo* memo)
     : catalog_(catalog),
       query_(query),
       estimator_(estimator),
       cost_(cost),
       methods_(methods),
       matviews_(matviews),
-      observer_(observer),
       memo_(memo) {
   table_widths_.reserve(static_cast<size_t>(query.num_tables()));
   for (int t = 0; t < query.num_tables(); ++t) {
@@ -95,14 +173,6 @@ JoinEnumerator::JoinEnumerator(const Catalog& catalog, const QuerySpec& query,
     table_widths_.push_back(table != nullptr ? table->schema().num_columns()
                                              : 0);
   }
-}
-
-const RowLayout& JoinEnumerator::LayoutFor(TableSet set) const {
-  auto it = layout_cache_.find(set);
-  if (it == layout_cache_.end()) {
-    it = layout_cache_.emplace(set, RowLayout(set, table_widths_)).first;
-  }
-  return it->second;
 }
 
 std::vector<int> JoinEnumerator::CrossingJoins(TableSet left,
@@ -120,41 +190,97 @@ std::vector<int> JoinEnumerator::CrossingJoins(TableSet left,
   return out;
 }
 
-std::shared_ptr<PlanNode> JoinEnumerator::BestAccessPath(int table_id) {
+std::vector<int> JoinEnumerator::MergeKeys(TableSet set,
+                                           const std::vector<int>& joins) const {
+  const RowLayout layout(set, table_widths_);
+  std::vector<int> required;
+  required.reserve(joins.size());
+  for (int j : joins) {
+    const JoinPredicate& jp = query_.join_preds()[static_cast<size_t>(j)];
+    const ColRef& side = ContainsTable(set, jp.left.table_id) ? jp.left
+                                                              : jp.right;
+    required.push_back(layout.Resolve(side));
+  }
+  return required;
+}
+
+double JoinEnumerator::TableProbeCost(int inner_table, int index_col) const {
+  const bool use_index = index_col >= 0;
+  const double matches =
+      use_index ? estimator_.IndexMatchesPerProbe(inner_table, index_col)
+                : 0.0;
+  return cost_.NljnProbeCost(use_index, estimator_.TableCard(inner_table),
+                             matches);
+}
+
+double JoinEnumerator::MatViewProbeCost(const AvailableMatView& mv,
+                                        int inner_table, int index_col) const {
+  if (index_col < 0) return cost_.NljnProbeCost(false, mv.card, 0.0);
+  const double matches =
+      mv.card / std::max(1.0, estimator_.ColumnNdv(inner_table, index_col));
+  return cost_.NljnProbeCost(true, mv.card, matches);
+}
+
+int JoinEnumerator::FindMatView(int table_id) const {
+  if (!methods_.consider_matviews || matviews_ == nullptr) return -1;
+  for (size_t i = 0; i < matviews_->size(); ++i) {
+    const AvailableMatView& mv = (*matviews_)[i];
+    if (mv.set == TableBit(table_id) && mv.rows != nullptr) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+DpEntry JoinEnumerator::ScanEntry(int table_id) const {
   const TableSet set = TableBit(table_id);
+  DpEntry e;
+  e.op = DpOp::kTableScan;
+  e.card = estimator_.SubsetCard(set);
+  e.assumptions = estimator_.AssumptionCount(set);
+  e.cost = cost_.ScanCost(estimator_.TableCard(table_id));
+  return e;
+}
+
+DpEntry JoinEnumerator::MatViewEntry(int mv, TableSet set) const {
+  DpEntry e;
+  e.op = DpOp::kMatViewScan;
+  e.mv = static_cast<int16_t>(mv);
+  e.card = estimator_.SubsetCard(set);
+  e.cost = cost_.MatViewScanCost((*matviews_)[static_cast<size_t>(mv)].card);
+  return e;
+}
+
+std::shared_ptr<PlanNode> JoinEnumerator::MakeScan(int table_id) {
+  const DpEntry e = ScanEntry(table_id);
   auto scan = std::make_shared<PlanNode>();
   scan->kind = PlanOpKind::kTableScan;
-  scan->set = set;
+  scan->set = TableBit(table_id);
   scan->table_id = table_id;
   scan->table_name = query_.table_name(table_id);
   scan->pred_ids = query_.PredsOnTable(table_id);
-  scan->card = estimator_.SubsetCard(set);
-  scan->assumptions = estimator_.AssumptionCount(set);
-  scan->op_cost = cost_.ScanCost(estimator_.TableCard(table_id));
-  scan->cost = scan->op_cost;
-  ++candidates_;
+  scan->card = e.card;
+  scan->assumptions = e.assumptions;
+  scan->op_cost = e.cost;
+  scan->cost = e.cost;
+  return scan;
+}
 
-  std::shared_ptr<PlanNode> best = scan;
-  if (methods_.consider_matviews && matviews_ != nullptr) {
-    for (const AvailableMatView& mv : *matviews_) {
-      if (mv.set != set || mv.rows == nullptr) continue;
-      auto mvscan = std::make_shared<PlanNode>();
-      mvscan->kind = PlanOpKind::kMatViewScan;
-      mvscan->set = set;
-      mvscan->table_id = table_id;
-      mvscan->mv_name = mv.name;
-      mvscan->mv_rows = mv.rows;
-      mvscan->card = estimator_.SubsetCard(set);
-      for (int pos : mv.sorted_positions) {
-        mvscan->sort_keys.push_back(SortKey{pos, false});
-      }
-      mvscan->op_cost = cost_.MatViewScanCost(mv.card);
-      mvscan->cost = mvscan->op_cost;
-      ++candidates_;
-      if (mvscan->cost < best->cost) best = mvscan;
-    }
-  }
-  return best;
+std::shared_ptr<PlanNode> JoinEnumerator::MakeMatViewScan(int mv,
+                                                          TableSet set) {
+  const DpEntry e = MatViewEntry(mv, set);
+  const AvailableMatView& view = (*matviews_)[static_cast<size_t>(mv)];
+  auto mvscan = std::make_shared<PlanNode>();
+  mvscan->kind = PlanOpKind::kMatViewScan;
+  mvscan->set = set;
+  if (PopCount(set) == 1) mvscan->table_id = LowTable(set);
+  mvscan->mv_name = view.name;
+  mvscan->mv_rows = view.rows;
+  mvscan->card = e.card;
+  mvscan->sort_keys = MatViewSortKeys(view);
+  mvscan->op_cost = e.cost;
+  mvscan->cost = e.cost;
+  return mvscan;
 }
 
 std::shared_ptr<PlanNode> JoinEnumerator::MakeHsjn(
@@ -164,16 +290,15 @@ std::shared_ptr<PlanNode> JoinEnumerator::MakeHsjn(
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanOpKind::kHsjn;
   node->set = set;
+  const OpCost c =
+      HsjnCosts(cost_, probe->card, probe->cost, build->card, build->cost);
   node->children = {std::move(probe), std::move(build)};
   node->child_validity.resize(2);
   node->join_pred_ids = joins;
   node->card = set_card;
   node->assumptions = set_assumptions;
-  const double probe_card = node->children[0]->card;
-  const double build_card = node->children[1]->card;
-  node->op_cost = cost_.HsjnCost(probe_card, build_card);
-  node->cost =
-      node->children[0]->cost + node->children[1]->cost + node->op_cost;
+  node->op_cost = c.op;
+  node->cost = c.total;
   return node;
 }
 
@@ -181,31 +306,14 @@ std::shared_ptr<PlanNode> JoinEnumerator::MakeMgjn(
     TableSet set, std::shared_ptr<PlanNode> left,
     std::shared_ptr<PlanNode> right, const std::vector<int>& joins,
     double set_card, int set_assumptions) {
-  auto make_sort = [this, &joins](std::shared_ptr<PlanNode> child,
-                                  bool is_left) -> std::shared_ptr<PlanNode> {
-    (void)is_left;
-    const RowLayout& layout = LayoutFor(child->set);
-    std::vector<int> required;
-    for (int j : joins) {
-      const JoinPredicate& jp = query_.join_preds()[static_cast<size_t>(j)];
-      const ColRef& side =
-          ContainsTable(child->set, jp.left.table_id) ? jp.left : jp.right;
-      required.push_back(layout.Resolve(side));
-    }
-    // A reused materialized view that is already sorted on the join keys
-    // needs no re-sort (the interesting-orders payoff of harvesting SORT
-    // results as views).
+  auto make_sort =
+      [this, &joins](std::shared_ptr<PlanNode> child) -> std::shared_ptr<PlanNode> {
+    std::vector<int> required = MergeKeys(child->set, joins);
+    // A reused materialized view already sorted on the join keys needs no
+    // re-sort.
     if (child->kind == PlanOpKind::kMatViewScan &&
-        child->sort_keys.size() >= required.size()) {
-      bool ordered = true;
-      for (size_t k = 0; k < required.size(); ++k) {
-        if (child->sort_keys[k].pos != required[k] ||
-            child->sort_keys[k].descending) {
-          ordered = false;
-          break;
-        }
-      }
-      if (ordered) return child;
+        SortedOn(child->sort_keys, required)) {
+      return child;
     }
     auto sort = std::make_shared<PlanNode>();
     sort->kind = PlanOpKind::kSort;
@@ -215,8 +323,9 @@ std::shared_ptr<PlanNode> JoinEnumerator::MakeMgjn(
     for (int pos : required) {
       sort->sort_keys.push_back(SortKey{pos, false});
     }
-    sort->op_cost = cost_.SortCost(child->card);
-    sort->cost = child->cost + sort->op_cost;
+    const OpCost c = SortCosts(cost_, child->card, child->cost);
+    sort->op_cost = c.op;
+    sort->cost = c.total;
     sort->children = {std::move(child)};
     sort->child_validity.resize(1);
     return sort;
@@ -224,31 +333,23 @@ std::shared_ptr<PlanNode> JoinEnumerator::MakeMgjn(
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanOpKind::kMgjn;
   node->set = set;
-  node->children = {make_sort(std::move(left), true),
-                    make_sort(std::move(right), false)};
+  node->children = {make_sort(std::move(left)), make_sort(std::move(right))};
   node->child_validity.resize(2);
   node->join_pred_ids = joins;
   node->card = set_card;
   node->assumptions = set_assumptions;
-  node->op_cost = cost_.MgjnCost(node->children[0]->card,
-                                 node->children[1]->card, node->card);
-  node->cost =
-      node->children[0]->cost + node->children[1]->cost + node->op_cost;
+  const OpCost c =
+      MgjnCosts(cost_, node->children[0]->card, node->children[0]->cost,
+                node->children[1]->card, node->children[1]->cost, set_card);
+  node->op_cost = c.op;
+  node->cost = c.total;
   return node;
 }
 
 std::shared_ptr<PlanNode> JoinEnumerator::MakeNljn(
     TableSet set, std::shared_ptr<PlanNode> outer, int inner_table,
     const std::vector<int>& joins, double set_card, int set_assumptions) {
-  const TableSet inner_set = TableBit(inner_table);
-  auto inner = std::make_shared<PlanNode>();
-  inner->kind = PlanOpKind::kTableScan;
-  inner->set = inner_set;
-  inner->table_id = inner_table;
-  inner->table_name = query_.table_name(inner_table);
-  inner->pred_ids = query_.PredsOnTable(inner_table);
-  inner->card = estimator_.SubsetCard(inner_set);
-  inner->assumptions = estimator_.AssumptionCount(inner_set);
+  std::shared_ptr<PlanNode> inner = MakeScan(inner_table);
   inner->op_cost = 0.0;  // Probe cost is charged by the NLJN operator.
   inner->cost = 0.0;
 
@@ -276,26 +377,15 @@ std::shared_ptr<PlanNode> JoinEnumerator::MakeNljn(
       break;
     }
   }
-  const double inner_base = estimator_.TableCard(inner_table);
-  const double matches =
-      node->use_index
-          ? estimator_.IndexMatchesPerProbe(inner_table, node->index_col)
-          : 0.0;
   node->per_probe_cost =
-      cost_.NljnProbeCost(node->use_index, inner_base, matches);
-  node->op_cost = cost_.NljnCost(outer->card, node->per_probe_cost);
-  node->cost = outer->cost + node->op_cost;
+      TableProbeCost(inner_table, node->use_index ? node->index_col : -1);
+  const OpCost c =
+      NljnCosts(cost_, outer->card, outer->cost, node->per_probe_cost);
+  node->op_cost = c.op;
+  node->cost = c.total;
   node->children = {std::move(outer), std::move(inner)};
   node->child_validity.resize(2);
   return node;
-}
-
-const AvailableMatView* JoinEnumerator::FindMatView(int table_id) const {
-  if (!methods_.consider_matviews || matviews_ == nullptr) return nullptr;
-  for (const AvailableMatView& mv : *matviews_) {
-    if (mv.set == TableBit(table_id) && mv.rows != nullptr) return &mv;
-  }
-  return nullptr;
 }
 
 std::shared_ptr<PlanNode> JoinEnumerator::MakeNljnOverMv(
@@ -320,121 +410,177 @@ std::shared_ptr<PlanNode> JoinEnumerator::MakeNljnOverMv(
   node->join_pred_ids = joins;
   node->card = set_card;
   node->assumptions = set_assumptions;
-  double per_probe;
-  if (joins.empty()) {
-    node->use_index = false;
-    per_probe = cost_.NljnProbeCost(false, mv.card, 0.0);
-    node->op_cost = cost_.NljnCost(outer->card, per_probe);
-  } else {
-    // Build a hash index on the view before reusing it (Section 2.3); the
-    // one-off build cost is charged to this operator.
+  // With a crossing join, build a hash index on the view before reusing it
+  // (Section 2.3); the one-off build cost is charged to this operator.
+  node->use_index = !joins.empty();
+  if (node->use_index) {
     const JoinPredicate& jp =
         query_.join_preds()[static_cast<size_t>(joins[0])];
-    const ColRef& inner_side =
-        jp.left.table_id == inner_table ? jp.left : jp.right;
-    node->use_index = true;
-    node->index_col = inner_side.column;
-    const double matches =
-        mv.card / std::max(1.0, estimator_.ColumnNdv(inner_table,
-                                                     inner_side.column));
-    per_probe = cost_.NljnProbeCost(true, mv.card, matches);
-    node->op_cost = cost_.NljnCost(outer->card, per_probe) +
-                    cost_.IndexBuildCost(mv.card);
+    node->index_col = jp.left.table_id == inner_table ? jp.left.column
+                                                      : jp.right.column;
   }
-  node->per_probe_cost = per_probe;
-  node->cost = outer->cost + node->op_cost;
+  node->per_probe_cost = MatViewProbeCost(
+      mv, inner_table, node->use_index ? node->index_col : -1);
+  const OpCost c = NljnOverMvCosts(cost_, outer->card, outer->cost,
+                                   node->per_probe_cost, node->use_index,
+                                   mv.card);
+  node->op_cost = c.op;
+  node->cost = c.total;
   node->children = {std::move(outer), std::move(inner)};
   node->child_validity.resize(2);
   return node;
 }
 
-double JoinEnumerator::BiasedCost(const PlanNode& node) const {
-  if (methods_.volatile_mode_bias <= 0.0) return node.cost;
-  return node.cost * (1.0 + methods_.volatile_mode_bias * OperatorRisk(node));
+std::shared_ptr<PlanNode> JoinEnumerator::Build(TableSet set) {
+  const DpEntry& e = dp_[set];
+  switch (e.op) {
+    case DpOp::kNone:
+      break;
+    case DpOp::kTableScan:
+      return MakeScan(LowTable(set));
+    case DpOp::kMatViewScan:
+      return MakeMatViewScan(e.mv, set);
+    case DpOp::kHsjn:
+      return MakeHsjn(set, Build(e.child0), Build(e.child1),
+                      CrossingJoins(e.child0, e.child1), e.card,
+                      e.assumptions);
+    case DpOp::kMgjn:
+      return MakeMgjn(set, Build(e.child0), Build(e.child1),
+                      CrossingJoins(e.child0, e.child1), e.card,
+                      e.assumptions);
+    case DpOp::kNljn:
+      return MakeNljn(set, Build(e.child0), LowTable(e.child1),
+                      CrossingJoins(e.child0, e.child1), e.card,
+                      e.assumptions);
+    case DpOp::kNljnOverMv:
+      return MakeNljnOverMv(set, Build(e.child0), LowTable(e.child1),
+                            CrossingJoins(e.child0, e.child1),
+                            (*matviews_)[static_cast<size_t>(e.mv)], e.card,
+                            e.assumptions);
+  }
+  return nullptr;
 }
 
-void JoinEnumerator::Offer(TableSet set,
-                           std::shared_ptr<PlanNode> candidate) {
-  auto it = best_.find(set);
-  if (it == best_.end()) {
-    best_[set] = std::move(candidate);
-    return;
+DpEntry JoinEnumerator::BestAccessPath(int table_id) {
+  const TableSet set = TableBit(table_id);
+  DpEntry best = ScanEntry(table_id);
+  ++candidates_;
+  if (methods_.consider_matviews && matviews_ != nullptr) {
+    for (size_t i = 0; i < matviews_->size(); ++i) {
+      const AvailableMatView& mv = (*matviews_)[i];
+      if (mv.set != set || mv.rows == nullptr) continue;
+      const DpEntry view = MatViewEntry(static_cast<int>(i), set);
+      ++candidates_;
+      if (view.cost < best.cost) best = view;
+    }
   }
-  std::shared_ptr<PlanNode>& best = it->second;
+  return best;
+}
+
+double JoinEnumerator::BiasedCost(DpOp op, double cost) const {
+  if (methods_.volatile_mode_bias <= 0.0) return cost;
+  return cost * (1.0 + methods_.volatile_mode_bias * OperatorRisk(op));
+}
+
+void JoinEnumerator::Offer(DpEntry* best, const DpEntry& candidate,
+                           double biased) const {
   // Cross-partition comparison: different join orders are never
   // structurally equivalent, so no validity narrowing happens here
   // (Section 2.2's restriction).
-  if (BiasedCost(*candidate) < BiasedCost(*best)) {
-    best = std::move(candidate);
+  if (best->op == DpOp::kNone || biased < BiasedCost(best->op, best->cost)) {
+    *best = candidate;
   }
 }
 
+double JoinEnumerator::MergeInputCost(TableSet side, TableSet other) const {
+  const DpEntry& e = dp_[side];
+  if (e.op == DpOp::kMatViewScan &&
+      SortedOn(MatViewSortKeys((*matviews_)[static_cast<size_t>(e.mv)]),
+               MergeKeys(side, CrossingJoins(side, other)))) {
+    return e.cost;
+  }
+  return SortCosts(cost_, e.card, e.cost).total;
+}
+
 void JoinEnumerator::AddJoinCandidates(TableSet set, TableSet left,
-                                       TableSet right,
-                                       const std::vector<int>& joins,
-                                       double set_card,
-                                       int set_assumptions) {
-  const std::shared_ptr<PlanNode>& lp = best_[left];
-  const std::shared_ptr<PlanNode>& rp = best_[right];
-  if (lp == nullptr || rp == nullptr) return;
+                                       TableSet right, bool connected,
+                                       double set_card, int set_assumptions) {
+  const DpEntry& lp = dp_[left];
+  const DpEntry& rp = dp_[right];
 
   // All candidates of one partition are structurally equivalent (same
-  // input edges, commutation included): prune among them first, narrowing
-  // the survivor's validity ranges per Figure 5, then offer the partition
-  // winner for the cross-partition (join-order) comparison.
-  std::vector<std::shared_ptr<PlanNode>> candidates;
+  // input edges, commutation included): pick the partition winner first,
+  // then offer it for the cross-partition (join-order) comparison. Each
+  // candidate is costed arithmetically; only a winner is recorded.
+  DpEntry winner;
+  double winner_biased = 0.0;
+  auto consider = [&](DpOp op, TableSet child0, TableSet child1, int mv,
+                      double cost) {
+    ++candidates_;
+    const double biased = BiasedCost(op, cost);
+    if (winner.op != DpOp::kNone && !(biased < winner_biased)) return;
+    winner.op = op;
+    winner.mv = static_cast<int16_t>(mv);
+    winner.child0 = static_cast<uint32_t>(child0);
+    winner.child1 = static_cast<uint32_t>(child1);
+    winner.cost = cost;
+    winner_biased = biased;
+  };
   if (methods_.enable_hsjn) {
-    candidates.push_back(
-        MakeHsjn(set, lp, rp, joins, set_card, set_assumptions));  // Build R.
-    candidates.push_back(
-        MakeHsjn(set, rp, lp, joins, set_card, set_assumptions));  // Commuted.
+    consider(DpOp::kHsjn, left, right, -1,  // Build right.
+             HsjnCosts(cost_, lp.card, lp.cost, rp.card, rp.cost).total);
+    consider(DpOp::kHsjn, right, left, -1,  // Commuted.
+             HsjnCosts(cost_, rp.card, rp.cost, lp.card, lp.cost).total);
   }
-  if (methods_.enable_mgjn && !joins.empty()) {
-    candidates.push_back(
-        MakeMgjn(set, lp, rp, joins, set_card, set_assumptions));
+  if (methods_.enable_mgjn && connected) {
+    consider(DpOp::kMgjn, left, right, -1,
+             MgjnCosts(cost_, lp.card, MergeInputCost(left, right), rp.card,
+                       MergeInputCost(right, left), set_card)
+                 .total);
   }
   if (methods_.enable_nljn) {
-    if (PopCount(right) == 1) {
-      const int t = static_cast<int>(__builtin_ctzll(right));
-      candidates.push_back(
-          MakeNljn(set, lp, t, joins, set_card, set_assumptions));
-      if (const AvailableMatView* mv = FindMatView(t)) {
-        candidates.push_back(
-            MakeNljnOverMv(set, lp, t, joins, *mv, set_card,
-                           set_assumptions));
+    // NLJN into a single inner table, outer = the other side: probe
+    // through the first crossing join predicate with an index, else scan.
+    auto nljn = [&](TableSet outer, const DpEntry& outer_plan,
+                    TableSet inner) {
+      const int t = LowTable(inner);
+      const ProbePath* first = nullptr;
+      double per_probe = scan_probe_[static_cast<size_t>(t)];
+      for (const ProbePath& path : probe_paths_[static_cast<size_t>(t)]) {
+        if ((path.other & outer) == 0) continue;
+        if (first == nullptr) first = &path;
+        if (path.indexed) {
+          per_probe = path.index_probe;
+          break;
+        }
       }
-    }
-    if (PopCount(left) == 1) {
-      const int t = static_cast<int>(__builtin_ctzll(left));
-      candidates.push_back(
-          MakeNljn(set, rp, t, joins, set_card, set_assumptions));
-      if (const AvailableMatView* mv = FindMatView(t)) {
-        candidates.push_back(
-            MakeNljnOverMv(set, rp, t, joins, *mv, set_card,
-                           set_assumptions));
+      consider(DpOp::kNljn, outer, inner, -1,
+               NljnCosts(cost_, outer_plan.card, outer_plan.cost, per_probe)
+                   .total);
+      const int mv = table_mv_[static_cast<size_t>(t)];
+      if (mv >= 0) {
+        // Over a matview the index is built on the first crossing join.
+        const AvailableMatView& view = (*matviews_)[static_cast<size_t>(mv)];
+        const double mv_probe = MatViewProbeCost(
+            view, t, first != nullptr ? first->column : -1);
+        consider(DpOp::kNljnOverMv, outer, inner, mv,
+                 NljnOverMvCosts(cost_, outer_plan.card, outer_plan.cost,
+                                 mv_probe, first != nullptr, view.card)
+                     .total);
       }
-    }
+    };
+    if (PopCount(right) == 1) nljn(left, lp, right);
+    if (PopCount(left) == 1) nljn(right, rp, left);
   }
-  if (candidates.empty()) return;
-  candidates_ += static_cast<int64_t>(candidates.size());
-
-  std::shared_ptr<PlanNode> winner = std::move(candidates[0]);
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    std::shared_ptr<PlanNode>& challenger = candidates[i];
-    if (BiasedCost(*challenger) < BiasedCost(*winner)) {
-      if (observer_ != nullptr) observer_->OnPrune(challenger.get(), *winner);
-      winner = std::move(challenger);
-    } else {
-      if (observer_ != nullptr) observer_->OnPrune(winner.get(), *challenger);
-    }
-  }
-  Offer(set, std::move(winner));
+  if (winner.op == DpOp::kNone) return;
+  winner.card = set_card;
+  winner.assumptions = set_assumptions;
+  Offer(&dp_[set], winner, winner_biased);
 }
 
 void JoinEnumerator::NarrowPlanRanges(PlanNode* root,
                                       PruneObserver* observer) {
-  if (root->kind == PlanOpKind::kNljn || root->kind == PlanOpKind::kHsjn ||
-      root->kind == PlanOpKind::kMgjn) {
+  if (IsJoin(*root)) {
     const PlanNode* left = LogicalChild(*root, 0);
     const PlanNode* right = LogicalChild(*root, 1);
     // Regenerate the structurally equivalent alternatives over the same
@@ -448,7 +594,7 @@ void JoinEnumerator::NarrowPlanRanges(PlanNode* root,
       // alternatives would get its scan for free.
       auto copy = std::make_shared<PlanNode>(*node);
       if (copy->kind == PlanOpKind::kTableScan && copy->cost == 0.0) {
-        copy->op_cost = cost_.ScanCost(estimator_.TableCard(copy->table_id));
+        copy->op_cost = ScanEntry(copy->table_id).cost;
         copy->cost = copy->op_cost;
       }
       return copy;
@@ -469,16 +615,14 @@ void JoinEnumerator::NarrowPlanRanges(PlanNode* root,
     if (methods_.enable_nljn) {
       if (PopCount(right->set) == 1 &&
           right->kind == PlanOpKind::kTableScan) {
-        alternatives.push_back(MakeNljn(
-            root->set, share(left),
-            static_cast<int>(__builtin_ctzll(right->set)), joins, set_card,
-            set_assumptions));
+        alternatives.push_back(MakeNljn(root->set, share(left),
+                                        LowTable(right->set), joins, set_card,
+                                        set_assumptions));
       }
       if (PopCount(left->set) == 1 && left->kind == PlanOpKind::kTableScan) {
-        alternatives.push_back(MakeNljn(
-            root->set, share(right),
-            static_cast<int>(__builtin_ctzll(left->set)), joins, set_card,
-            set_assumptions));
+        alternatives.push_back(MakeNljn(root->set, share(right),
+                                        LowTable(left->set), joins, set_card,
+                                        set_assumptions));
       }
     }
     for (const auto& alt : alternatives) {
@@ -539,10 +683,18 @@ void JoinEnumerator::ReuseMemoEntries() {
       ++itb;
     }
   }
+  // Surviving entries keep their matview by identity: map each committed
+  // view to its position in the current offer list (a view that is gone
+  // dirties its set instead).
   const std::vector<MemoMatViewKey> new_mv = CurrentMatViewKeys();
-  for (const MemoMatViewKey& old_key : memo_->matviews_) {
-    if (std::find(new_mv.begin(), new_mv.end(), old_key) == new_mv.end()) {
+  std::vector<int16_t> mv_now(memo_->matviews_.size(), -1);
+  for (size_t i = 0; i < memo_->matviews_.size(); ++i) {
+    const MemoMatViewKey& old_key = memo_->matviews_[i];
+    auto it = std::find(new_mv.begin(), new_mv.end(), old_key);
+    if (it == new_mv.end()) {
       dirty.push_back(old_key.set);
+    } else {
+      mv_now[i] = static_cast<int16_t>(it - new_mv.begin());
     }
   }
   for (const MemoMatViewKey& new_key : new_mv) {
@@ -552,40 +704,88 @@ void JoinEnumerator::ReuseMemoEntries() {
     }
   }
 
-  // Adopt the memo wholesale by move and evict the stale entries: with few
-  // dirty roots this is a handful of erases instead of re-inserting every
-  // surviving entry one at a time. The memo is hollow until CommitMemo
-  // repopulates it, so mark it invalid in case enumeration fails midway.
-  best_ = std::move(memo_->entries_);
-  memo_->entries_.clear();
-  memo_->valid_ = false;
-  for (auto it = best_.begin(); it != best_.end();) {
+  for (size_t set = 1; set < memo_->entries_.size(); ++set) {
+    DpEntry& e = memo_->entries_[set];
+    if (e.op == DpOp::kNone) continue;
     bool stale = false;
     for (TableSet root : dirty) {
-      if ((root & it->first) == root) {
+      if ((root & set) == root) {
         stale = true;
         break;
       }
     }
     if (stale) {
       ++memo_invalidated_;
-      it = best_.erase(it);
+      e = DpEntry{};
     } else {
-      // Map iteration is ascending, so the end() hint keeps this O(1).
-      reused_.insert(reused_.end(), it->first);
       ++memo_reused_;
-      ++it;
+      e.reused = true;
+      if (e.mv >= 0) e.mv = mv_now[static_cast<size_t>(e.mv)];
     }
   }
 }
 
 void JoinEnumerator::CommitMemo() {
-  memo_->entries_ = std::move(best_);
   memo_->feedback_ = estimator_.feedback() != nullptr ? *estimator_.feedback()
                                                       : FeedbackMap{};
   memo_->matviews_ = CurrentMatViewKeys();
   memo_->fingerprint_ = memo_fingerprint_;
   memo_->valid_ = true;
+}
+
+void JoinEnumerator::PrepareTable() {
+  const int n = query_.num_tables();
+  const size_t table_size = size_t{1} << n;
+  std::vector<DpEntry>* table = &local_table_;
+  bool reusing = false;
+  if (memo_ != nullptr) {
+    table = &memo_->entries_;
+    memo_fingerprint_ = QueryMemoFingerprint(query_);
+    if (memo_->valid_ && memo_->fingerprint_ == memo_fingerprint_) {
+      if (memo_->skeleton_ != nullptr) memo_->ConvertSkeleton(n);
+      reusing = table->size() == table_size;
+      if (reusing) ReuseMemoEntries();
+    }
+    // The table is hollow until CommitMemo; a failed enumeration must not
+    // leave it looking reusable.
+    memo_->skeleton_.reset();
+    memo_->valid_ = false;
+  }
+  if (!reusing) table->assign(table_size, DpEntry{});
+  dp_ = table->data();
+
+  // Connectivity: neighbours_[S] is every table joined to a member of S.
+  std::vector<uint32_t> adjacent(static_cast<size_t>(n), 0);
+  probe_paths_.assign(static_cast<size_t>(n), {});
+  table_mv_.resize(static_cast<size_t>(n));
+  scan_probe_.resize(static_cast<size_t>(n));
+  for (int t = 0; t < n; ++t) {
+    table_mv_[static_cast<size_t>(t)] = FindMatView(t);
+    scan_probe_[static_cast<size_t>(t)] = TableProbeCost(t, -1);
+  }
+  for (const JoinPredicate& jp : query_.join_preds()) {
+    const int lt = jp.left.table_id;
+    const int rt = jp.right.table_id;
+    if (lt == rt) continue;  // Never crosses a split.
+    adjacent[static_cast<size_t>(lt)] |= static_cast<uint32_t>(TableBit(rt));
+    adjacent[static_cast<size_t>(rt)] |= static_cast<uint32_t>(TableBit(lt));
+    for (const ColRef* side : {&jp.left, &jp.right}) {
+      const int t = side->table_id;
+      ProbePath path;
+      path.other = TableBit(side == &jp.left ? rt : lt);
+      path.column = side->column;
+      path.indexed = methods_.enable_nljn &&
+                     catalog_.FindIndex(query_.table_name(t), side->column) !=
+                         nullptr;
+      if (path.indexed) path.index_probe = TableProbeCost(t, side->column);
+      probe_paths_[static_cast<size_t>(t)].push_back(path);
+    }
+  }
+  neighbours_.assign(table_size, 0);
+  for (size_t set = 1; set < table_size; ++set) {
+    neighbours_[set] = neighbours_[set & (set - 1)] |
+                       adjacent[static_cast<size_t>(LowTable(set))];
+  }
 }
 
 Result<std::shared_ptr<PlanNode>> JoinEnumerator::EnumerateJoinTree() {
@@ -597,86 +797,61 @@ Result<std::shared_ptr<PlanNode>> JoinEnumerator::EnumerateJoinTree() {
     return Status::InvalidArgument(
         "too many tables for exhaustive dynamic programming");
   }
-  if (memo_ != nullptr) {
-    memo_fingerprint_ = QueryMemoFingerprint(query_);
-    if (memo_->valid_ && memo_->fingerprint_ == memo_fingerprint_) {
-      ReuseMemoEntries();
-    }
-  }
+  PrepareTable();
   for (int t = 0; t < n; ++t) {
     if (catalog_.GetTable(query_.table_name(t)) == nullptr) {
       return Status::NotFound("no such table: " + query_.table_name(t));
     }
-    if (reused_.count(TableBit(t)) != 0) continue;
-    best_[TableBit(t)] = BestAccessPath(t);
-  }
-
-  // Multi-table materialized views seed their table set directly.
-  if (methods_.consider_matviews && matviews_ != nullptr) {
-    for (const AvailableMatView& mv : *matviews_) {
-      if (PopCount(mv.set) < 2 || mv.rows == nullptr) continue;
-      if (reused_.count(mv.set) != 0) continue;
-      auto mvscan = std::make_shared<PlanNode>();
-      mvscan->kind = PlanOpKind::kMatViewScan;
-      mvscan->set = mv.set;
-      mvscan->mv_name = mv.name;
-      mvscan->mv_rows = mv.rows;
-      mvscan->card = estimator_.SubsetCard(mv.set);
-      for (int pos : mv.sorted_positions) {
-        mvscan->sort_keys.push_back(SortKey{pos, false});
-      }
-      mvscan->op_cost = cost_.MatViewScanCost(mv.card);
-      mvscan->cost = mvscan->op_cost;
-      Offer(mv.set, std::move(mvscan));
-    }
+    DpEntry& e = dp_[TableBit(t)];
+    if (!e.reused) e = BestAccessPath(t);
   }
 
   const TableSet full = query_.AllTables();
-  std::vector<std::vector<TableSet>> by_size(static_cast<size_t>(n + 1));
-  for (TableSet set = 1; set <= full; ++set) {
-    const int pc = PopCount(set);
-    if (pc >= 2) by_size[static_cast<size_t>(pc)].push_back(set);
-  }
-
-  for (int size = 2; size <= n; ++size) {
-    for (TableSet set : by_size[static_cast<size_t>(size)]) {
-      if (reused_.count(set) != 0) continue;  // Memo entry still valid.
-      // One estimator probe per set, shared by every split's candidates.
-      const double set_card = estimator_.SubsetCard(set);
-      const int set_assumptions = estimator_.AssumptionCount(set);
-      const TableSet low_bit = set & (~set + 1);
-      // Pass 1: partitions connected by at least one join predicate.
-      bool connected_found = false;
-      for (TableSet sub = (set - 1) & set; sub != 0; sub = (sub - 1) & set) {
-        if ((sub & low_bit) == 0) continue;  // Dedupe unordered partitions.
-        const TableSet rest = set & ~sub;
-        if (best_.count(sub) == 0 || best_.count(rest) == 0) continue;
-        const std::vector<int> joins = CrossingJoins(sub, rest);
-        if (joins.empty()) continue;
-        connected_found = true;
-        AddJoinCandidates(set, sub, rest, joins, set_card, set_assumptions);
-      }
-      if (!connected_found) {
-        // Pass 2: no connected partition exists; allow cross products.
-        for (TableSet sub = (set - 1) & set; sub != 0;
-             sub = (sub - 1) & set) {
-          if ((sub & low_bit) == 0) continue;
-          const TableSet rest = set & ~sub;
-          if (best_.count(sub) == 0 || best_.count(rest) == 0) continue;
-          AddJoinCandidates(set, sub, rest, {}, set_card, set_assumptions);
-        }
-      }
+  // Multi-table materialized views seed their table set directly.
+  if (methods_.consider_matviews && matviews_ != nullptr) {
+    for (size_t i = 0; i < matviews_->size(); ++i) {
+      const AvailableMatView& mv = (*matviews_)[i];
+      if (PopCount(mv.set) < 2 || mv.rows == nullptr) continue;
+      if ((mv.set & ~full) != 0 || dp_[mv.set].reused) continue;
+      const DpEntry view = MatViewEntry(static_cast<int>(i), mv.set);
+      Offer(&dp_[mv.set], view, BiasedCost(view.op, view.cost));
     }
   }
 
-  auto it = best_.find(full);
-  if (it == best_.end() || it->second == nullptr) {
+  // DPsub: every set after all of its subsets (ascending set order).
+  for (TableSet set = 1; set <= full; ++set) {
+    if (PopCount(set) < 2 || dp_[set].reused) continue;
+    // One estimator probe per set, shared by every split's candidates.
+    const double set_card = estimator_.SubsetCard(set);
+    const int set_assumptions = estimator_.AssumptionCount(set);
+    const TableSet low_bit = set & (~set + 1);
+    // Pass 1: partitions connected by at least one join predicate.
+    bool connected_found = false;
+    for (TableSet sub = (set - 1) & set; sub != 0; sub = (sub - 1) & set) {
+      if ((sub & low_bit) == 0) continue;  // Dedupe unordered partitions.
+      const TableSet rest = set & ~sub;
+      if ((neighbours_[sub] & rest) == 0) continue;
+      if (dp_[sub].op == DpOp::kNone || dp_[rest].op == DpOp::kNone) continue;
+      connected_found = true;
+      AddJoinCandidates(set, sub, rest, /*connected=*/true, set_card,
+                        set_assumptions);
+    }
+    if (connected_found) continue;
+    // Pass 2: no connected partition exists; allow cross products.
+    for (TableSet sub = (set - 1) & set; sub != 0; sub = (sub - 1) & set) {
+      if ((sub & low_bit) == 0) continue;
+      const TableSet rest = set & ~sub;
+      if (dp_[sub].op == DpOp::kNone || dp_[rest].op == DpOp::kNone) continue;
+      AddJoinCandidates(set, sub, rest, /*connected=*/false, set_card,
+                        set_assumptions);
+    }
+  }
+
+  if (dp_[full].op == DpOp::kNone) {
     return Status::Internal("join enumeration produced no plan");
   }
-  // CommitMemo moves best_ into the memo; keep the winner alive first.
-  std::shared_ptr<PlanNode> winner = it->second;
   if (memo_ != nullptr) CommitMemo();
-  return winner;
+  return Build(full);
 }
 
 }  // namespace popdb

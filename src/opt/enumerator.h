@@ -2,11 +2,8 @@
 #define POPDB_OPT_ENUMERATOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -65,27 +62,56 @@ struct MemoMatViewKey {
   bool operator==(const MemoMatViewKey&) const = default;
 };
 
-/// Persistent dynamic-programming memo carried across the optimizations of
+/// Physical choice the DP table records for one table set.
+enum class DpOp : uint8_t {
+  kNone,         ///< No plan for this set (the entry's valid bit is off).
+  kTableScan,    ///< Full scan of the set's single table.
+  kMatViewScan,  ///< Scan of offered matview `DpEntry::mv`.
+  kHsjn,         ///< child0 = probe, child1 = build.
+  kMgjn,         ///< child0 / child1 = left / right merge input.
+  kNljn,         ///< child0 = outer, child1 = the inner table (one bit).
+  kNljnOverMv,   ///< NLJN probing matview `DpEntry::mv` covering child1.
+};
+
+/// One best plan of the dynamic-programming table, as plain data: the DP
+/// loop costs candidates arithmetically and keeps only the winner's
+/// recipe here; JoinEnumerator builds PlanNodes for the chosen plan alone.
+/// Table sets are stored in 32 bits (DP is capped at 20 tables).
+struct DpEntry {
+  DpOp op = DpOp::kNone;
+  /// Taken from the IncrementalMemo by the current enumeration; the DP
+  /// passes skip the set.
+  bool reused = false;
+  /// Index into the offered matviews (kMatViewScan, kNljnOverMv), else -1.
+  int16_t mv = -1;
+  int32_t assumptions = 0;
+  uint32_t child0 = 0;  ///< Table set of the first child slot.
+  uint32_t child1 = 0;  ///< Table set of the second child slot.
+  double card = 0.0;
+  double cost = 0.0;    ///< Cumulative, unbiased.
+};
+
+/// Persistent dynamic-programming table carried across the optimizations of
 /// one progressive execution (and across the coordinator's cluster-level
-/// re-optimizations). After a successful enumeration the one-best-plan-per-
-/// table-set map is committed here together with the feedback snapshot and
-/// matview identities it was computed under; the next enumeration for the
-/// same query reuses every entry whose table set contains no changed
-/// feedback key and no changed matview — by construction those entries are
-/// bit-identical to what a from-scratch enumeration would produce, because
-/// SubsetCard(S) only ever reads feedback entries that are subsets of S.
-/// Entries whose set covers a changed edge are discarded and re-costed
-/// upward through their supersets by the normal DP passes.
+/// re-optimizations). The enumeration writes its DP entries straight into
+/// the memo's table; on success it commits the feedback snapshot and
+/// matview identities the entries were computed under. The next
+/// enumeration for the same query keeps every entry whose table set
+/// contains no changed feedback key and no changed matview — by
+/// construction those entries are bit-identical to what a from-scratch
+/// enumeration would produce, because SubsetCard(S) only ever reads
+/// feedback entries that are subsets of S — and clears the rest, which the
+/// normal DP passes recompute upward through their supersets.
 ///
-/// Memo entries are pre-narrowing plan trees (the Optimizer deep-clones the
-/// winner before NarrowPlanRanges mutates validity ranges), so reuse never
-/// leaks state between attempts. Not thread safe; one memo belongs to one
-/// executor.
+/// Entries are plain data and the plan tree is built from them after every
+/// enumeration, so reuse never leaks state between attempts. Not thread
+/// safe; one memo belongs to one executor.
 class IncrementalMemo {
  public:
   /// Drops all state; the next enumeration runs full DP.
   void Reset() {
     entries_.clear();
+    skeleton_.reset();
     feedback_.clear();
     matviews_.clear();
     fingerprint_ = 0;
@@ -93,25 +119,35 @@ class IncrementalMemo {
   }
 
   /// Warm start from a cached pre-checkpoint plan skeleton (plan-cache
-  /// near miss: same signature, stale feedback digest). Every join-node
-  /// subtree of the skeleton with table set S is the install-time DP best
-  /// plan for S, so it seeds the memo entry for S; `feedback` must be the
-  /// install-time snapshot so the next enumeration can diff against it.
-  /// The skeleton is post-narrowing, so every validity range of the seeded
-  /// clone is reset to its default — memo entries are pre-narrowing.
-  void SeedFromSkeleton(const PlanNode& skeleton, const FeedbackMap& feedback,
-                        uint64_t fingerprint);
+  /// near miss: same signature, stale feedback digest; or an exact hit).
+  /// Every join-node subtree of the skeleton with table set S is the
+  /// install-time DP best plan for S, so it seeds the table entry for S;
+  /// `feedback` must be the install-time snapshot so the next enumeration
+  /// can diff against it. The skeleton is only kept here and converted to
+  /// table entries when an enumeration actually uses the memo, so an exact
+  /// hit that never re-optimizes pays nothing for the seed.
+  void SeedFromSkeleton(std::shared_ptr<const PlanNode> skeleton,
+                        FeedbackMap feedback, uint64_t fingerprint);
 
   bool valid() const { return valid_; }
-  int64_t entries() const { return static_cast<int64_t>(entries_.size()); }
+  /// Table sets holding a plan (diagnostics).
+  int64_t entries() const;
 
  private:
   friend class JoinEnumerator;
 
-  std::map<TableSet, std::shared_ptr<PlanNode>> entries_;
+  /// Writes the pending skeleton's join nodes into a fresh table for a
+  /// query of `num_tables` tables.
+  void ConvertSkeleton(int num_tables);
+
+  /// Indexed by TableSet; empty until the first enumeration.
+  std::vector<DpEntry> entries_;
+  /// Pending warm start (see SeedFromSkeleton); null once converted.
+  std::shared_ptr<const PlanNode> skeleton_;
   /// Feedback snapshot the entries were computed under.
   FeedbackMap feedback_;
-  /// Identities of the matviews offered to the committing enumeration.
+  /// Identities of the matviews offered to the committing enumeration, in
+  /// offer order (DpEntry::mv indexes this list).
   std::vector<MemoMatViewKey> matviews_;
   /// QueryMemoFingerprint of the committing query; a mismatch invalidates
   /// the whole memo.
@@ -119,10 +155,10 @@ class IncrementalMemo {
   bool valid_ = false;
 };
 
-/// Observer invoked whenever dynamic programming prunes a structurally
-/// equivalent alternative (same table set, same unordered child partition).
-/// The POP validity-range analysis implements this interface; a null
-/// observer makes the enumerator a plain System-R optimizer.
+/// Observer of structurally equivalent alternatives (same table set, same
+/// unordered child partition) of the chosen plan's join nodes. The POP
+/// validity-range analysis implements this interface;
+/// JoinEnumerator::NarrowPlanRanges drives it.
 class PruneObserver {
  public:
   virtual ~PruneObserver() = default;
@@ -134,29 +170,32 @@ class PruneObserver {
 
 /// Selinger-style dynamic-programming join enumerator: one best plan per
 /// table subset, bushy partitions, hash/merge/nested-loop candidates, and
-/// materialized-view seeding. Produces the join tree only; the Optimizer
-/// facade adds aggregation / sort / projection on top.
+/// materialized-view seeding. Candidates are costed arithmetically into a
+/// flat per-set table of DpEntry; PlanNodes are built only for the final
+/// plan. Produces the join tree only; the Optimizer facade adds
+/// aggregation / sort / projection on top.
 class JoinEnumerator {
  public:
   JoinEnumerator(const Catalog& catalog, const QuerySpec& query,
                  const CardinalityEstimator& estimator, const CostModel& cost,
                  const JoinMethodConfig& methods,
                  const std::vector<AvailableMatView>* matviews,
-                 PruneObserver* observer, IncrementalMemo* memo = nullptr);
+                 IncrementalMemo* memo = nullptr);
 
-  /// Runs DP over all table subsets and returns the best full join tree.
-  /// With an attached memo, entries untouched by feedback/matview changes
-  /// since the memo's commit are reused instead of re-enumerated, and the
-  /// new best-plan table is committed back on success.
+  /// Runs DP over all table subsets and returns the best full join tree, a
+  /// fresh tree nobody else shares. With an attached memo, entries
+  /// untouched by feedback/matview changes since the memo's commit are
+  /// reused instead of re-enumerated, and the table is committed back on
+  /// success.
   Result<std::shared_ptr<PlanNode>> EnumerateJoinTree();
 
   /// Narrows the validity ranges of every join edge of (the already
-  /// chosen, deep-cloned) `root` by regenerating the structurally
-  /// equivalent alternatives of each join node and invoking `observer` as
-  /// if they were pruned. By the structural-equivalence theorem
-  /// (Section 2.2) ranges are only needed on the final plan's edges, so
-  /// doing this as a post-pass costs O(plan size) cost-model evaluations
-  /// instead of O(3^n).
+  /// chosen) `root` by regenerating the structurally equivalent
+  /// alternatives of each join node and invoking `observer` as if they
+  /// were pruned. By the structural-equivalence theorem (Section 2.2)
+  /// ranges are only needed on the final plan's edges, so doing this as a
+  /// post-pass costs O(plan size) cost-model evaluations instead of
+  /// O(3^n).
   void NarrowPlanRanges(PlanNode* root, PruneObserver* observer);
 
   /// Number of candidate plans costed (diagnostics).
@@ -168,26 +207,57 @@ class JoinEnumerator {
   int64_t memo_invalidated() const { return memo_invalidated_; }
 
  private:
-  /// Seeds `best_` from the memo: diffs the memo's feedback snapshot and
-  /// matview identities against the current ones, then reuses every entry
-  /// whose table set contains no changed edge.
+  /// One join predicate incident to a potential NLJN inner table, with its
+  /// index lookup and probe cost done once per enumeration.
+  struct ProbePath {
+    TableSet other = 0;        ///< Bit of the table on the other side.
+    int column = -1;           ///< Inner-side column.
+    bool indexed = false;      ///< The catalog indexes `column`.
+    double index_probe = 0.0;  ///< Per-probe cost through that index.
+  };
+
+  /// Sizes the table (reusing memo entries when allowed) and precomputes
+  /// the per-query inputs of the DP loop.
+  void PrepareTable();
+  /// Clears every memo entry whose table set contains a changed feedback
+  /// key or matview and marks the rest reused.
   void ReuseMemoEntries();
-  /// Commits `best_` (plus current feedback/matview identities) to the
-  /// memo after a successful enumeration.
+  /// Commits the current feedback/matview identities to the memo after a
+  /// successful enumeration (the entries already live there).
   void CommitMemo();
   /// Identity list of the currently offered matviews.
   std::vector<MemoMatViewKey> CurrentMatViewKeys() const;
-  std::shared_ptr<PlanNode> BestAccessPath(int table_id);
+  DpEntry BestAccessPath(int table_id);
+  /// The full-scan access path of `table_id`: the entry the DP costs and
+  /// MakeScan builds from.
+  DpEntry ScanEntry(int table_id) const;
+  /// A scan of offered matview `mv` standing for `set` (its rows are
+  /// actual, so the entry carries no estimation assumptions).
+  DpEntry MatViewEntry(int mv, TableSet set) const;
   /// Join predicate indexes with one side in `left` and the other in
   /// `right`.
   std::vector<int> CrossingJoins(TableSet left, TableSet right) const;
 
-  /// `set_card` / `set_assumptions` are the output set's estimate and
-  /// assumption count, hoisted by the DP loop so the (up to six) candidate
-  /// constructors of every split share one estimator probe per set.
+  /// Costs every candidate of the split (`left`, `right`) of `set` and
+  /// offers the partition winner. `connected` says whether a join
+  /// predicate crosses the split; `set_card` / `set_assumptions` are the
+  /// output set's estimate and assumption count, hoisted by the DP loop.
   void AddJoinCandidates(TableSet set, TableSet left, TableSet right,
-                         const std::vector<int>& joins, double set_card,
+                         bool connected, double set_card,
                          int set_assumptions);
+  /// Cost of `side`'s best plan as a merge-join input against `other`:
+  /// plus a sort unless it is a matview already sorted on the join keys.
+  double MergeInputCost(TableSet side, TableSet other) const;
+  /// Replaces `*best` by `candidate` (comparison cost `biased`) when the
+  /// set has no plan yet or the candidate is strictly cheaper.
+  void Offer(DpEntry* best, const DpEntry& candidate, double biased) const;
+  /// Comparison cost including the volatile-mode robustness bias.
+  double BiasedCost(DpOp op, double cost) const;
+
+  /// Builds the plan tree recorded for `set`.
+  std::shared_ptr<PlanNode> Build(TableSet set);
+  std::shared_ptr<PlanNode> MakeScan(int table_id);
+  std::shared_ptr<PlanNode> MakeMatViewScan(int mv, TableSet set);
   std::shared_ptr<PlanNode> MakeHsjn(TableSet set,
                                      std::shared_ptr<PlanNode> probe,
                                      std::shared_ptr<PlanNode> build,
@@ -213,19 +283,18 @@ class JoinEnumerator {
                                            const AvailableMatView& mv,
                                            double set_card,
                                            int set_assumptions);
-  /// Singleton-set materialized view covering `table_id`, or null.
-  const AvailableMatView* FindMatView(int table_id) const;
-  /// Offers `candidate` for table set `set`, pruning with validity-range
-  /// narrowing when structurally comparable.
-  void Offer(TableSet set, std::shared_ptr<PlanNode> candidate);
-  /// Comparison cost including the volatile-mode robustness bias.
-  double BiasedCost(const PlanNode& node) const;
-
-  /// Layout for `set`, memoized for the enumerator's lifetime: MGJN builds
-  /// two sort children per connected split, and reconstructing the layout
-  /// (two vector allocations plus an offset scan) each time dominates the
-  /// candidate constructors on large sets.
-  const RowLayout& LayoutFor(TableSet set) const;
+  /// Index of the first singleton-set matview covering `table_id`, or -1.
+  int FindMatView(int table_id) const;
+  /// Canonical positions of `set`'s layout a merge join over `joins` sorts
+  /// that input on.
+  std::vector<int> MergeKeys(TableSet set, const std::vector<int>& joins) const;
+  /// Per-probe cost of an NLJN into `inner_table`, through the hash index
+  /// on `index_col` or (index_col < 0) by scanning the table.
+  double TableProbeCost(int inner_table, int index_col) const;
+  /// Per-probe cost of an NLJN into matview `mv` covering `inner_table`,
+  /// through an index built on `index_col` or (index_col < 0) by scanning.
+  double MatViewProbeCost(const AvailableMatView& mv, int inner_table,
+                          int index_col) const;
 
   const Catalog& catalog_;
   const QuerySpec& query_;
@@ -233,20 +302,25 @@ class JoinEnumerator {
   const CostModel& cost_;
   JoinMethodConfig methods_;
   const std::vector<AvailableMatView>* matviews_;
-  PruneObserver* observer_;
-
   std::vector<int> table_widths_;
-  mutable std::unordered_map<TableSet, RowLayout> layout_cache_;
-  std::map<TableSet, std::shared_ptr<PlanNode>> best_;
+
+  /// The DP table: the memo's entries, or `local_table_` without a memo.
+  std::vector<DpEntry> local_table_;
+  DpEntry* dp_ = nullptr;
+  /// Per table set: every table joined to a member (connectivity test).
+  std::vector<uint32_t> neighbours_;
+  /// Per table: join predicates into it, in predicate order.
+  std::vector<std::vector<ProbePath>> probe_paths_;
+  /// Per table: per-probe cost of scanning it as an NLJN inner.
+  std::vector<double> scan_probe_;
+  /// Per table: FindMatView.
+  std::vector<int> table_mv_;
   int64_t candidates_ = 0;
 
   IncrementalMemo* memo_;  ///< May be null (plain full-DP enumeration).
   /// Canonical query signature, computed once per enumeration when a memo
   /// is attached.
   uint64_t memo_fingerprint_ = 0;
-  /// Table sets whose best plan came from the memo this enumeration; the
-  /// DP passes skip recomputing them.
-  std::set<TableSet> reused_;
   int64_t memo_reused_ = 0;
   int64_t memo_invalidated_ = 0;
 };

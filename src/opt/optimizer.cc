@@ -38,7 +38,7 @@ Result<OptimizedPlan> Optimizer::Optimize(
   // final plan's edges, so the sensitivity analysis runs as a cheap
   // post-pass over the chosen tree instead of on every pruned candidate.
   JoinEnumerator enumerator(catalog_, query, estimator, cost_model,
-                            config_.methods, matviews, nullptr, memo);
+                            config_.methods, matviews, memo);
   Result<std::shared_ptr<PlanNode>> join_tree = [&] {
     TRACE_SPAN_NAMED(dp_span, "dp_enumeration", "opt");
     Result<std::shared_ptr<PlanNode>> tree = enumerator.EnumerateJoinTree();
@@ -47,9 +47,9 @@ Result<OptimizedPlan> Optimizer::Optimize(
   }();
   if (!join_tree.ok()) return join_tree.status();
 
-  // Deep-clone so downstream passes (checkpoint placement) can mutate the
-  // tree without affecting the enumerator's shared memo entries.
-  std::shared_ptr<PlanNode> root = join_tree.value()->Clone();
+  // The enumerator builds a fresh tree per call, so downstream passes
+  // (range narrowing, checkpoint placement) may mutate it in place.
+  std::shared_ptr<PlanNode> root = std::move(join_tree.value());
   if (observer != nullptr) {
     TRACE_SPAN("validity_ranges", "opt");
     enumerator.NarrowPlanRanges(root.get(), observer);

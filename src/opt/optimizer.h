@@ -21,8 +21,7 @@ struct OptimizerConfig {
   EstimatorConfig estimator;
 };
 
-/// Output of one optimization: a private (deep-cloned) plan tree plus
-/// diagnostics.
+/// Output of one optimization: a private plan tree plus diagnostics.
 struct OptimizedPlan {
   std::shared_ptr<PlanNode> root;
   int64_t candidates = 0;
@@ -35,9 +34,9 @@ struct OptimizedPlan {
 };
 
 /// Cost-based query optimizer facade: cardinality estimation, dynamic
-/// programming join enumeration (with optional validity-range pruning
-/// observer) and top-of-plan construction (aggregation, projection, final
-/// sort).
+/// programming join enumeration, validity-range narrowing of the chosen
+/// plan (with an observer) and top-of-plan construction (aggregation,
+/// projection, final sort).
 class Optimizer {
  public:
   Optimizer(const Catalog& catalog, OptimizerConfig config)

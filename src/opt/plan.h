@@ -49,18 +49,18 @@ struct ValidityRange {
   bool Contains(double card) const { return card >= lo && card <= hi; }
 };
 
-/// A node of a physical query execution plan. During optimization children
-/// are shared between candidate plans (dynamic programming keeps one best
-/// plan per table set); the final plan is deep-cloned before the checkpoint
-/// placement post-pass mutates it.
+/// A node of a physical query execution plan. Dynamic programming costs
+/// candidates as plain per-set entries and builds nodes only for the chosen
+/// plan, so the optimizer hands out a private tree that later passes
+/// (validity narrowing, checkpoint placement) rewrite in place.
 ///
 /// `child_validity[i]` is the validity range of the edge from children[i]
-/// into this node; it lives on the parent because the child subplan is
-/// shared between candidates.
+/// into this node; it lives on the parent because the child subplan can be
+/// shared (cached plans, the alternatives regenerated for narrowing).
 struct PlanNode {
   PlanOpKind kind = PlanOpKind::kTableScan;
-  /// Mutable pointers, but shared subtrees must never be mutated: the
-  /// optimizer deep-clones the winning plan before any pass rewrites it.
+  /// Mutable pointers, but shared subtrees must never be mutated: cached
+  /// plans are cloned before any pass rewrites them.
   std::vector<std::shared_ptr<PlanNode>> children;
   std::vector<ValidityRange> child_validity;
 

@@ -9,49 +9,54 @@ int QuerySpec::AddTable(const std::string& table_name) {
   return static_cast<int>(tables_.size()) - 1;
 }
 
+int QuerySpec::PushPred(Predicate p) {
+  const int id = static_cast<int>(local_preds_.size());
+  p.pred_id = id;
+  if (p.col.table_id >= 0) {
+    const size_t t = static_cast<size_t>(p.col.table_id);
+    if (preds_on_table_.size() <= t) preds_on_table_.resize(t + 1);
+    preds_on_table_[t].push_back(id);
+  }
+  local_preds_.push_back(std::move(p));
+  return id;
+}
+
 int QuerySpec::AddPred(ColRef col, PredKind kind, Value operand,
                        Value operand2) {
   Predicate p;
-  p.pred_id = static_cast<int>(local_preds_.size());
   p.col = col;
   p.kind = kind;
   p.operand = std::move(operand);
   p.operand2 = std::move(operand2);
-  local_preds_.push_back(std::move(p));
-  return static_cast<int>(local_preds_.size()) - 1;
+  return PushPred(std::move(p));
 }
 
 int QuerySpec::AddInPred(ColRef col, std::vector<Value> in_list) {
   Predicate p;
-  p.pred_id = static_cast<int>(local_preds_.size());
   p.col = col;
   p.kind = PredKind::kIn;
   p.in_list = std::move(in_list);
-  local_preds_.push_back(std::move(p));
-  return static_cast<int>(local_preds_.size()) - 1;
+  return PushPred(std::move(p));
 }
 
 int QuerySpec::AddParamPred(ColRef col, PredKind kind, int param_index) {
   Predicate p;
-  p.pred_id = static_cast<int>(local_preds_.size());
   p.col = col;
   p.kind = kind;
   p.is_param = true;
   p.param_index = param_index;
-  local_preds_.push_back(std::move(p));
-  return static_cast<int>(local_preds_.size()) - 1;
+  return PushPred(std::move(p));
 }
 
 void QuerySpec::AddJoin(ColRef left, ColRef right) {
   join_preds_.push_back(JoinPredicate{left, right});
 }
 
-std::vector<int> QuerySpec::PredsOnTable(int table_id) const {
-  std::vector<int> out;
-  for (const Predicate& p : local_preds_) {
-    if (p.col.table_id == table_id) out.push_back(p.pred_id);
-  }
-  return out;
+const std::vector<int>& QuerySpec::PredsOnTable(int table_id) const {
+  static const std::vector<int> kNone;
+  const size_t t = static_cast<size_t>(table_id);
+  return table_id >= 0 && t < preds_on_table_.size() ? preds_on_table_[t]
+                                                     : kNone;
 }
 
 std::string QuerySpec::ToString() const {

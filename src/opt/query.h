@@ -116,15 +116,21 @@ class QuerySpec {
                            : (TableSet{1} << tables_.size()) - 1;
   }
 
-  /// Local predicate ids restricting `table_id`.
-  std::vector<int> PredsOnTable(int table_id) const;
+  /// Local predicate ids restricting `table_id`, in predicate order.
+  const std::vector<int>& PredsOnTable(int table_id) const;
 
   std::string ToString() const;
 
  private:
+  /// Assigns the next predicate id to `p`, records it; returns the id.
+  int PushPred(Predicate p);
+
   std::string name_;
   std::vector<std::string> tables_;
   std::vector<Predicate> local_preds_;
+  /// Per query table id: the ids of the local predicates on it (kept as
+  /// predicates are added; the optimizer reads it for every table set).
+  std::vector<std::vector<int>> preds_on_table_;
   std::vector<JoinPredicate> join_preds_;
   std::vector<ColRef> projections_;
   std::vector<ColRef> group_by_;

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/executor_builder.h"
 #include "core/leo.h"
 #include "opt/optimizer.h"
@@ -11,6 +12,7 @@
 #include "exec/check.h"
 #include "exec/scan.h"
 #include "tests/test_util.h"
+#include "tpch/tpch_queries.h"
 
 namespace popdb {
 namespace {
@@ -303,6 +305,83 @@ TEST(QueryFeedbackStoreTest, MarkerResolvedToBinding) {
   mark.BindParam(Value::Int(7));
   EXPECT_EQ(QueryFeedbackStore::SubplanSignature(lit, TableBit(lt)),
             QueryFeedbackStore::SubplanSignature(mark, TableBit(mt)));
+}
+
+/// 64-bit FNV-1a over the signatures of every nonempty subset of the
+/// query's tables, in ascending set order.
+uint64_t AllSubsetSignatureDigest(const QuerySpec& q) {
+  uint64_t h = 1469598103934665603ull;
+  for (TableSet set = 1; set <= q.AllTables(); ++set) {
+    for (const char ch : QueryFeedbackStore::SubplanSignature(q, set) + "\n") {
+      h ^= static_cast<unsigned char>(ch);
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(QueryFeedbackStoreTest, SignaturesArePinned) {
+  // Signatures key the cross-query store and the service's CHECK history;
+  // their bytes must not drift. Pinned: a parameter-marker query, a BETWEEN
+  // query and an IN-list query with a repeated table, each by a few full
+  // strings and a digest over all subsets.
+  tpch::QueryOptions marked;
+  marked.param_markers = true;
+  const QuerySpec q8m = tpch::MakeQuery(8, marked);
+  const QuerySpec q5 = tpch::MakeQuery(5);
+  QuerySpec in_list("in_list");
+  const int c1 = in_list.AddTable("car");
+  const int o = in_list.AddTable("owner");
+  const int c2 = in_list.AddTable("car");
+  in_list.AddJoin({c1, 1}, {o, 0});
+  in_list.AddJoin({c2, 1}, {o, 0});
+  in_list.AddInPred({c1, 2}, {Value::Int(30), Value::Int(4), Value::Int(100)});
+  in_list.AddInPred({c2, 3}, {Value::String("red"), Value::String("blue")});
+  in_list.AddPred({o, 2}, PredKind::kGe, Value::Double(2.5));
+
+  const std::vector<std::pair<const QuerySpec*, TableSet>> probes = {
+      {&q8m, q8m.AllTables()}, {&q8m, TableBit(0)},
+      {&q8m, TableBit(1) | TableBit(3)}, {&q5, q5.AllTables()},
+      {&q5, TableBit(1)}, {&in_list, in_list.AllTables()},
+      {&in_list, TableBit(c1) | TableBit(c2)}, {&in_list, TableBit(o)},
+  };
+  const std::vector<std::string> expected = {
+      "customer[],lineitem[],nation[],nation[],orders[c2BETWEEN1095..1824],"
+      "part[c3='ECONOMY ANODIZED STEEL'],region[c1='AMERICA'],"
+      "supplier[]|customer.c0=orders.c1&customer.c1=nation.c0&"
+      "lineitem.c0=orders.c0&lineitem.c1=part.c0&lineitem.c2=supplier.c0&"
+      "nation.c0=supplier.c1&nation.c2=region.c0",
+      "part[c3='ECONOMY ANODIZED STEEL']|",
+      "lineitem[],orders[c2BETWEEN1095..1824]|lineitem.c0=orders.c0",
+      "customer[],lineitem[],nation[],orders[c2BETWEEN365..729],"
+      "region[c1='ASIA'],supplier[]|customer.c0=orders.c1&"
+      "customer.c1=supplier.c1&lineitem.c0=orders.c0&lineitem.c2=supplier.c0&"
+      "nation.c0=supplier.c1&nation.c2=region.c0",
+      "orders[c2BETWEEN365..729]|",
+      "car[c2IN(100,30,4)],car[c3IN('blue','red')],owner[c2>=2.5]|"
+      "car.c1=owner.c0&car.c1=owner.c0",
+      "car[c2IN(100,30,4)],car[c3IN('blue','red')]|",
+      "owner[c2>=2.5]|",
+  };
+  std::vector<std::string> actual;
+  for (const auto& [q, set] : probes) {
+    actual.push_back(QueryFeedbackStore::SubplanSignature(*q, set));
+  }
+  EXPECT_EQ(expected, actual);
+  const std::vector<uint64_t> expected_digests = {
+      0x7ee321242d932db3ull, 0x66ddb7117169921dull, 0xdc0fff37380eca1full};
+  const std::vector<uint64_t> actual_digests = {
+      AllSubsetSignatureDigest(q8m), AllSubsetSignatureDigest(q5),
+      AllSubsetSignatureDigest(in_list)};
+  EXPECT_EQ(expected_digests, actual_digests);
+  if (expected != actual || expected_digests != actual_digests) {
+    std::string dump;
+    for (const std::string& sig : actual) dump += "      \"" + sig + "\",\n";
+    for (uint64_t d : actual_digests) {
+      dump += StrFormat("  0x%016llxull,\n", static_cast<unsigned long long>(d));
+    }
+    ADD_FAILURE() << "actual signatures:\n" << dump;
+  }
 }
 
 TEST(QueryFeedbackStoreTest, AbsorbAndSeedRoundTrip) {
