@@ -10,14 +10,17 @@
 # end, morsel parallelism, shared feedback stores, parallel executors,
 # write-path snapshot consistency, metrics registry, span tracer), then a
 # UBSan build over the tracing/metrics/runtime/parallel/network/write/
-# optimizer suites, then an AddressSanitizer build over the optimizer's
-# DP table (indexed by table-set bitmasks) and its differential oracles.
+# storage/optimizer suites, then an AddressSanitizer build over the
+# optimizer's DP table (indexed by table-set bitmasks) and its
+# differential oracles, and over the flat join kernels (CSR index spans,
+# hash-join chain arrays, column gathers) with their storage, operator,
+# write-path and row-vs-batch tests.
 #
 # The release ctest runs everything including tests labeled "slow"
 # (parallel_stress_test); use `ctest -L fast` locally for the quick loop.
-# The TSan and UBSan stages run the parallel-, plan-cache-, and
-# row-vs-batch differential suites in light mode (POPDB_EQUIV_LIGHT=1) —
-# the full corpus sweeps are release-only.
+# The sanitizer stages run the parallel-, plan-cache-, and row-vs-batch
+# differential suites in light mode (POPDB_EQUIV_LIGHT=1) — the full
+# corpus sweeps are release-only.
 #
 # Usage: ./ci.sh [--skip-tsan] [--skip-ubsan]
 set -euo pipefail
@@ -208,7 +211,7 @@ else
         morsel_test parallel_equivalence_test plan_cache_test \
         plan_cache_equivalence_test batch_differential_test \
         reopt_differential_test fuzz_test txn_test net_test dist_test \
-        enumerator_test
+        enumerator_test storage_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/observability_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/runtime_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/operator_test
@@ -235,11 +238,14 @@ else
   # StatsDelta histogram/NDV fold arithmetic and chunked COW row-version
   # math are integer-heavy — UBSan's overflow checks cover them.
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/txn_test
+  # The index's open-addressing slots and CSR offsets are unsigned index
+  # arithmetic over hashes.
+  UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/storage_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/net_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/dist_test
 fi
 
-echo "=== AddressSanitizer build + optimizer tests ==="
+echo "=== AddressSanitizer build + optimizer and join-kernel tests ==="
 # The DP table is a flat array indexed by table-set bitmasks and the memo
 # carries it across re-optimizations: out-of-bounds or stale-entry reads
 # are exactly what ASan catches.
@@ -247,7 +253,8 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPOPDB_SANITIZE=address
 cmake --build build-asan -j \
       --target enumerator_test reopt_differential_test fuzz_test \
-      plan_cache_equivalence_test
+      plan_cache_equivalence_test storage_test operator_test txn_test \
+      batch_differential_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/enumerator_test
 ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
     ./build-asan/tests/reopt_differential_test
@@ -255,5 +262,14 @@ ASAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/fuzz_test --gtest_filter='*IncrementalReopt*'
 ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
     ./build-asan/tests/plan_cache_equivalence_test
+# Join kernels: index probes return spans into the CSR postings (or the
+# probe's scratch), hash joins walk flat chain arrays, and gathers index
+# the held input batch by raw row number — a stale span or index is a
+# heap overflow or use-after-free here.
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/storage_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/operator_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/txn_test
+ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
+    ./build-asan/tests/batch_differential_test
 
 echo "=== ci.sh: all stages passed ==="

@@ -93,10 +93,8 @@ std::string Value::ToString() const {
 }
 
 size_t HashRow(const Row& row) {
-  size_t h = 0x9e3779b97f4a7c15ull;
-  for (const Value& v : row) {
-    h ^= v.Hash() + 0x9e3779b9ull + (h << 6) + (h >> 2);
-  }
+  size_t h = kHashRowSeed;
+  for (const Value& v : row) h = HashCombine(h, v.Hash());
   return h;
 }
 

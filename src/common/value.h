@@ -134,6 +134,14 @@ struct ValueHash {
 /// A tuple of values; the unit flowing between executor operators.
 using Row = std::vector<Value>;
 
+/// Seed and combine step of HashRow, so a key spread over a row or batch
+/// columns can be hashed in place with the same result as HashRow of the
+/// key's values.
+inline constexpr size_t kHashRowSeed = 0x9e3779b97f4a7c15ull;
+inline size_t HashCombine(size_t h, size_t value_hash) {
+  return h ^ (value_hash + 0x9e3779b9ull + (h << 6) + (h >> 2));
+}
+
 /// Hash of a full row, combining per-value hashes.
 size_t HashRow(const Row& row);
 

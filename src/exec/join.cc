@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "common/status.h"
 #include "exec/parallel.h"
@@ -52,14 +53,59 @@ void NljnOp::StartProbe(ExecContext* ctx, const Value* index_key) {
   ++mutable_stats().loops;
   if (inner_.index != nullptr) {
     POPDB_DCHECK(index_key != nullptr);
-    inner_.index->ProbeInto(*index_key, &index_candidates_);
+    index_candidates_ = inner_.index->Probe(*index_key, &index_scratch_);
     candidate_pos_ = 0;
   } else {
     scan_rid_ = 0;
   }
 }
 
+template <typename OuterAt>
+ExecStatus NljnOp::NextMatch(ExecContext* ctx, OuterAt outer_at,
+                             const Row** match) {
+  while (true) {
+    if (ctx->CancelPending()) return ExecStatus::kCancelled;
+    int64_t rid;
+    if (inner_.index != nullptr) {
+      if (candidate_pos_ >= index_candidates_.size()) return ExecStatus::kEof;
+      rid = index_candidates_[candidate_pos_++];
+    } else {
+      if (scan_rid_ >= NumInnerRows()) return ExecStatus::kEof;
+      rid = scan_rid_++;
+    }
+    if (!InnerRowVisible(rid)) continue;
+    ++ctx->work;
+    const Row& inner_row = InnerRow(rid);
+    bool pass = true;
+    // All conditions are evaluated even on the index path: superset
+    // postings mean a candidate may no longer hold the probed value in
+    // the pinned snapshot.
+    for (const InnerAccess::JoinCond& jc : inner_.join_conds) {
+      if (outer_at(jc.outer_pos) !=
+          inner_row[static_cast<size_t>(jc.inner_pos)]) {
+        pass = false;
+        break;
+      }
+    }
+    if (pass) {
+      for (const ResolvedPredicate& p : inner_.local_preds) {
+        if (!EvalPredicate(p, inner_row)) {
+          pass = false;
+          break;
+        }
+      }
+    }
+    if (pass) {
+      *match = &inner_row;
+      return ExecStatus::kRow;
+    }
+  }
+}
+
 ExecStatus NljnOp::NextImpl(ExecContext* ctx, Row* out) {
+  const auto outer_at = [this](int pos) -> const Value& {
+    return outer_row_[static_cast<size_t>(pos)];
+  };
   while (true) {
     if (!outer_valid_) {
       const ExecStatus s = outer_->Next(ctx, &outer_row_);
@@ -68,49 +114,15 @@ ExecStatus NljnOp::NextImpl(ExecContext* ctx, Row* out) {
       }
       outer_valid_ = true;
       StartProbe(ctx, inner_.index != nullptr
-                          ? &outer_row_[static_cast<size_t>(
-                                inner_.join_conds[0].outer_pos)]
+                          ? &outer_at(inner_.join_conds[0].outer_pos)
                           : nullptr);
     }
-    // Iterate candidate inner rows for the current outer row.
-    while (true) {
-      if (ctx->CancelPending()) return ExecStatus::kCancelled;
-      int64_t rid;
-      if (inner_.index != nullptr) {
-        if (candidate_pos_ >= index_candidates_.size()) break;
-        rid = index_candidates_[candidate_pos_++];
-        if (!InnerRowVisible(rid)) continue;
-      } else {
-        if (scan_rid_ >= NumInnerRows()) break;
-        rid = scan_rid_++;
-        if (!InnerRowVisible(rid)) continue;
-      }
-      ++ctx->work;
-      const Row& inner_row = InnerRow(rid);
-      bool pass = true;
-      // All conditions are evaluated even on the index path: superset
-      // postings mean a candidate may no longer hold the probed value in
-      // the pinned snapshot.
-      for (size_t j = 0; j < inner_.join_conds.size(); ++j) {
-        const InnerAccess::JoinCond& jc = inner_.join_conds[j];
-        if (outer_row_[static_cast<size_t>(jc.outer_pos)] !=
-            inner_row[static_cast<size_t>(jc.inner_pos)]) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) {
-        for (const ResolvedPredicate& p : inner_.local_preds) {
-          if (!EvalPredicate(p, inner_row)) {
-            pass = false;
-            break;
-          }
-        }
-      }
-      if (pass) {
-        *out = merge_.Merge(outer_row_, inner_row);
-        return ExecStatus::kRow;
-      }
+    const Row* inner_row = nullptr;
+    const ExecStatus s = NextMatch(ctx, outer_at, &inner_row);
+    if (s == ExecStatus::kCancelled) return s;
+    if (s == ExecStatus::kRow) {
+      *out = merge_.Merge(outer_row_, *inner_row);
+      return ExecStatus::kRow;
     }
     outer_valid_ = false;  // Exhausted inner candidates; pull next outer row.
   }
@@ -118,19 +130,21 @@ ExecStatus NljnOp::NextImpl(ExecContext* ctx, Row* out) {
 
 ExecStatus NljnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // Vectorized outer: pull outer batches, probe each active row with the
-  // same per-row work/loop accounting as the row path, and emit merged rows
+  // same per-row work/loop accounting as the row path, and collect matches
   // until the output batch fills. The current outer row is read in place
-  // from the held batch (`outer_idx_`) — never materialized row-major. An
-  // outer row's candidate cursor survives across output batches; an abort
-  // from the outer subtree can only arrive once the held batch is fully
-  // probed, so every match the row engine would have streamed is flushed
-  // ahead of the abort status.
+  // from the held batch (`outer_idx_`) — never materialized row-major —
+  // and matches are gathered column-wise before the held batch is replaced
+  // and before every return. An outer row's candidate cursor survives
+  // across output batches; an abort from the outer subtree can only arrive
+  // once the held batch is fully probed, so every match the row engine
+  // would have streamed is flushed ahead of the abort status.
   const int64_t target =
       BatchTarget(ctx, static_cast<int>(merge_.sources.size()));
   out->Reset(static_cast<int>(merge_.sources.size()));
   while (true) {
     if (!outer_valid_) {
       if (!outer_batch_valid_ || outer_idx_ >= outer_batch_.ActiveRows()) {
+        merge_.Gather(&outer_batch_, &pending_, out);
         const ExecStatus s = outer_->NextBatch(ctx, &outer_batch_);
         if (s != ExecStatus::kRow) {
           outer_batch_valid_ = false;
@@ -146,41 +160,24 @@ ExecStatus NljnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
                                         outer_idx_)
                      : nullptr);
     }
+    const int32_t raw = outer_batch_.RawIndex(outer_idx_);
+    const auto outer_at = [this, raw](int pos) -> const Value& {
+      return outer_batch_.cols[static_cast<size_t>(pos)]
+                              [static_cast<size_t>(raw)];
+    };
     while (true) {
-      if (out->num_rows >= target) return ExecStatus::kRow;
-      if (ctx->CancelPending()) {
+      if (out->num_rows + static_cast<int64_t>(pending_.size()) >= target) {
+        merge_.Gather(&outer_batch_, &pending_, out);
+        return ExecStatus::kRow;
+      }
+      const Row* inner_row = nullptr;
+      const ExecStatus s = NextMatch(ctx, outer_at, &inner_row);
+      if (s == ExecStatus::kCancelled) {
+        merge_.Gather(&outer_batch_, &pending_, out);
         return FlushOrStatus(out, ExecStatus::kCancelled);
       }
-      int64_t rid;
-      if (inner_.index != nullptr) {
-        if (candidate_pos_ >= index_candidates_.size()) break;
-        rid = index_candidates_[candidate_pos_++];
-        if (!InnerRowVisible(rid)) continue;
-      } else {
-        if (scan_rid_ >= NumInnerRows()) break;
-        rid = scan_rid_++;
-        if (!InnerRowVisible(rid)) continue;
-      }
-      ++ctx->work;
-      const Row& inner_row = InnerRow(rid);
-      bool pass = true;
-      for (size_t j = 0; j < inner_.join_conds.size(); ++j) {
-        const InnerAccess::JoinCond& jc = inner_.join_conds[j];
-        if (outer_batch_.At(jc.outer_pos, outer_idx_) !=
-            inner_row[static_cast<size_t>(jc.inner_pos)]) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) {
-        for (const ResolvedPredicate& p : inner_.local_preds) {
-          if (!EvalPredicate(p, inner_row)) {
-            pass = false;
-            break;
-          }
-        }
-      }
-      if (pass) merge_.MergeBatchInto(outer_batch_, outer_idx_, inner_row, out);
+      if (s != ExecStatus::kRow) break;
+      pending_.Add(raw, inner_row);
     }
     outer_valid_ = false;  // Candidates exhausted; next outer row.
     ++outer_idx_;
@@ -205,18 +202,83 @@ HsjnOp::HsjnOp(std::unique_ptr<Operator> probe,
       build_check_(build_check),
       offer_build_for_reuse_(offer_build_for_reuse) {}
 
-Row HsjnOp::BuildKey(const Row& row) const {
-  Row key;
-  key.reserve(build_keys_.size());
-  for (int pos : build_keys_) key.push_back(row[static_cast<size_t>(pos)]);
-  return key;
+void HsjnOp::HashTable::Link() {
+  const size_t n = hashes.size();
+  POPDB_DCHECK(n < kEnd);
+  head.assign(std::bit_ceil(std::max<size_t>(2 * n, 16)), kEnd);
+  next.resize(n);
+  const size_t mask = head.size() - 1;
+  // Last row first, so each chain ends up in ascending row order.
+  for (size_t i = n; i-- > 0;) {
+    uint32_t& bucket = head[hashes[i] & mask];
+    next[i] = bucket;
+    bucket = static_cast<uint32_t>(i);
+  }
 }
 
-Row HsjnOp::ProbeKey(const Row& row) const {
-  Row key;
-  key.reserve(probe_keys_.size());
-  for (int pos : probe_keys_) key.push_back(row[static_cast<size_t>(pos)]);
-  return key;
+namespace {
+
+/// HashRow of the key values `at(0..nkeys)`, computed in place.
+template <typename ValueAt>
+size_t HashKey(size_t nkeys, ValueAt at) {
+  size_t h = kHashRowSeed;
+  for (size_t k = 0; k < nkeys; ++k) h = HashCombine(h, at(k).Hash());
+  return h;
+}
+
+/// HashRow of `row`'s values at `positions`.
+size_t HashRowKey(const Row& row, const std::vector<int>& positions) {
+  return HashKey(positions.size(), [&](size_t k) -> const Value& {
+    return row[static_cast<size_t>(positions[k])];
+  });
+}
+
+}  // namespace
+
+void HsjnOp::BuildTable(ExecContext* ctx, const std::vector<Row>& rows,
+                        int workers, HashTable* table) const {
+  const size_t n = rows.size();
+  table->hashes.resize(n);
+  // Workers claim fixed slices of rows and hash them into disjoint slots;
+  // claiming (not slicing by worker index) covers the slices of workers a
+  // busy runner never started. Linking stays serial.
+  constexpr size_t kSlice = kMinParallelBuildRows;
+  std::atomic<size_t> next_slice{0};
+  TaskGroup::Run(ctx->tasks, workers, [&](int) {
+    while (true) {
+      const size_t lo =
+          next_slice.fetch_add(1, std::memory_order_relaxed) * kSlice;
+      if (lo >= n) break;
+      const size_t hi = std::min(n, lo + kSlice);
+      for (size_t i = lo; i < hi; ++i) {
+        table->hashes[i] = HashRowKey(rows[i], build_keys_);
+      }
+    }
+  });
+  table->Link();
+}
+
+template <typename ProbeAt>
+uint32_t HsjnOp::NextMatch(const HashTable& table,
+                           const std::vector<Row>& rows, size_t hash,
+                           ProbeAt probe_at, uint32_t* cursor) const {
+  for (uint32_t b = *cursor; b != HashTable::kEnd; b = table.next[b]) {
+    if (table.hashes[b] != hash) continue;
+    const Row& brow = rows[b];
+    bool equal = true;
+    for (size_t k = 0; k < build_keys_.size(); ++k) {
+      if (probe_at(k) != brow[static_cast<size_t>(build_keys_[k])]) {
+        equal = false;
+        break;
+      }
+    }
+    if (equal) {
+      *cursor = table.next[b];
+      return b;
+    }
+  }
+  *cursor = HashTable::kEnd;
+  return HashTable::kEnd;
 }
 
 ExecStatus HsjnOp::OpenImpl(ExecContext* ctx) {
@@ -257,18 +319,11 @@ ExecStatus HsjnOp::OpenImpl(ExecContext* ctx) {
   if (static_cast<int64_t>(build_rows_.size()) <= ctx->mem_rows) {
     // Streaming in-memory mode.
     in_memory_mode_ = true;
-    partitioned_ = ctx->tasks != nullptr && ctx->dop > 1 &&
-                   static_cast<int64_t>(build_rows_.size()) >=
-                       kMinParallelBuildRows;
-    if (partitioned_) {
-      ParallelBuild(ctx);
-    } else {
-      map_.reserve(build_rows_.size());
-      for (size_t i = 0; i < build_rows_.size(); ++i) {
-        map_[BuildKey(build_rows_[i])].push_back(i);
-      }
-    }
-    matches_ = nullptr;
+    const bool parallel = static_cast<int64_t>(build_rows_.size()) >=
+                          kMinParallelBuildRows;
+    BuildTable(ctx, build_rows_, parallel ? std::max(1, ctx->dop) : 1,
+               &table_);
+    chain_ = HashTable::kEnd;
     return probe_->Open(ctx);
   }
 
@@ -286,64 +341,24 @@ ExecStatus HsjnOp::OpenImpl(ExecContext* ctx) {
   return Join(ctx, &build_copy, &probe_rows, 0);
 }
 
-void HsjnOp::ParallelBuild(ExecContext* ctx) {
-  const size_t n = build_rows_.size();
-  const int workers = std::max(1, ctx->dop);
-  // Phase 1: per-thread insert buffers. Each worker hashes a contiguous
-  // slice of the build side into per-partition row-index lists; nothing is
-  // shared between workers.
-  std::vector<std::vector<std::vector<size_t>>> buffers(
-      static_cast<size_t>(workers),
-      std::vector<std::vector<size_t>>(kBuildPartitions));
-  TaskGroup::Run(ctx->tasks, workers, [&](int w) {
-    const size_t lo = n * static_cast<size_t>(w) /
-                      static_cast<size_t>(workers);
-    const size_t hi = n * static_cast<size_t>(w + 1) /
-                      static_cast<size_t>(workers);
-    std::vector<std::vector<size_t>>& mine =
-        buffers[static_cast<size_t>(w)];
-    for (size_t i = lo; i < hi; ++i) {
-      const size_t p =
-          HashRow(BuildKey(build_rows_[i])) & (kBuildPartitions - 1);
-      mine[p].push_back(i);
-    }
-  });
-  // Phase 2: partitions are claimed dynamically; each partition map is
-  // filled walking the insert buffers in worker order (= ascending
-  // build-row index), preserving the serial per-key match order.
-  part_maps_.assign(kBuildPartitions, KeyMap{});
-  std::atomic<int> next_part{0};
-  TaskGroup::Run(ctx->tasks, workers, [&](int) {
-    while (true) {
-      const int p = next_part.fetch_add(1, std::memory_order_relaxed);
-      if (p >= kBuildPartitions) break;
-      KeyMap& map = part_maps_[static_cast<size_t>(p)];
-      for (int w = 0; w < workers; ++w) {
-        for (size_t i :
-             buffers[static_cast<size_t>(w)][static_cast<size_t>(p)]) {
-          map[BuildKey(build_rows_[i])].push_back(i);
-        }
-      }
-    }
-  });
-}
-
 ExecStatus HsjnOp::Join(ExecContext* ctx, std::vector<Row>* build,
                         std::vector<Row>* probe, int depth) {
   if (static_cast<int64_t>(build->size()) <= ctx->mem_rows || depth > 8) {
     if (depth > 0) ++mutable_stats().partitions;
-    KeyMap map;
-    map.reserve(build->size());
-    for (size_t i = 0; i < build->size(); ++i) {
-      map[BuildKey((*build)[i])].push_back(i);
-    }
+    HashTable table;
+    BuildTable(ctx, *build, 1, &table);
     for (const Row& prow : *probe) {
       if (ctx->CancelPending()) return ExecStatus::kCancelled;
       ++ctx->work;
-      auto it = map.find(ProbeKey(prow));
-      if (it == map.end()) continue;
-      for (size_t bi : it->second) {
-        output_.push_back(merge_.Merge(prow, (*build)[bi]));
+      const auto probe_at = [&](size_t k) -> const Value& {
+        return prow[static_cast<size_t>(probe_keys_[k])];
+      };
+      const size_t h = HashRowKey(prow, probe_keys_);
+      uint32_t cursor = table.First(h);
+      for (uint32_t b = NextMatch(table, *build, h, probe_at, &cursor);
+           b != HashTable::kEnd;
+           b = NextMatch(table, *build, h, probe_at, &cursor)) {
+        output_.push_back(merge_.Merge(prow, (*build)[b]));
       }
     }
     return ExecStatus::kOk;
@@ -355,12 +370,12 @@ ExecStatus HsjnOp::Join(ExecContext* ctx, std::vector<Row>* build,
   const uint64_t salt = 0x9e3779b9u * static_cast<uint64_t>(depth + 1);
   for (Row& r : *build) {
     ++ctx->work;
-    const size_t h = (HashRow(BuildKey(r)) ^ salt) % kFanOut;
+    const size_t h = (HashRowKey(r, build_keys_) ^ salt) % kFanOut;
     bparts[h].push_back(std::move(r));
   }
   for (Row& r : *probe) {
     ++ctx->work;
-    const size_t h = (HashRow(ProbeKey(r)) ^ salt) % kFanOut;
+    const size_t h = (HashRowKey(r, probe_keys_) ^ salt) % kFanOut;
     pparts[h].push_back(std::move(r));
   }
   build->clear();
@@ -374,11 +389,15 @@ ExecStatus HsjnOp::Join(ExecContext* ctx, std::vector<Row>* build,
 
 ExecStatus HsjnOp::NextImpl(ExecContext* ctx, Row* out) {
   if (in_memory_mode_) {
+    const auto probe_at = [this](size_t k) -> const Value& {
+      return probe_row_[static_cast<size_t>(probe_keys_[k])];
+    };
     while (true) {
       if (ctx->CancelPending()) return ExecStatus::kCancelled;
-      if (matches_ != nullptr && match_pos_ < matches_->size()) {
-        *out = merge_.Merge(probe_row_, build_rows_[(*matches_)[match_pos_]]);
-        ++match_pos_;
+      const uint32_t b =
+          NextMatch(table_, build_rows_, probe_hash_, probe_at, &chain_);
+      if (b != HashTable::kEnd) {
+        *out = merge_.Merge(probe_row_, build_rows_[b]);
         return ExecStatus::kRow;
       }
       const ExecStatus s = probe_->Next(ctx, &probe_row_);
@@ -386,18 +405,8 @@ ExecStatus HsjnOp::NextImpl(ExecContext* ctx, Row* out) {
         return s;
       }
       ++ctx->work;
-      const Row key = ProbeKey(probe_row_);
-      const KeyMap& map =
-          partitioned_
-              ? part_maps_[HashRow(key) & (kBuildPartitions - 1)]
-              : map_;
-      auto it = map.find(key);
-      if (it == map.end()) {
-        matches_ = nullptr;
-        continue;
-      }
-      matches_ = &it->second;
-      match_pos_ = 0;
+      probe_hash_ = HashRowKey(probe_row_, probe_keys_);
+      chain_ = table_.First(probe_hash_);
     }
   }
   if (next_out_ < output_.size()) {
@@ -420,39 +429,34 @@ ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     return out->num_rows > 0 ? ExecStatus::kRow : ExecStatus::kEof;
   }
   // Streaming in-memory probe: one probe batch in, all its matches out.
-  // The output batch is gathered column-wise straight from the probe batch
-  // and the build rows (no per-match row materialization).
+  // Matches are collected per probe row and gathered column-wise straight
+  // from the probe batch and the build rows once the batch is probed (or
+  // on cancel), so no match is materialized row-major.
   out->Reset(static_cast<int>(merge_.sources.size()));
-  Row key;
   while (true) {
     const ExecStatus s = probe_->NextBatch(ctx, &probe_batch_);
     if (s != ExecStatus::kRow) return s;
     const int64_t n = probe_batch_.ActiveRows();
     for (int64_t i = 0; i < n; ++i) {
       if (ctx->CancelPending()) {
+        merge_.Gather(&probe_batch_, &pending_, out);
         return FlushOrStatus(out, ExecStatus::kCancelled);
       }
       ++ctx->work;
-      key.clear();
-      key.reserve(probe_keys_.size());
-      for (int pos : probe_keys_) key.push_back(probe_batch_.At(pos, i));
-      const KeyMap& map =
-          partitioned_
-              ? part_maps_[HashRow(key) & (kBuildPartitions - 1)]
-              : map_;
-      auto it = map.find(key);
-      if (it == map.end()) continue;
-      for (size_t bi : it->second) {
-        const Row& brow = build_rows_[bi];
-        for (size_t c = 0; c < merge_.sources.size(); ++c) {
-          const auto& [from_left, pos] = merge_.sources[c];
-          out->PutCopy(static_cast<int>(c), out->num_rows,
-                       from_left ? probe_batch_.At(pos, i)
-                                 : brow[static_cast<size_t>(pos)]);
-        }
-        ++out->num_rows;
+      const int32_t raw = probe_batch_.RawIndex(i);
+      const auto probe_at = [&](size_t k) -> const Value& {
+        return probe_batch_.cols[static_cast<size_t>(probe_keys_[k])]
+                                [static_cast<size_t>(raw)];
+      };
+      const size_t h = HashKey(probe_keys_.size(), probe_at);
+      uint32_t cursor = table_.First(h);
+      for (uint32_t b = NextMatch(table_, build_rows_, h, probe_at, &cursor);
+           b != HashTable::kEnd;
+           b = NextMatch(table_, build_rows_, h, probe_at, &cursor)) {
+        pending_.Add(raw, &build_rows_[b]);
       }
     }
+    merge_.Gather(&probe_batch_, &pending_, out);
     if (out->num_rows > 0) return ExecStatus::kRow;
   }
 }

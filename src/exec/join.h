@@ -1,8 +1,9 @@
 #ifndef POPDB_EXEC_JOIN_H_
 #define POPDB_EXEC_JOIN_H_
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "exec/expr.h"
@@ -77,6 +78,13 @@ class NljnOp : public Operator {
   /// `index_key` is the outer join-key value for an index probe (null when
   /// the inner side is a full scan).
   void StartProbe(ExecContext* ctx, const Value* index_key);
+  /// Advances the current outer row's probe to its next matching inner row
+  /// (`*match`, kRow), to the end of its candidates (kEof), or stops on a
+  /// cancel (kCancelled). Polls the cancel token once per candidate and
+  /// once at the end, exactly as many times in the row and batch paths.
+  /// `outer_at(pos)` reads the outer row's value at `pos`.
+  template <typename OuterAt>
+  ExecStatus NextMatch(ExecContext* ctx, OuterAt outer_at, const Row** match);
   const Row& InnerRow(int64_t rid) const;
   int64_t NumInnerRows() const;
   /// True when `rid` exists and is live in the pinned inner snapshot
@@ -89,19 +97,23 @@ class NljnOp : public Operator {
 
   Row outer_row_;
   bool outer_valid_ = false;
-  // Probe state: either an index candidate list (copied out of the index
-  // under its shared lock, so concurrent index maintenance can't invalidate
-  // it mid-iteration) or a full-scan cursor.
-  std::vector<int64_t> index_candidates_;
+  // Probe state: either index candidates or a full-scan cursor. The span
+  // points into the index's immutable base, or into `index_scratch_` when
+  // the key has write-delta postings (storage/index.h).
+  std::span<const int64_t> index_candidates_;
+  std::vector<int64_t> index_scratch_;
   size_t candidate_pos_ = 0;
   int64_t scan_rid_ = 0;
   // Vectorized path: the held outer batch and the index of the active row
   // currently being probed (advanced once its candidates are exhausted).
   // Probe state above resumes across output batches, so an outer row with
-  // more matches than one batch holds continues where it stopped.
+  // more matches than one batch holds continues where it stopped. Matches
+  // are collected in `pending_` and gathered into the output before the
+  // next outer batch is pulled and before every return.
   RowBatch outer_batch_;
   bool outer_batch_valid_ = false;
   int64_t outer_idx_ = 0;
+  PendingMatches pending_;
 };
 
 /// Hash join. Child 0 is the probe (outer) side, child 1 the build (inner)
@@ -113,12 +125,10 @@ class NljnOp : public Operator {
 class HsjnOp : public Operator {
  public:
   static constexpr int kFanOut = 16;
-  /// Parallel in-memory build (exec/parallel.h): hash partitions of the
-  /// shared table (power of two, addressed by key-hash mask) and the
-  /// minimum build size worth the task-group handshake. Builds below the
-  /// threshold — or any execution without a task runner — use the serial
-  /// single-map path, bit-identically.
-  static constexpr int kBuildPartitions = 32;
+  /// Minimum build size whose key hashes are computed in parallel slices
+  /// of this many rows (exec/parallel.h) when the execution has a task
+  /// runner and dop > 1. The rows are linked serially either way, so the
+  /// table — and the probe output — is bit-identical to a serial build.
   static constexpr int64_t kMinParallelBuildRows = 1024;
 
   HsjnOp(std::unique_ptr<Operator> probe, std::unique_ptr<Operator> build,
@@ -137,21 +147,43 @@ class HsjnOp : public Operator {
   }
 
  private:
-  using KeyMap = std::unordered_map<Row, std::vector<size_t>, RowHash>;
+  /// Flat chained hash table over materialized build rows: one key hash
+  /// per row, a power-of-two array of bucket heads and one `next` link per
+  /// row. Rows are linked from last to first, so every chain — and
+  /// therefore every probe's match list — runs in ascending build-row
+  /// order. Keys are compared as Values and hashed as HashRow of the key
+  /// values. The serial, parallel and spill paths all use it.
+  struct HashTable {
+    static constexpr uint32_t kEnd = UINT32_MAX;
 
-  Row BuildKey(const Row& row) const;
-  Row ProbeKey(const Row& row) const;
+    std::vector<size_t> hashes;  ///< Key hash per build row (caller fills).
+    std::vector<uint32_t> head;  ///< Bucket -> first row, kEnd when empty.
+    std::vector<uint32_t> next;  ///< Row -> next row in its bucket, or kEnd.
+
+    /// Links rows [0, hashes.size()) into their buckets.
+    void Link();
+    /// First row in `hash`'s bucket (kEnd when empty). Chains hold every
+    /// row of the bucket; callers skip rows whose hash or key differs.
+    uint32_t First(size_t hash) const {
+      return head[hash & (head.size() - 1)];
+    }
+  };
+
+  /// Fills `table` with the build-key hashes of `rows` and links it.
+  /// `workers` > 1 hashes slices in parallel on `ctx`'s task runner.
+  void BuildTable(ExecContext* ctx, const std::vector<Row>& rows,
+                  int workers, HashTable* table) const;
+  /// Next row at or after chain position `*cursor` whose build key equals
+  /// the probe key (hash `hash`, values `probe_at(k)`); advances `*cursor`
+  /// past it. Returns HashTable::kEnd when the chain is exhausted.
+  template <typename ProbeAt>
+  uint32_t NextMatch(const HashTable& table,
+                     const std::vector<Row>& rows, size_t hash,
+                     ProbeAt probe_at, uint32_t* cursor) const;
   /// Recursively partitions build/probe rows until each build partition
   /// fits in memory, charging one work unit per row per level.
   ExecStatus Join(ExecContext* ctx, std::vector<Row>* build,
                   std::vector<Row>* probe, int depth);
-  /// Two-phase parallel hash build over the materialized build side:
-  /// per-task contiguous slices fill per-task per-partition insert
-  /// buffers, then partitions are claimed dynamically and each partition
-  /// map is filled walking the buffers in worker order — ascending
-  /// build-row index — so per-key match lists keep the exact serial
-  /// insertion order and probe output is bit-identical.
-  void ParallelBuild(ExecContext* ctx);
 
   std::unique_ptr<Operator> probe_;
   std::unique_ptr<Operator> build_;
@@ -163,18 +195,17 @@ class HsjnOp : public Operator {
 
   std::vector<Row> build_rows_;  ///< Kept alive for harvesting.
   bool build_complete_ = false;
-  std::vector<Row> output_;  ///< Joined rows (computed in Open).
+  std::vector<Row> output_;  ///< Joined rows (spill mode, computed in Open).
   size_t next_out_ = 0;
   bool in_memory_mode_ = false;
-  // Streaming (in-memory) mode state. `partitioned_` selects between the
-  // serial single map and the parallel-built per-partition maps.
-  KeyMap map_;
-  std::vector<KeyMap> part_maps_;
-  bool partitioned_ = false;
+  // Streaming (in-memory) mode state: the table over build_rows_, and the
+  // row path's current probe row with its chain cursor.
+  HashTable table_;
   Row probe_row_;
-  const std::vector<size_t>* matches_ = nullptr;
-  size_t match_pos_ = 0;
+  size_t probe_hash_ = 0;
+  uint32_t chain_ = HashTable::kEnd;
   RowBatch probe_batch_;  ///< Vectorized probe scratch.
+  PendingMatches pending_;
 };
 
 /// Merge join over two inputs sorted on the join keys (the optimizer

@@ -42,6 +42,13 @@ MergeSpec MergeSpec::Make(const RowLayout& left, const RowLayout& right,
   return spec;
 }
 
+MergeSpec MergeSpec::Identity(int width) {
+  MergeSpec spec;
+  spec.sources.reserve(static_cast<size_t>(width));
+  for (int c = 0; c < width; ++c) spec.sources.emplace_back(false, c);
+  return spec;
+}
+
 Row MergeSpec::Merge(const Row& left, const Row& right) const {
   Row out;
   out.reserve(sources.size());
@@ -51,17 +58,31 @@ Row MergeSpec::Merge(const Row& left, const Row& right) const {
   return out;
 }
 
-void MergeSpec::MergeBatchInto(const RowBatch& left, int64_t left_row,
-                               const Row& right, RowBatch* out) const {
-  const int64_t r = out->num_rows;
-  const size_t raw = static_cast<size_t>(left.RawIndex(left_row));
+void MergeSpec::Gather(const RowBatch* left, PendingMatches* pending,
+                       RowBatch* out) const {
+  const size_t n = pending->size();
+  if (n == 0) return;
+  const size_t r0 = static_cast<size_t>(out->num_rows);
   for (size_t c = 0; c < sources.size(); ++c) {
-    const auto& [from_left, pos] = sources[c];
-    out->PutCopy(static_cast<int>(c), r,
-                 from_left ? left.cols[static_cast<size_t>(pos)][raw]
-                           : right[static_cast<size_t>(pos)]);
+    const auto [from_left, pos] = sources[c];
+    // Rows past num_rows are the batch's reuse pool (see RowBatch):
+    // assign over them, growing the column only past its end.
+    std::vector<Value>& dst = out->cols[c];
+    if (dst.size() < r0 + n) dst.resize(r0 + n);
+    Value* d = dst.data() + r0;
+    if (from_left) {
+      const Value* src = left->cols[static_cast<size_t>(pos)].data();
+      const int32_t* raw = pending->left.data();
+      for (size_t k = 0; k < n; ++k) d[k].AssignFrom(src[raw[k]]);
+    } else {
+      const Row* const* rows = pending->right.data();
+      const size_t p = static_cast<size_t>(pos);
+      for (size_t k = 0; k < n; ++k) d[k].AssignFrom((*rows[k])[p]);
+    }
   }
-  out->num_rows = r + 1;
+  out->num_rows = static_cast<int64_t>(r0 + n);
+  pending->left.clear();
+  pending->right.clear();
 }
 
 }  // namespace popdb

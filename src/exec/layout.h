@@ -47,6 +47,23 @@ class RowLayout {
   std::vector<int> offsets_;
 };
 
+/// Matches a join or scan collected for its current output batch, before
+/// MergeSpec::Gather copies them in: the raw row index of each match in the
+/// left (outer or probe) batch — unused when every output column comes from
+/// the right — and a pointer to its right row. Both must stay put until the
+/// gather, so operators gather before they pull their next input batch and
+/// before every return.
+struct PendingMatches {
+  std::vector<int32_t> left;
+  std::vector<const Row*> right;
+
+  size_t size() const { return right.size(); }
+  void Add(int32_t left_raw, const Row* right_row) {
+    left.push_back(left_raw);
+    right.push_back(right_row);
+  }
+};
+
 /// Precomputed instructions for merging a left row and a right row into a
 /// canonical row for the union of their table sets.
 struct MergeSpec {
@@ -57,14 +74,19 @@ struct MergeSpec {
                         const RowLayout& out,
                         const std::vector<int>& table_widths);
 
+  /// Takes all `width` output columns from the right row unchanged (a
+  /// filtered scan gathering its own rows).
+  static MergeSpec Identity(int width);
+
   Row Merge(const Row& left, const Row& right) const;
 
-  /// Appends the merge of the `left_row`-th active row of `left` with
-  /// `right` directly to `out`'s columns (which must already be sized to
-  /// `sources.size()` via Reset), skipping the intermediate row-major
-  /// materialization of Merge.
-  void MergeBatchInto(const RowBatch& left, int64_t left_row,
-                      const Row& right, RowBatch* out) const;
+  /// Appends the merges of `*pending` to `out`, one output column at a
+  /// time, in the order the matches were found, then clears `*pending`.
+  /// `out` must already have `sources.size()` columns (Reset); `left` is
+  /// the batch the pending left indexes refer to (may be null when no
+  /// source is from the left).
+  void Gather(const RowBatch* left, PendingMatches* pending,
+              RowBatch* out) const;
 };
 
 }  // namespace popdb

@@ -38,11 +38,17 @@ ExecStatus TableScanOp::NextImpl(ExecContext* ctx, Row* out) {
 }
 
 ExecStatus TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  const int64_t target =
-      BatchTarget(ctx, snapshot_.table()->schema().num_columns());
-  out->Clear();
-  while (next_rid_ < stop_rid_ && out->num_rows < target) {
-    if (ctx->CancelPending()) return FlushOrStatus(out, ExecStatus::kCancelled);
+  // Passing rows are collected and gathered column-wise on return (rows
+  // live in the pinned snapshot, so the pointers stay valid).
+  const int width = static_cast<int>(gather_.sources.size());
+  const int64_t target = BatchTarget(ctx, width);
+  out->Reset(width);
+  while (next_rid_ < stop_rid_ &&
+         static_cast<int64_t>(pending_.size()) < target) {
+    if (ctx->CancelPending()) {
+      gather_.Gather(nullptr, &pending_, out);
+      return FlushOrStatus(out, ExecStatus::kCancelled);
+    }
     if (!snapshot_.alive(next_rid_)) {
       ++next_rid_;
       continue;
@@ -57,8 +63,9 @@ ExecStatus TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
         break;
       }
     }
-    if (pass) out->AppendRow(row);
+    if (pass) pending_.right.push_back(&row);
   }
+  gather_.Gather(nullptr, &pending_, out);
   if (out->num_rows > 0) return ExecStatus::kRow;
   return ExecStatus::kEof;
 }

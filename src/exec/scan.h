@@ -30,7 +30,9 @@ class TableScanOp : public Operator {
         snapshot_(std::move(snapshot)),
         preds_(std::move(preds)),
         begin_rid_(begin_rid),
-        end_rid_(end_rid) {}
+        end_rid_(end_rid),
+        gather_(MergeSpec::Identity(
+            snapshot_.table()->schema().num_columns())) {}
 
   TableScanOp(const Table* table, int table_id,
               std::vector<ResolvedPredicate> preds, int64_t begin_rid = 0,
@@ -51,6 +53,8 @@ class TableScanOp : public Operator {
   int64_t end_rid_ = -1;   ///< Exclusive; negative = snapshot size.
   int64_t next_rid_ = 0;
   int64_t stop_rid_ = 0;   ///< Resolved end bound (set at Open).
+  MergeSpec gather_;        ///< Identity: output columns = table columns.
+  PendingMatches pending_;  ///< Batch path: passing rows (right only).
 };
 
 /// Scan over an in-memory row vector (a temporary materialized view created

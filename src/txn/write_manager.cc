@@ -1,5 +1,6 @@
 #include "txn/write_manager.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -93,21 +94,22 @@ Result<int64_t> WriteManager::ApplyInsert(const WriteStatement& stmt,
     Status s = CheckRowAgainstSchema(table->schema(), row);
     if (!s.ok()) return s;
   }
-  const int64_t first_rid = table->AppendRows(stmt.rows);
-  // Index maintenance after publish: a probe between publish and index
-  // insert misses a row the *index's* present already could serve, but
-  // every reader pinned its snapshot before probing — rows are only
-  // visible through snapshots, so a late posting is never a wrong result,
-  // at most a (transiently) smaller candidate superset.
+  // Index postings go in before the rows are published: a reader whose
+  // snapshot contains a new row must find it through the index. The lane
+  // serializes writers, so the rids AppendRows will assign are known now;
+  // until the publish, the postings point at rids no snapshot contains,
+  // which probes already tolerate (superset postings).
+  const int64_t first_rid = table->num_rows();
   const std::vector<HashIndex*> indexes = catalog_->IndexesOn(stmt.table);
   for (size_t i = 0; i < stmt.rows.size(); ++i) {
-    const Row& row = stmt.rows[i];
     for (HashIndex* index : indexes) {
-      index->Insert(row[static_cast<size_t>(index->column())],
+      index->Insert(stmt.rows[i][static_cast<size_t>(index->column())],
                     first_rid + static_cast<int64_t>(i));
     }
-    lane->delta->RecordInsert(row);
   }
+  const int64_t published_rid = table->AppendRows(stmt.rows);
+  POPDB_DCHECK(published_rid == first_rid);
+  for (const Row& row : stmt.rows) lane->delta->RecordInsert(row);
   return static_cast<int64_t>(stmt.rows.size());
 }
 
@@ -138,48 +140,50 @@ Result<int64_t> WriteManager::ApplyUpdate(const WriteStatement& stmt,
   const TableSnapshot snap = table->Snapshot();
   const std::vector<int64_t> rids = MatchingRids(snap, stmt.where);
   if (rids.empty()) return int64_t{0};
-  // Record before-images from the pre-update snapshot, then publish.
-  std::vector<Row> before;
-  before.reserve(rids.size());
-  for (int64_t rid : rids) before.push_back(snap.row(rid));
-  const int64_t updated =
-      table->UpdateRows(rids, [&stmt, &schema](Row* row) {
-        for (const SetClause& set : stmt.sets) {
-          Value& cell = (*row)[static_cast<size_t>(set.column)];
-          if (!set.is_delta) {
-            cell = set.value;
-            continue;
-          }
-          if (cell.is_null()) continue;  // NULL + delta stays NULL.
-          if (schema.column(set.column).type == ValueType::kInt) {
-            cell = Value::Int(cell.AsInt() + set.value.AsInt());
-          } else {
-            cell = Value::Double(cell.AsNumeric() + set.value.AsNumeric());
-          }
-        }
-      });
-  // Superset-posting index maintenance: add postings for the new values of
-  // indexed columns; the old postings stay and are filtered by probes.
-  const std::vector<HashIndex*> indexes = catalog_->IndexesOn(stmt.table);
-  if (!indexes.empty()) {
-    const TableSnapshot after = table->Snapshot();
-    for (int64_t rid : rids) {
-      const Row& row = after.row(rid);
-      for (HashIndex* index : indexes) {
-        for (const SetClause& set : stmt.sets) {
-          if (set.column == index->column()) {
-            index->Insert(row[static_cast<size_t>(index->column())], rid);
-            break;
-          }
-        }
+  // Before-images come from the lane's snapshot, which is exactly what
+  // UpdateRows will rewrite (the lane serializes writers), so the new rows
+  // are computed up front: their index postings go in before the publish,
+  // for the same reason as in ApplyInsert.
+  const auto apply_sets = [&stmt, &schema](Row* row) {
+    for (const SetClause& set : stmt.sets) {
+      Value& cell = (*row)[static_cast<size_t>(set.column)];
+      if (!set.is_delta) {
+        cell = set.value;
+        continue;
+      }
+      if (cell.is_null()) continue;  // NULL + delta stays NULL.
+      if (schema.column(set.column).type == ValueType::kInt) {
+        cell = Value::Int(cell.AsInt() + set.value.AsInt());
+      } else {
+        cell = Value::Double(cell.AsNumeric() + set.value.AsNumeric());
       }
     }
+  };
+  std::vector<Row> before;
+  std::vector<Row> after;
+  before.reserve(rids.size());
+  after.reserve(rids.size());
+  for (int64_t rid : rids) {
+    before.push_back(snap.row(rid));
+    after.push_back(before.back());
+    apply_sets(&after.back());
   }
-  {
-    const TableSnapshot after = table->Snapshot();
+  // Superset-posting index maintenance: add postings for the new values of
+  // indexed columns; the old postings stay and are filtered by probes.
+  for (HashIndex* index : catalog_->IndexesOn(stmt.table)) {
+    const bool rewritten =
+        std::any_of(stmt.sets.begin(), stmt.sets.end(),
+                    [&](const SetClause& set) {
+                      return set.column == index->column();
+                    });
+    if (!rewritten) continue;
     for (size_t i = 0; i < rids.size(); ++i) {
-      lane->delta->RecordUpdate(before[i], after.row(rids[i]));
+      index->Insert(after[i][static_cast<size_t>(index->column())], rids[i]);
     }
+  }
+  const int64_t updated = table->UpdateRows(rids, apply_sets);
+  for (size_t i = 0; i < rids.size(); ++i) {
+    lane->delta->RecordUpdate(before[i], after[i]);
   }
   return updated;
 }

@@ -22,9 +22,17 @@ namespace txn {
 /// so writes to one table are serialized (the concurrency contract
 /// storage::Table requires) while writes to different tables, and all
 /// reads, proceed concurrently. A statement holds its lane for the whole
-/// apply: row mutation (one atomic version publish), index maintenance,
+/// apply: index maintenance, row mutation (one atomic version publish),
 /// delta accounting and the optional stats fold, so folded statistics
 /// always describe a published state.
+///
+/// Index postings for new rows and rewritten keys are inserted *before*
+/// the version that contains them is published. A posting that runs ahead
+/// of its row is harmless (probes return a superset and the executor
+/// re-checks each candidate against its snapshot); a posting that lagged
+/// behind its row would let a query that pinned the new version miss a row
+/// of its own snapshot through an index NLJN, breaking statement
+/// atomicity.
 ///
 /// Readers are never blocked: queries pin table snapshots and index probes
 /// re-check rows, so a write lane runs concurrently with any number of

@@ -671,18 +671,25 @@ TEST(QueryLogTest, PlanTextDigestDistinguishesPlans) {
 
 // Concurrent writers + readers over the bounded ring; run under TSan via
 // the ci.sh sanitizer stage. Invariants: size never exceeds capacity,
-// total is exact, snapshots are internally consistent.
+// total is exact, snapshots are internally consistent. Writers start only
+// once every reader has finished one read round: the appends take a few
+// milliseconds, so without the latch they could all finish before any
+// reader is scheduled, leaving nothing read.
 TEST(ObservabilityConcurrencyTest, QueryLogHammer) {
   QueryLog log(/*capacity=*/64);
   constexpr int kWriters = 4;
   constexpr int kReaders = 2;
   constexpr int kPerWriter = 2000;
   std::atomic<bool> done{false};
+  std::atomic<int> readers_ready{0};
   std::atomic<int64_t> read_bytes{0};
 
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w]() {
+      while (readers_ready.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kPerWriter; ++i) {
         QueryLogEntry e;
         e.query_id = w * kPerWriter + i;
@@ -702,11 +709,16 @@ TEST(ObservabilityConcurrencyTest, QueryLogHammer) {
   }
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&]() {
+      bool ready = false;
       while (!done.load(std::memory_order_acquire)) {
         const std::vector<QueryLogEntry> tail = log.Tail(16);
         if (tail.size() > 16u) std::abort();
         if (log.size() > log.capacity()) std::abort();
         read_bytes += static_cast<int64_t>(log.ToJsonArray(8).size());
+        if (!ready) {
+          ready = true;
+          readers_ready.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }

@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "exec/agg.h"
 #include "exec/check.h"
 #include "exec/join.h"
+#include "exec/parallel.h"
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
+#include "storage/index.h"
 #include "storage/table.h"
 
 namespace popdb {
@@ -666,6 +672,421 @@ TEST_F(OperatorTest, AntiCompensateEmptySideTablePassesEverything) {
   ExecContext ctx;
   AntiCompensateOp comp(ScanLeft(), {}, TableBit(0));
   EXPECT_EQ(40u, Drain(&comp, &ctx).size());
+}
+
+// ------------------------------------------ Join kernels vs. nested loops.
+//
+// HSJN, index NLJN and the filtered scan are checked against loops written
+// here — not against another operator — in output order: HSJN returns each
+// probe row's matches in build order, index NLJN each outer row's
+// candidates in rid order, the scan its rows in rid order. Each case runs
+// through the row engine and the batch engine at two batch sizes.
+
+/// probe/outer side: (a int, b int); build/inner side: (x int, y int,
+/// z double). Query table ids 0 and 1.
+struct KernelCase {
+  std::string name;
+  std::vector<Row> left;
+  std::vector<Row> right;
+  /// Join keys as (left column, right column) pairs.
+  std::vector<std::pair<int, int>> keys;
+};
+
+Table MakeTable(const std::string& name, const Schema& schema,
+                const std::vector<Row>& rows) {
+  Table t(name, schema);
+  for (const Row& r : rows) t.AppendRow(r);
+  return t;
+}
+
+Table LeftTable(const std::vector<Row>& rows) {
+  return MakeTable("l", Schema({{"a", ValueType::kInt}, {"b", ValueType::kInt}}),
+                   rows);
+}
+
+Table RightTable(const std::vector<Row>& rows) {
+  return MakeTable("r",
+                   Schema({{"x", ValueType::kInt},
+                           {"y", ValueType::kInt},
+                           {"z", ValueType::kDouble}}),
+                   rows);
+}
+
+std::vector<KernelCase> KernelCases() {
+  std::vector<KernelCase> cases;
+  const auto right_row = [](Value x, int64_t i) {
+    return Row{std::move(x), Value::Int(100 + i),
+               Value::Double(static_cast<double>(i % 16) / 2)};
+  };
+  {
+    KernelCase c{"duplicate keys", {}, {}, {{0, 0}}};
+    for (int64_t i = 0; i < 300; ++i) {
+      c.left.push_back({Value::Int(i % 10), Value::Int(i)});
+    }
+    for (int64_t i = 0; i < 40; ++i) {
+      c.right.push_back(right_row(Value::Int(i % 5), i));
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // Value equality makes NULL join NULL, in HSJN and index NLJN alike.
+    KernelCase c{"null keys", {}, {}, {{0, 0}}};
+    for (int64_t i = 0; i < 120; ++i) {
+      c.left.push_back(
+          {i % 4 == 0 ? Value::Null() : Value::Int(i % 6), Value::Int(i)});
+    }
+    for (int64_t i = 0; i < 30; ++i) {
+      c.right.push_back(
+          right_row(i % 3 == 0 ? Value::Null() : Value::Int(i % 6), i));
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    KernelCase c{"multi-column keys", {}, {}, {{0, 0}, {1, 1}}};
+    for (int64_t i = 0; i < 150; ++i) {
+      c.left.push_back({Value::Int(i % 5), Value::Int(100 + i % 7)});
+    }
+    for (int64_t i = 0; i < 60; ++i) {
+      c.right.push_back({Value::Int(i % 5), Value::Int(100 + i % 4),
+                         Value::Double(static_cast<double>(i))});
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // Int keys probing a double column: Int(3) joins Double(3.0).
+    KernelCase c{"mixed int/double keys", {}, {}, {{0, 2}}};
+    for (int64_t i = 0; i < 100; ++i) {
+      c.left.push_back({Value::Int(i % 9), Value::Int(i)});
+    }
+    for (int64_t i = 0; i < 50; ++i) c.right.push_back(right_row(Value::Int(i), i));
+    cases.push_back(std::move(c));
+  }
+  {
+    KernelCase c{"empty build", {}, {}, {{0, 0}}};
+    for (int64_t i = 0; i < 20; ++i) {
+      c.left.push_back({Value::Int(i), Value::Int(i)});
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    KernelCase c{"one-row build", {}, {}, {{0, 0}}};
+    for (int64_t i = 0; i < 20; ++i) {
+      c.left.push_back({Value::Int(i % 4), Value::Int(i)});
+    }
+    c.right.push_back(right_row(Value::Int(3), 0));
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+/// For each left row in order, every right row in order whose keys are
+/// equal (Value equality), merged left columns first.
+std::vector<Row> NestedLoopJoin(const std::vector<Row>& left,
+                                const std::vector<Row>& right,
+                                const std::vector<std::pair<int, int>>& keys) {
+  std::vector<Row> out;
+  for (const Row& l : left) {
+    for (const Row& r : right) {
+      bool equal = true;
+      for (const auto& [lk, rk] : keys) {
+        if (l[static_cast<size_t>(lk)] != r[static_cast<size_t>(rk)]) {
+          equal = false;
+          break;
+        }
+      }
+      if (!equal) continue;
+      Row merged = l;
+      merged.insert(merged.end(), r.begin(), r.end());
+      out.push_back(std::move(merged));
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> InOrder(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const Row& r : rows) out.push_back(RowToString(r));
+  return out;
+}
+
+MergeSpec LeftRightMerge() {
+  const std::vector<int> widths = {2, 3};
+  return MergeSpec::Make(RowLayout(TableBit(0), widths),
+                         RowLayout(TableBit(1), widths),
+                         RowLayout(TableBit(0) | TableBit(1), widths), widths);
+}
+
+std::unique_ptr<Operator> MakeHsjn(const Table& left, const Table& right,
+                                   const std::vector<std::pair<int, int>>& keys) {
+  std::vector<int> probe_keys, build_keys;
+  for (const auto& [lk, rk] : keys) {
+    probe_keys.push_back(lk);
+    build_keys.push_back(rk);
+  }
+  return std::make_unique<HsjnOp>(
+      std::make_unique<TableScanOp>(&left, 0, std::vector<ResolvedPredicate>{}),
+      std::make_unique<TableScanOp>(&right, 1,
+                                    std::vector<ResolvedPredicate>{}),
+      probe_keys, build_keys, LeftRightMerge(), TableBit(0) | TableBit(1),
+      CheckSpec{}, false);
+}
+
+std::unique_ptr<Operator> MakeIndexNljn(
+    std::unique_ptr<Operator> outer, const Table& right, const HashIndex* index,
+    const std::vector<std::pair<int, int>>& keys) {
+  InnerAccess inner;
+  inner.table = &right;
+  inner.table_id = 1;
+  for (const auto& [lk, rk] : keys) inner.join_conds.push_back({lk, rk});
+  inner.index = index;
+  return std::make_unique<NljnOp>(std::move(outer), std::move(inner),
+                                  LeftRightMerge(), TableBit(0) | TableBit(1));
+}
+
+/// Drains fresh operators from `make` through the row engine and the batch
+/// engine; every run must produce exactly `expected`, in order.
+void ExpectRowsInOrder(const std::function<std::unique_ptr<Operator>()>& make,
+                       const std::vector<Row>& expected) {
+  for (const int64_t batch_rows : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
+    SCOPED_TRACE("batch_rows " + std::to_string(batch_rows));
+    ExecContext ctx;
+    ctx.batch_rows = batch_rows;
+    std::unique_ptr<Operator> op = make();
+    std::vector<Row> got;
+    if (batch_rows == 1) {
+      got = Drain(op.get(), &ctx);
+    } else {
+      ExecStatus s;
+      got = DrainBatches(op.get(), &ctx, &s);
+      EXPECT_EQ(ExecStatus::kEof, s);
+    }
+    EXPECT_EQ(InOrder(expected), InOrder(got));
+  }
+}
+
+TEST(JoinKernelTest, HsjnMatchesNestedLoopInOrder) {
+  for (const KernelCase& c : KernelCases()) {
+    SCOPED_TRACE(c.name);
+    const Table left = LeftTable(c.left);
+    const Table right = RightTable(c.right);
+    const std::vector<Row> expected = NestedLoopJoin(c.left, c.right, c.keys);
+    ExpectRowsInOrder([&] { return MakeHsjn(left, right, c.keys); },
+                      expected);
+    // Spilled (partitioned) joins reorder by partition: same multiset.
+    for (const int64_t mem_rows : {int64_t{1}, int64_t{7}}) {
+      for (const int64_t batch_rows : {int64_t{1}, int64_t{5}}) {
+        ExecContext ctx;
+        ctx.mem_rows = mem_rows;
+        ctx.batch_rows = batch_rows;
+        std::unique_ptr<Operator> op = MakeHsjn(left, right, c.keys);
+        ExecStatus s = ExecStatus::kEof;
+        const std::vector<Row> got = batch_rows == 1
+                                         ? Drain(op.get(), &ctx)
+                                         : DrainBatches(op.get(), &ctx, &s);
+        EXPECT_EQ(ExecStatus::kEof, s);
+        EXPECT_EQ(Canon(expected), Canon(got))
+            << "mem_rows " << mem_rows << " batch_rows " << batch_rows;
+      }
+    }
+  }
+}
+
+TEST(JoinKernelTest, IndexNljnMatchesNestedLoopInOrder) {
+  for (const KernelCase& c : KernelCases()) {
+    SCOPED_TRACE(c.name);
+    const Table left = LeftTable(c.left);
+    const Table right = RightTable(c.right);
+    const HashIndex index(right, c.keys[0].second);
+    ExpectRowsInOrder(
+        [&] {
+          return MakeIndexNljn(std::make_unique<TableScanOp>(
+                                   &left, 0, std::vector<ResolvedPredicate>{}),
+                               right, &index, c.keys);
+        },
+        NestedLoopJoin(c.left, c.right, c.keys));
+  }
+}
+
+TEST(JoinKernelTest, FilteredScanMatchesLoopInOrder) {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 3000; ++i) {  // Spans several table chunks.
+    rows.push_back({i % 13 == 0 ? Value::Null() : Value::Int(i % 50),
+                    Value::Int(i)});
+  }
+  const Table t = LeftTable(rows);
+  const std::vector<std::vector<ResolvedPredicate>> pred_sets = {
+      {},
+      {{0, PredKind::kLt, Value::Int(10), {}, {}}},
+      {{0, PredKind::kGe, Value::Int(5), {}, {}},
+       {1, PredKind::kLt, Value::Int(2000), {}, {}}},
+      {{0, PredKind::kEq, Value::Int(-1), {}, {}}},
+  };
+  for (const std::vector<ResolvedPredicate>& preds : pred_sets) {
+    SCOPED_TRACE(std::to_string(preds.size()) + " predicates");
+    std::vector<Row> expected;
+    for (const Row& r : rows) {
+      bool pass = true;
+      for (const ResolvedPredicate& p : preds) pass = pass && EvalPredicate(p, r);
+      if (pass) expected.push_back(r);
+    }
+    ExpectRowsInOrder(
+        [&] { return std::make_unique<TableScanOp>(&t, 0, preds); }, expected);
+  }
+}
+
+/// Task runners for the parallel HSJN build: one runs every offered task
+/// at once on the submitting thread, the other rejects every offer
+/// (backpressure), leaving all slices to the calling worker.
+class InlineRunner : public TaskRunner {
+ public:
+  bool TrySubmit(std::shared_ptr<ParallelTask> task) override {
+    task->RunIfUnclaimed();
+    return true;
+  }
+};
+
+class RejectingRunner : public TaskRunner {
+ public:
+  bool TrySubmit(std::shared_ptr<ParallelTask>) override { return false; }
+};
+
+TEST(JoinKernelTest, ParallelBuildMatchesNestedLoopInOrder) {
+  // Above kMinParallelBuildRows, so dop 4 hashes the build in slices.
+  KernelCase c{"parallel build", {}, {}, {{0, 0}}};
+  for (int64_t i = 0; i < 500; ++i) {
+    c.left.push_back({Value::Int(i % 40), Value::Int(i)});
+  }
+  for (int64_t i = 0; i < 3 * HsjnOp::kMinParallelBuildRows + 17; ++i) {
+    c.right.push_back({Value::Int(i % 97), Value::Int(i), Value::Double(0)});
+  }
+  const Table left = LeftTable(c.left);
+  const Table right = RightTable(c.right);
+  const std::vector<Row> expected = NestedLoopJoin(c.left, c.right, c.keys);
+  InlineRunner inline_runner;
+  RejectingRunner rejecting_runner;
+  for (TaskRunner* runner :
+       std::vector<TaskRunner*>{&inline_runner, &rejecting_runner}) {
+    for (const int64_t batch_rows : {int64_t{1}, int64_t{256}}) {
+      ExecContext ctx;
+      ctx.tasks = runner;
+      ctx.dop = 4;
+      ctx.batch_rows = batch_rows;
+      std::unique_ptr<Operator> op = MakeHsjn(left, right, c.keys);
+      ExecStatus s = ExecStatus::kEof;
+      const std::vector<Row> got = batch_rows == 1
+                                       ? Drain(op.get(), &ctx)
+                                       : DrainBatches(op.get(), &ctx, &s);
+      EXPECT_EQ(ExecStatus::kEof, s);
+      EXPECT_EQ(InOrder(expected), InOrder(got))
+          << (runner == &inline_runner ? "inline" : "rejecting")
+          << " runner, batch_rows " << batch_rows;
+    }
+  }
+}
+
+/// Serves `rows` as table 0 in one batch (or row by row), then requests
+/// cancellation: the consumer observes the cancel at its next poll, partway
+/// through probing this batch.
+class RowsThenCancelOp : public Operator {
+ public:
+  RowsThenCancelOp(std::vector<Row> rows, CancelToken* token)
+      : Operator(TableBit(0)), rows_(std::move(rows)), token_(token) {}
+  const char* name() const override { return "ROWS"; }
+
+ protected:
+  ExecStatus OpenImpl(ExecContext*) override { return ExecStatus::kOk; }
+  ExecStatus NextImpl(ExecContext*, Row*) override { return ExecStatus::kEof; }
+  ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
+    if (served_) return ExecStatus::kEof;
+    served_ = true;
+    out->Clear();
+    for (const Row& r : rows_) out->AppendRow(r);
+    // Restart the context's poll stride here, so the consumer processes
+    // some rows before its next poll sees the cancel.
+    EXPECT_FALSE(ctx->CancelPending());
+    token_->RequestCancel();
+    return ExecStatus::kRow;
+  }
+  void CloseImpl(ExecContext*) override {}
+
+ private:
+  std::vector<Row> rows_;
+  CancelToken* token_;
+  bool served_ = false;
+};
+
+/// Opens `op`, then drains it through NextBatch until it stops, which
+/// must be on the cancel. `*open_work` gets the work charged by Open.
+std::vector<Row> DrainUntilCancelled(Operator* op, ExecContext* ctx,
+                                     int64_t* open_work) {
+  EXPECT_EQ(ExecStatus::kOk, op->Open(ctx));
+  *open_work = ctx->work;
+  std::vector<Row> got;
+  RowBatch batch;
+  ExecStatus s;
+  while ((s = op->NextBatch(ctx, &batch)) == ExecStatus::kRow) {
+    batch.MoveRowsInto(&got);
+  }
+  EXPECT_EQ(ExecStatus::kCancelled, s);
+  op->Close(ctx);
+  return got;
+}
+
+TEST(JoinKernelTest, CancelMidGatherFlushesMatchesFound) {
+  KernelCase c = KernelCases()[0];  // Duplicate keys.
+  c.left.clear();
+  for (int64_t i = 0; i < 2000; ++i) {
+    c.left.push_back({Value::Int(i % 10), Value::Int(i)});
+  }
+  const Table right = RightTable(c.right);
+  const HashIndex index(right, 0);
+  const auto prefix_join = [&](int64_t left_rows) {
+    return NestedLoopJoin(
+        std::vector<Row>(c.left.begin(), c.left.begin() + left_rows), c.right,
+        c.keys);
+  };
+  {
+    SCOPED_TRACE("HSJN");
+    CancelToken token;
+    ExecContext ctx;
+    ctx.cancel = &token;
+    ctx.batch_rows = 4096;
+    std::vector<int> build_keys = {0};
+    HsjnOp join(std::make_unique<RowsThenCancelOp>(c.left, &token),
+                std::make_unique<TableScanOp>(
+                    &right, 1, std::vector<ResolvedPredicate>{}),
+                {0}, build_keys, LeftRightMerge(), TableBit(0) | TableBit(1),
+                CheckSpec{}, false);
+    int64_t build_work = 0;
+    const std::vector<Row> got = DrainUntilCancelled(&join, &ctx, &build_work);
+    // After the build, one work unit per probe row probed.
+    const int64_t probed = ctx.work - build_work;
+    EXPECT_GT(probed, 0);
+    EXPECT_LT(probed, static_cast<int64_t>(c.left.size()));
+    EXPECT_FALSE(got.empty());
+    EXPECT_EQ(InOrder(prefix_join(probed)), InOrder(got));
+  }
+  {
+    SCOPED_TRACE("index NLJN");
+    CancelToken token;
+    ExecContext ctx;
+    ctx.cancel = &token;
+    ctx.batch_rows = 4096;
+    std::unique_ptr<Operator> join = MakeIndexNljn(
+        std::make_unique<RowsThenCancelOp>(c.left, &token), right, &index,
+        c.keys);
+    int64_t open_work = 0;
+    const std::vector<Row> got = DrainUntilCancelled(join.get(), &ctx, &open_work);
+    // One work unit per outer row probed and per candidate examined; on a
+    // read-only table every candidate of this key matches.
+    const int64_t examined = ctx.work - open_work - join->stats().loops;
+    const std::vector<Row> all = NestedLoopJoin(c.left, c.right, c.keys);
+    EXPECT_GT(examined, 0);
+    EXPECT_LT(examined, static_cast<int64_t>(all.size()));
+    EXPECT_EQ(InOrder(std::vector<Row>(all.begin(), all.begin() + examined)),
+              InOrder(got));
+  }
 }
 
 }  // namespace

@@ -2,15 +2,18 @@
 // statistics maintenance (StatsDelta fold semantics), WriteManager apply
 // semantics (row effects, index maintenance, threshold-gated stats
 // folds), snapshot consistency under a concurrent writer/reader hammer, a
-// dop-1-vs-dop-4 differential consistency leg under write churn, and the
-// plan-cache stats-version gating regression (a stats fold between
+// dop-1-vs-dop-4 differential consistency leg under write churn, the
+// index publish order (postings before rows) under a concurrent reader,
+// and the plan-cache stats-version gating regression (a stats fold between
 // signature lookup and checkpoint placement must not serve or install a
 // stale placement).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -278,8 +281,9 @@ TEST_F(WriteManagerTest, InsertAppendsRowsAndMaintainsIndex) {
   const HashIndex* idx = catalog_.FindIndex("t", 0);
   ASSERT_NE(nullptr, idx);
   const TableSnapshot snap = t->Snapshot();
+  std::vector<int64_t> scratch;
   int found = 0;
-  for (const int64_t rid : idx->Probe(Value::Int(77))) {
+  for (const int64_t rid : idx->Probe(Value::Int(77), &scratch)) {
     if (snap.alive(rid) && snap.row(rid)[0].AsInt() == 77) ++found;
   }
   EXPECT_EQ(2, found);
@@ -319,8 +323,9 @@ TEST_F(WriteManagerTest, UpdateAppliesDeltaAndReindexesNewKeys) {
   ASSERT_TRUE(wm.Apply(rekey).ok());
   const HashIndex* idx = catalog_.FindIndex("t", 0);
   const TableSnapshot snap = t->Snapshot();
+  std::vector<int64_t> scratch;
   int found = 0;
-  for (const int64_t rid : idx->Probe(Value::Int(99))) {
+  for (const int64_t rid : idx->Probe(Value::Int(99), &scratch)) {
     if (snap.alive(rid) && snap.row(rid)[0].AsInt() == 99) ++found;
   }
   EXPECT_EQ(8, found);
@@ -482,6 +487,55 @@ TEST(SnapshotConsistencyTest, ConcurrentWriterReaderHammer) {
   acct_writer.join();
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(0, failures.load());
+}
+
+/// Index postings are inserted before the rows they point to are
+/// published: a reader whose pinned snapshot contains a freshly inserted
+/// row must find that row through the index, or an index NLJN would miss a
+/// row of its own snapshot. The reader probes for the newest row of each
+/// snapshot it pins while single-row INSERTs with fresh keys publish.
+TEST(SnapshotConsistencyTest, IndexFindsNewestRowOfEverySnapshot) {
+  Catalog catalog;
+  Table t("t", Schema({{"k", ValueType::kInt}}));
+  t.AppendRow({Value::Int(0)});
+  ASSERT_TRUE(catalog.AddTable(std::move(t)).ok());
+  ASSERT_TRUE(catalog.AnalyzeTable("t").ok());
+  ASSERT_TRUE(catalog.CreateIndex("t", "k").ok());
+  txn::WriteManager wm(&catalog);
+  constexpr int kInserts = 20000;
+
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> probes{0};
+  std::atomic<int64_t> misses{0};
+  std::thread reader([&] {
+    const Table* table = catalog.GetTable("t");
+    const HashIndex* idx = catalog.FindIndex("t", 0);
+    std::vector<int64_t> scratch;
+    while (!done.load(std::memory_order_acquire)) {
+      const TableSnapshot snap = table->Snapshot();
+      const int64_t rid = snap.num_rows() - 1;
+      const std::span<const int64_t> candidates =
+          idx->Probe(snap.row(rid)[0], &scratch);
+      if (std::find(candidates.begin(), candidates.end(), rid) ==
+          candidates.end()) {
+        misses.fetch_add(1, std::memory_order_relaxed);
+      }
+      probes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  int failed = 0;
+  for (int i = 1; i <= kInserts; ++i) {
+    txn::WriteStatement s;
+    s.op = txn::WriteOp::kInsert;
+    s.table = "t";
+    s.rows.push_back({Value::Int(i)});
+    if (!wm.Apply(s).ok()) ++failed;
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(0, failed);
+  EXPECT_GT(probes.load(), 0);
+  EXPECT_EQ(0, misses.load()) << "of " << probes.load() << " probes";
 }
 
 /// Differential leg: the same scalar aggregate runs through a serial
