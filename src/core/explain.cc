@@ -13,7 +13,6 @@ PlanProfileNode ProfileOperatorTree(const Operator& root) {
   node.actual_rows = root.rows_produced();
   node.completed = root.eof_seen();
   node.next_calls = root.stats().next_calls;
-  node.batches = root.stats().batches;
   node.open_ms = root.stats().open_ms();
   node.next_ms = root.stats().next_ms();
   node.close_ms = root.stats().close_ms();
@@ -48,9 +47,6 @@ void RenderNode(const PlanProfileNode& node, int depth, std::string* out) {
     *out += "  q=?";
   }
   *out += StrFormat("  next_calls=%lld", static_cast<long long>(node.next_calls));
-  if (node.batches > 0) {
-    *out += StrFormat("  batches=%lld", static_cast<long long>(node.batches));
-  }
   *out += StrFormat("  time=%.3fms\n",
                     node.open_ms + node.next_ms + node.close_ms);
   for (const PlanProfileNode& child : node.children) {
@@ -75,7 +71,6 @@ void ProfileToJson(const PlanProfileNode& node, JsonWriter* w) {
   w->Key("act_rows").Int(node.actual_rows);
   w->Key("completed").Bool(node.completed);
   w->Key("next_calls").Int(node.next_calls);
-  w->Key("batches").Int(node.batches);
   w->Key("open_ms").Double(node.open_ms);
   w->Key("next_ms").Double(node.next_ms);
   w->Key("close_ms").Double(node.close_ms);
@@ -107,7 +102,6 @@ bool ProfileFromJson(const JsonValue& json, PlanProfileNode* out) {
   node.actual_rows = json.GetInt("act_rows", 0);
   node.completed = json.GetBool("completed", false);
   node.next_calls = json.GetInt("next_calls", 0);
-  node.batches = json.GetInt("batches", 0);
   node.open_ms = json.GetNumber("open_ms", 0.0);
   node.next_ms = json.GetNumber("next_ms", 0.0);
   node.close_ms = json.GetNumber("close_ms", 0.0);
@@ -150,7 +144,6 @@ void AccumulateInto(PlanProfileNode* agg, const PlanProfileNode& shard) {
   agg->actual_rows += shard.actual_rows;
   agg->completed = agg->completed && shard.completed;
   agg->next_calls += shard.next_calls;
-  agg->batches += shard.batches;
   agg->open_ms += shard.open_ms;
   agg->next_ms += shard.next_ms;
   agg->close_ms += shard.close_ms;

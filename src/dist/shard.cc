@@ -136,27 +136,12 @@ net::SubplanBackend::RunResult ShardExecutor::Run(
     return true;
   };
   if (status == ExecStatus::kOk) {
-    if (ctx.batch_rows > 1) {
-      RowBatch exec_batch;
-      while (true) {
-        status = root->NextBatch(&ctx, &exec_batch);
-        if (status != ExecStatus::kRow) break;
-        exec_batch.MoveRowsInto(&batch);
-        if (!flush_full()) {
-          sink_broken = true;
-          break;
-        }
-      }
-    } else {
-      Row row;
-      while (true) {
-        status = root->Next(&ctx, &row);
-        if (status != ExecStatus::kRow) break;
-        batch.push_back(row);
-        if (!flush_full()) {
-          sink_broken = true;
-          break;
-        }
+    RowBatch exec_batch;
+    while ((status = root->NextBatch(&ctx, &exec_batch)) == ExecStatus::kRow) {
+      exec_batch.MoveRowsInto(&batch);
+      if (!flush_full()) {
+        sink_broken = true;
+        break;
       }
     }
   }

@@ -27,7 +27,7 @@ class MorselExchangeOp;
 /// canonical table-set row (table_set() == 0). Materializes at Open.
 ///
 /// When the child is a MorselExchangeOp whose policy enables
-/// `preaggregate`, rows are accumulated into per-task partial hash tables
+/// `preaggregate`, batches are accumulated into per-task partial hash tables
 /// inside the morsel workers and merged in worker order afterwards —
 /// the classic parallel pre-aggregation. The merged row *multiset* equals
 /// serial execution for COUNT/MIN/MAX and integer SUM; float SUM/AVG may
@@ -39,7 +39,6 @@ class HashAggOp : public Operator {
             std::vector<ResolvedAgg> aggs);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "GRPBY"; }
@@ -55,12 +54,9 @@ class HashAggOp : public Operator {
   };
   using GroupMap = std::unordered_map<Row, std::vector<AggState>, RowHash>;
 
-  /// Folds one input row into a (possibly per-task partial) group table.
-  void Accumulate(const Row& row, GroupMap* groups) const;
-  /// Same fold reading the i-th active row of a batch in place (no row
-  /// materialization); group insertion order matches the row path exactly.
-  void AccumulateFromBatch(const RowBatch& batch, int64_t i,
-                           GroupMap* groups) const;
+  /// Folds every active row of `batch` into a (possibly per-task partial)
+  /// group table, reading the rows in place.
+  void AccumulateFromBatch(const RowBatch& batch, GroupMap* groups) const;
   static void MergeState(const AggState& from, AggState* into);
   /// Renders the final group table into results_.
   void EmitResults(GroupMap* groups);

@@ -9,6 +9,10 @@
 
 namespace popdb {
 
+/// Target rows per RowBatch unless a caller sets another: the default of
+/// ExecContext, ParallelPolicy, ServiceConfig and the shard executor.
+inline constexpr int64_t kDefaultBatchRows = 1024;
+
 /// Caps a per-batch row count so the payload (`width` columns of Value)
 /// stays within a fixed byte budget. Wide batches otherwise outgrow the
 /// cache between fill and consumption and the gather/scatter loops of
@@ -25,8 +29,8 @@ inline int64_t CapBatchRowsForWidth(int64_t rows, int width) {
   return scaled < rows ? scaled : rows;
 }
 
-/// Column-oriented batch of rows exchanged between operators in vectorized
-/// execution (ExecContext::batch_rows > 1). Values are stored per column
+/// Column-oriented batch of rows exchanged between operators (producers
+/// aim at ExecContext::batch_rows rows). Values are stored per column
 /// (`cols[c][r]`), and an optional selection vector marks the active subset
 /// without moving data: filters narrow `sel` in place, so a batch flows
 /// through a pipeline with one copy at the producer.

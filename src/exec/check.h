@@ -20,12 +20,11 @@ class CheckOp : public Operator {
   CheckOp(std::unique_ptr<Operator> child, CheckSpec spec);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   /// Batch-boundary evaluation: counts whole batches (one comparison per
   /// batch). For an enforced upper bound the child's batch target is
   /// clamped to the rows remaining before the violation threshold, so the
   /// violating row is always the last one pulled and the check fires with
-  /// exactly the row engine's observed cardinality above any child.
+  /// a row-exact observed cardinality above any child.
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "CHECK"; }
@@ -56,12 +55,17 @@ class CheckOp : public Operator {
 ///     row arrives, after which rows stream through with no buffering.
 /// The buffer never holds more than min(hi, lo)+1 rows, unlike the
 /// unbounded TEMP the prototype used as a stand-in buffer.
+///
+/// The child's batch target is clamped to the rows remaining before the
+/// next decision point, so the decision lands on the last row of a pulled
+/// batch. A child that returns more (a hash join emits every match of a
+/// probe batch) leaves rows past the decision row in the buffer; they are
+/// served as pass-through rows, uncharged like the rows pulled after it.
 class BufCheckOp : public Operator {
  public:
   BufCheckOp(std::unique_ptr<Operator> child, CheckSpec spec);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   bool HarvestInfo(HarvestedResult* out) const override;
@@ -80,6 +84,9 @@ class BufCheckOp : public Operator {
   CheckSpec spec_;
   std::vector<Row> buffer_;
   size_t buffer_pos_ = 0;
+  /// Buffered rows before this index cost one work unit when served; the
+  /// rest came past the decision row and pass through.
+  size_t charged_end_ = 0;
   int64_t count_ = 0;
   bool decided_ = false;
   bool child_eof_ = false;
@@ -92,13 +99,17 @@ class BufCheckOp : public Operator {
 /// the cardinality ... such as memory consumption, execution time, or even
 /// the overall system load" (Section 8). Compares ExecContext::work
 /// against `work_budget` on every row and fires at most once.
+///
+/// Work is compared row by row with every operator above having charged
+/// its work for the rows before: the child runs on one-row batches and
+/// each row is returned as a batch of its own.
 class WorkBoundOp : public Operator {
  public:
   WorkBoundOp(std::unique_ptr<Operator> child, double work_budget,
               TableSet edge_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
+  ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "WORKBOUND"; }
   std::vector<const Operator*> children() const override {
@@ -110,6 +121,8 @@ class WorkBoundOp : public Operator {
   double work_budget_;
   TableSet edge_set_;
   int64_t count_ = 0;
+  RowBatch held_;  ///< Child batch being served row by row.
+  int64_t held_pos_ = 0;
 };
 
 /// Lazy CHECK above a materialization point (TEMP, SORT): evaluates the
@@ -122,7 +135,6 @@ class CheckMaterializedOp : public Operator {
   CheckMaterializedOp(std::unique_ptr<Operator> child, CheckSpec spec);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
     return child_->NextBatch(ctx, out);
   }
@@ -131,11 +143,11 @@ class CheckMaterializedOp : public Operator {
   std::vector<const Operator*> children() const override {
     return {child_.get()};
   }
-  /// Pure 1:1 forwarder above a materialization: a truncation adjusts
+  /// Pure 1:1 forwarder above a materialization: returned rows go back to
   /// both this wrapper and the materializing child.
-  void ReconcileAbort(int64_t unconsumed) override {
-    Operator::ReconcileAbort(unconsumed);
-    child_->ReconcileAbort(unconsumed);
+  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override {
+    Operator::ReturnUnconsumed(ctx, unconsumed);
+    child_->ReturnUnconsumed(ctx, unconsumed);
   }
 
  private:
@@ -154,7 +166,6 @@ class RidTrackOp : public Operator {
       : Operator(table_set), child_(std::move(child)) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override { return child_->Open(ctx); }
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "INSERT(S)"; }
@@ -177,7 +188,6 @@ class AntiCompensateOp : public Operator {
                    TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override { return child_->Open(ctx); }
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "ANTIJOIN(S)"; }

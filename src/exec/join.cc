@@ -42,9 +42,9 @@ ExecStatus NljnOp::OpenImpl(ExecContext* ctx) {
       inner_.table != nullptr) {
     inner_.snapshot = inner_.table->Snapshot();
   }
-  outer_valid_ = false;
   outer_batch_valid_ = false;
   outer_idx_ = 0;
+  probing_ = false;
   return outer_->Open(ctx);
 }
 
@@ -102,47 +102,21 @@ ExecStatus NljnOp::NextMatch(ExecContext* ctx, OuterAt outer_at,
   }
 }
 
-ExecStatus NljnOp::NextImpl(ExecContext* ctx, Row* out) {
-  const auto outer_at = [this](int pos) -> const Value& {
-    return outer_row_[static_cast<size_t>(pos)];
-  };
-  while (true) {
-    if (!outer_valid_) {
-      const ExecStatus s = outer_->Next(ctx, &outer_row_);
-      if (s != ExecStatus::kRow) {
-        return s;
-      }
-      outer_valid_ = true;
-      StartProbe(ctx, inner_.index != nullptr
-                          ? &outer_at(inner_.join_conds[0].outer_pos)
-                          : nullptr);
-    }
-    const Row* inner_row = nullptr;
-    const ExecStatus s = NextMatch(ctx, outer_at, &inner_row);
-    if (s == ExecStatus::kCancelled) return s;
-    if (s == ExecStatus::kRow) {
-      *out = merge_.Merge(outer_row_, *inner_row);
-      return ExecStatus::kRow;
-    }
-    outer_valid_ = false;  // Exhausted inner candidates; pull next outer row.
-  }
-}
-
 ExecStatus NljnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  // Vectorized outer: pull outer batches, probe each active row with the
-  // same per-row work/loop accounting as the row path, and collect matches
+  // Pull outer batches, probe each active row (one work unit and one loop
+  // per outer row, one unit per visible candidate), and collect matches
   // until the output batch fills. The current outer row is read in place
   // from the held batch (`outer_idx_`) — never materialized row-major —
   // and matches are gathered column-wise before the held batch is replaced
   // and before every return. An outer row's candidate cursor survives
   // across output batches; an abort from the outer subtree can only arrive
-  // once the held batch is fully probed, so every match the row engine
-  // would have streamed is flushed ahead of the abort status.
+  // once the held batch is fully probed, so every match found before it is
+  // flushed ahead of the abort status.
   const int64_t target =
       BatchTarget(ctx, static_cast<int>(merge_.sources.size()));
   out->Reset(static_cast<int>(merge_.sources.size()));
   while (true) {
-    if (!outer_valid_) {
+    if (!probing_) {
       if (!outer_batch_valid_ || outer_idx_ >= outer_batch_.ActiveRows()) {
         merge_.Gather(&outer_batch_, &pending_, out);
         const ExecStatus s = outer_->NextBatch(ctx, &outer_batch_);
@@ -153,7 +127,7 @@ ExecStatus NljnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
         outer_batch_valid_ = true;
         outer_idx_ = 0;
       }
-      outer_valid_ = true;
+      probing_ = true;
       StartProbe(ctx,
                  inner_.index != nullptr
                      ? &outer_batch_.At(inner_.join_conds[0].outer_pos,
@@ -179,12 +153,21 @@ ExecStatus NljnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       if (s != ExecStatus::kRow) break;
       pending_.Add(raw, inner_row);
     }
-    outer_valid_ = false;  // Candidates exhausted; next outer row.
+    probing_ = false;  // Candidates exhausted; next outer row.
     ++outer_idx_;
   }
 }
 
-void NljnOp::CloseImpl(ExecContext* ctx) { outer_->Close(ctx); }
+void NljnOp::CloseImpl(ExecContext* ctx) {
+  // Outer rows past the one being probed were never reached.
+  if (outer_batch_valid_) {
+    const int64_t rest =
+        outer_batch_.ActiveRows() - outer_idx_ - (probing_ ? 1 : 0);
+    if (rest > 0) outer_->ReturnUnconsumed(ctx, rest);
+    outer_batch_valid_ = false;
+  }
+  outer_->Close(ctx);
+}
 
 // ---------------------------------------------------------------- HsjnOp
 
@@ -323,7 +306,6 @@ ExecStatus HsjnOp::OpenImpl(ExecContext* ctx) {
                           kMinParallelBuildRows;
     BuildTable(ctx, build_rows_, parallel ? std::max(1, ctx->dop) : 1,
                &table_);
-    chain_ = HashTable::kEnd;
     return probe_->Open(ctx);
   }
 
@@ -387,35 +369,6 @@ ExecStatus HsjnOp::Join(ExecContext* ctx, std::vector<Row>* build,
   return ExecStatus::kOk;
 }
 
-ExecStatus HsjnOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (in_memory_mode_) {
-    const auto probe_at = [this](size_t k) -> const Value& {
-      return probe_row_[static_cast<size_t>(probe_keys_[k])];
-    };
-    while (true) {
-      if (ctx->CancelPending()) return ExecStatus::kCancelled;
-      const uint32_t b =
-          NextMatch(table_, build_rows_, probe_hash_, probe_at, &chain_);
-      if (b != HashTable::kEnd) {
-        *out = merge_.Merge(probe_row_, build_rows_[b]);
-        return ExecStatus::kRow;
-      }
-      const ExecStatus s = probe_->Next(ctx, &probe_row_);
-      if (s != ExecStatus::kRow) {
-        return s;
-      }
-      ++ctx->work;
-      probe_hash_ = HashRowKey(probe_row_, probe_keys_);
-      chain_ = table_.First(probe_hash_);
-    }
-  }
-  if (next_out_ < output_.size()) {
-    *out = output_[next_out_++];
-    return ExecStatus::kRow;
-  }
-  return ExecStatus::kEof;
-}
-
 ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   if (!in_memory_mode_) {
     // Spill mode: serve the precomputed join output in slices, moving rows
@@ -462,7 +415,8 @@ ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
 }
 
 void HsjnOp::CloseImpl(ExecContext* ctx) {
-  if (in_memory_mode_) probe_->Close(ctx);
+  build_->Close(ctx);
+  probe_->Close(ctx);
 }
 
 bool HsjnOp::HarvestInfo(HarvestedResult* out) const {
@@ -486,10 +440,10 @@ MgjnOp::MgjnOp(std::unique_ptr<Operator> left,
       right_keys_(std::move(right_keys)),
       merge_(std::move(merge)) {}
 
-int MgjnOp::CompareKeys(const Row& l, const Row& r) const {
+template <typename RightAt>
+int MgjnOp::CompareKeys(RightAt right_at) const {
   for (size_t k = 0; k < left_keys_.size(); ++k) {
-    const int c = l[static_cast<size_t>(left_keys_[k])].Compare(
-        r[static_cast<size_t>(right_keys_[k])]);
+    const int c = left_in_.At(left_keys_[k]).Compare(right_at(k));
     if (c != 0) return c;
   }
   return 0;
@@ -500,99 +454,120 @@ ExecStatus MgjnOp::OpenImpl(ExecContext* ctx) {
   if (s != ExecStatus::kOk) return s;
   s = right_->Open(ctx);
   if (s != ExecStatus::kOk) return s;
-  left_valid_ = right_valid_ = false;
-  left_eof_ = right_eof_ = false;
+  left_in_.op = left_.get();
+  right_in_.op = right_.get();
+  left_in_.valid = right_in_.valid = false;
+  right_group_.clear();
   in_group_ = false;
-  const ExecStatus sl = AdvanceLeft(ctx);
-  if (IsAbortStatus(sl)) return sl;
-  const ExecStatus sr = AdvanceRight(ctx);
-  if (IsAbortStatus(sr)) return sr;
+  // Nothing is pending yet, so no output batch is needed for a gather.
+  s = Advance(ctx, &left_in_, nullptr);
+  if (IsAbortStatus(s)) return s;
+  s = Advance(ctx, &right_in_, nullptr);
+  if (IsAbortStatus(s)) return s;
   return ExecStatus::kOk;
 }
 
-ExecStatus MgjnOp::AdvanceLeft(ExecContext* ctx) {
-  const ExecStatus s = left_->Next(ctx, &left_row_);
-  if (s == ExecStatus::kRow) {
-    ++ctx->work;
-    left_valid_ = true;
-    return s;
+ExecStatus MgjnOp::Advance(ExecContext* ctx, Input* in, RowBatch* out) {
+  if (in->valid && in->idx + 1 < in->batch.ActiveRows()) {
+    ++in->idx;
+  } else {
+    // Pending matches read the held left batch: gather before replacing it.
+    if (in == &left_in_) merge_.Gather(&in->batch, &pending_, out);
+    in->valid = false;
+    const ExecStatus s = in->op->NextBatch(ctx, &in->batch);
+    if (s != ExecStatus::kRow) return s;
+    in->idx = 0;
   }
-  left_valid_ = false;
-  if (s == ExecStatus::kEof) left_eof_ = true;
-  return s;
+  in->valid = true;
+  ++ctx->work;
+  return ExecStatus::kRow;
 }
 
-ExecStatus MgjnOp::AdvanceRight(ExecContext* ctx) {
-  const ExecStatus s = right_->Next(ctx, &right_row_);
-  if (s == ExecStatus::kRow) {
-    ++ctx->work;
-    right_valid_ = true;
-    return s;
-  }
-  right_valid_ = false;
-  if (s == ExecStatus::kEof) right_eof_ = true;
-  return s;
+void MgjnOp::ReturnHeldRows(ExecContext* ctx, Input* in) {
+  if (!in->valid) return;
+  const int64_t rest = in->batch.ActiveRows() - in->idx - 1;
+  if (rest <= 0) return;
+  in->op->ReturnUnconsumed(ctx, rest);
+  in->batch.TruncateActive(in->idx + 1);
 }
 
-ExecStatus MgjnOp::NextImpl(ExecContext* ctx, Row* out) {
+ExecStatus MgjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+  const int width = static_cast<int>(merge_.sources.size());
+  const int64_t target = BatchTarget(ctx, width);
+  out->Reset(width);
+  const auto flush = [&](ExecStatus s) {
+    merge_.Gather(&left_in_.batch, &pending_, out);
+    return FlushOrStatus(out, s);
+  };
+  const auto right_current = [this](size_t k) -> const Value& {
+    return right_in_.At(right_keys_[k]);
+  };
   while (true) {
-    if (ctx->CancelPending()) return ExecStatus::kCancelled;
+    if (ctx->CancelPending()) return flush(ExecStatus::kCancelled);
     if (in_group_) {
       if (group_pos_ < right_group_.size()) {
-        *out = merge_.Merge(left_row_, right_group_[group_pos_]);
-        ++group_pos_;
-        return ExecStatus::kRow;
+        // The current left row against the rest of the group, up to the
+        // output target.
+        const int32_t raw = left_in_.batch.RawIndex(left_in_.idx);
+        const size_t room = static_cast<size_t>(
+            target - out->num_rows - static_cast<int64_t>(pending_.size()));
+        const size_t end = std::min(right_group_.size(), group_pos_ + room);
+        for (; group_pos_ < end; ++group_pos_) {
+          pending_.Add(raw, &right_group_[group_pos_]);
+        }
+        if (out->num_rows + static_cast<int64_t>(pending_.size()) >= target) {
+          merge_.Gather(&left_in_.batch, &pending_, out);
+          return ExecStatus::kRow;
+        }
+        continue;
       }
-      // Current left row finished its group; see if the next left row has
-      // the same key and can reuse the buffered group.
-      const ExecStatus s = AdvanceLeft(ctx);
-      if (IsAbortStatus(s)) return s;
-      if (left_valid_ &&
-          CompareKeys(left_row_, right_group_.front()) == 0) {
+      // The current left row finished its group; the next left row reuses
+      // the buffered group when its key is the same.
+      const ExecStatus s = Advance(ctx, &left_in_, out);
+      if (IsAbortStatus(s)) return flush(s);
+      const Row& front = right_group_.front();
+      if (left_in_.valid &&
+          CompareKeys([&](size_t k) -> const Value& {
+            return front[static_cast<size_t>(right_keys_[k])];
+          }) == 0) {
         group_pos_ = 0;
         continue;
       }
+      // Pending matches point into the group: gather before dropping it.
+      merge_.Gather(&left_in_.batch, &pending_, out);
       in_group_ = false;
       right_group_.clear();
     }
-    if (!left_valid_ || (!right_valid_ && right_group_.empty())) {
-      if (left_eof_ || (right_eof_ && right_group_.empty() && !right_valid_)) {
-        return ExecStatus::kEof;
-      }
-      // A child returned a non-row status other than EOF earlier.
-      return ExecStatus::kEof;
+    if (!left_in_.valid || !right_in_.valid) {
+      ReturnHeldRows(ctx, &left_in_);
+      ReturnHeldRows(ctx, &right_in_);
+      return flush(ExecStatus::kEof);
     }
-    const int cmp = CompareKeys(left_row_, right_row_);
-    if (cmp < 0) {
-      const ExecStatus s = AdvanceLeft(ctx);
-      if (IsAbortStatus(s)) return s;
-      if (!left_valid_) {
-        return ExecStatus::kEof;
-      }
-    } else if (cmp > 0) {
-      const ExecStatus s = AdvanceRight(ctx);
-      if (IsAbortStatus(s)) return s;
-      if (!right_valid_) {
-        return ExecStatus::kEof;
-      }
-    } else {
-      // Buffer the full right-side key group.
-      right_group_.clear();
-      right_group_.push_back(right_row_);
-      while (true) {
-        const ExecStatus s = AdvanceRight(ctx);
-        if (IsAbortStatus(s)) return s;
-        if (!right_valid_) break;
-        if (CompareKeys(left_row_, right_row_) != 0) break;
-        right_group_.push_back(right_row_);
-      }
-      in_group_ = true;
-      group_pos_ = 0;
+    const int cmp = CompareKeys(right_current);
+    if (cmp != 0) {
+      const ExecStatus s =
+          Advance(ctx, cmp < 0 ? &left_in_ : &right_in_, out);
+      if (IsAbortStatus(s)) return flush(s);
+      continue;
     }
+    // Buffer the full right-side key group.
+    do {
+      Row row;
+      right_in_.batch.MaterializeRow(right_in_.idx, &row);
+      right_group_.push_back(std::move(row));
+      const ExecStatus s = Advance(ctx, &right_in_, out);
+      if (IsAbortStatus(s)) return flush(s);
+    } while (right_in_.valid && CompareKeys(right_current) == 0);
+    in_group_ = true;
+    group_pos_ = 0;
   }
 }
 
 void MgjnOp::CloseImpl(ExecContext* ctx) {
+  // After an abort above the join, rows past the current ones were never
+  // reached either.
+  ReturnHeldRows(ctx, &left_in_);
+  ReturnHeldRows(ctx, &right_in_);
   left_->Close(ctx);
   right_->Close(ctx);
 }

@@ -65,7 +65,6 @@ class NljnOp : public Operator {
          TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "NLJN"; }
@@ -81,8 +80,7 @@ class NljnOp : public Operator {
   /// Advances the current outer row's probe to its next matching inner row
   /// (`*match`, kRow), to the end of its candidates (kEof), or stops on a
   /// cancel (kCancelled). Polls the cancel token once per candidate and
-  /// once at the end, exactly as many times in the row and batch paths.
-  /// `outer_at(pos)` reads the outer row's value at `pos`.
+  /// once at the end. `outer_at(pos)` reads the outer row's value at `pos`.
   template <typename OuterAt>
   ExecStatus NextMatch(ExecContext* ctx, OuterAt outer_at, const Row** match);
   const Row& InnerRow(int64_t rid) const;
@@ -95,8 +93,16 @@ class NljnOp : public Operator {
   InnerAccess inner_;
   MergeSpec merge_;
 
-  Row outer_row_;
-  bool outer_valid_ = false;
+  // The held outer batch and the index of the active row currently being
+  // probed (`probing_` while its candidates last). The probe state resumes
+  // across output batches, so an outer row with more matches than one
+  // batch holds continues where it stopped. Matches are collected in
+  // `pending_` and gathered into the output before the next outer batch is
+  // pulled and before every return.
+  RowBatch outer_batch_;
+  bool outer_batch_valid_ = false;
+  int64_t outer_idx_ = 0;
+  bool probing_ = false;
   // Probe state: either index candidates or a full-scan cursor. The span
   // points into the index's immutable base, or into `index_scratch_` when
   // the key has write-delta postings (storage/index.h).
@@ -104,15 +110,6 @@ class NljnOp : public Operator {
   std::vector<int64_t> index_scratch_;
   size_t candidate_pos_ = 0;
   int64_t scan_rid_ = 0;
-  // Vectorized path: the held outer batch and the index of the active row
-  // currently being probed (advanced once its candidates are exhausted).
-  // Probe state above resumes across output batches, so an outer row with
-  // more matches than one batch holds continues where it stopped. Matches
-  // are collected in `pending_` and gathered into the output before the
-  // next outer batch is pulled and before every return.
-  RowBatch outer_batch_;
-  bool outer_batch_valid_ = false;
-  int64_t outer_idx_ = 0;
   PendingMatches pending_;
 };
 
@@ -137,7 +134,6 @@ class HsjnOp : public Operator {
          bool offer_build_for_reuse);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   bool HarvestInfo(HarvestedResult* out) const override;
@@ -198,19 +194,24 @@ class HsjnOp : public Operator {
   std::vector<Row> output_;  ///< Joined rows (spill mode, computed in Open).
   size_t next_out_ = 0;
   bool in_memory_mode_ = false;
-  // Streaming (in-memory) mode state: the table over build_rows_, and the
-  // row path's current probe row with its chain cursor.
-  HashTable table_;
-  Row probe_row_;
-  size_t probe_hash_ = 0;
-  uint32_t chain_ = HashTable::kEnd;
-  RowBatch probe_batch_;  ///< Vectorized probe scratch.
+  HashTable table_;  ///< Streaming (in-memory) mode: over build_rows_.
+  RowBatch probe_batch_;
   PendingMatches pending_;
 };
 
 /// Merge join over two inputs sorted on the join keys (the optimizer
-/// inserts SortOp children). Buffers each right-side key group to emit the
-/// cross product with equal left rows.
+/// inserts SortOp children, or reads a view already sorted on them). Pulls
+/// batches from both inputs and walks one current row on each side;
+/// buffers each right-side key group to emit the cross product with equal
+/// left rows, reusing it for following left rows of the same key. Matches
+/// are collected as (left raw index, right group row) pairs and gathered
+/// before the held left batch is replaced and before every return.
+///
+/// Work is charged as the current row of a side advances, one unit per
+/// row. Rows an input produced past the current row when the join stops
+/// (EOF on the other side, or Close) were never reached and are handed
+/// back to it (Operator::ReturnUnconsumed), so the work and produced-row
+/// counts do not depend on the batch size.
 class MgjnOp : public Operator {
  public:
   MgjnOp(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
@@ -218,7 +219,7 @@ class MgjnOp : public Operator {
          MergeSpec merge, TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
+  ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "MGJN"; }
   std::vector<const Operator*> children() const override {
@@ -226,9 +227,26 @@ class MgjnOp : public Operator {
   }
 
  private:
-  int CompareKeys(const Row& l, const Row& r) const;
-  ExecStatus AdvanceLeft(ExecContext* ctx);
-  ExecStatus AdvanceRight(ExecContext* ctx);
+  /// One sorted input: its held batch and the current row in it.
+  struct Input {
+    Operator* op = nullptr;
+    RowBatch batch;
+    int64_t idx = 0;     ///< Active index of the current row.
+    bool valid = false;  ///< A current row exists (false at EOF or abort).
+    const Value& At(int pos) const { return batch.At(pos, idx); }
+  };
+
+  /// Moves `in` to its next row, pulling a new batch once the held one is
+  /// used up, and charges one work unit for it. Returns kRow, kEof or the
+  /// input's abort status. Gathers `pending_` into `out` before the held
+  /// left batch is replaced.
+  ExecStatus Advance(ExecContext* ctx, Input* in, RowBatch* out);
+  /// Compares the current left row's keys with `right_at(k)`.
+  template <typename RightAt>
+  int CompareKeys(RightAt right_at) const;
+  /// Hands rows of `in`'s held batch past its current row back to the
+  /// input (they were produced but never reached).
+  void ReturnHeldRows(ExecContext* ctx, Input* in);
 
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
@@ -236,12 +254,11 @@ class MgjnOp : public Operator {
   std::vector<int> right_keys_;
   MergeSpec merge_;
 
-  Row left_row_, right_row_;
-  bool left_valid_ = false, right_valid_ = false;
-  bool left_eof_ = false, right_eof_ = false;
+  Input left_in_, right_in_;
   std::vector<Row> right_group_;  ///< Current right key group.
   size_t group_pos_ = 0;
   bool in_group_ = false;
+  PendingMatches pending_;
 };
 
 }  // namespace popdb

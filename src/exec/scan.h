@@ -41,7 +41,6 @@ class TableScanOp : public Operator {
                     end_rid) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "TBSCAN"; }
@@ -66,10 +65,11 @@ class MatViewScanOp : public Operator {
       : Operator(table_set), rows_(rows) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "MVSCAN"; }
+  /// Un-serves the rows: they were charged one work unit each.
+  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
 
  private:
   const std::vector<Row>* rows_;

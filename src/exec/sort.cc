@@ -72,16 +72,6 @@ ExecStatus SortOp::OpenImpl(ExecContext* ctx) {
   return ExecStatus::kOk;
 }
 
-ExecStatus SortOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (ctx->CancelPending()) return ExecStatus::kCancelled;
-  if (next_ < rows_.size()) {
-    ++ctx->work;
-    *out = rows_[next_++];
-    return ExecStatus::kRow;
-  }
-  return ExecStatus::kEof;
-}
-
 ExecStatus SortOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   if (ctx->CancelPending()) return ExecStatus::kCancelled;
   const int64_t target = BatchTarget(
@@ -94,7 +84,13 @@ ExecStatus SortOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   return out->num_rows > 0 ? ExecStatus::kRow : ExecStatus::kEof;
 }
 
-void SortOp::CloseImpl(ExecContext* ctx) { (void)ctx; }
+void SortOp::CloseImpl(ExecContext* ctx) { child_->Close(ctx); }
+
+void SortOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
+  Operator::ReturnUnconsumed(ctx, unconsumed);
+  ctx->work -= unconsumed;
+  next_ -= static_cast<size_t>(unconsumed);
+}
 
 bool SortOp::HarvestInfo(HarvestedResult* out) const {
   out->table_set = table_set();
@@ -124,16 +120,6 @@ ExecStatus TempOp::OpenImpl(ExecContext* ctx) {
   return ExecStatus::kOk;
 }
 
-ExecStatus TempOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (ctx->CancelPending()) return ExecStatus::kCancelled;
-  if (next_ < rows_.size()) {
-    ++ctx->work;
-    *out = rows_[next_++];
-    return ExecStatus::kRow;
-  }
-  return ExecStatus::kEof;
-}
-
 ExecStatus TempOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   if (ctx->CancelPending()) return ExecStatus::kCancelled;
   const int64_t target = BatchTarget(
@@ -146,7 +132,13 @@ ExecStatus TempOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   return out->num_rows > 0 ? ExecStatus::kRow : ExecStatus::kEof;
 }
 
-void TempOp::CloseImpl(ExecContext* ctx) { (void)ctx; }
+void TempOp::CloseImpl(ExecContext* ctx) { child_->Close(ctx); }
+
+void TempOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
+  Operator::ReturnUnconsumed(ctx, unconsumed);
+  ctx->work -= unconsumed;
+  next_ -= static_cast<size_t>(unconsumed);
+}
 
 bool TempOp::HarvestInfo(HarvestedResult* out) const {
   out->table_set = table_set();

@@ -28,11 +28,12 @@ class SortOp : public Operator {
          TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   bool HarvestInfo(HarvestedResult* out) const override;
   const char* name() const override { return "SORT"; }
+  /// Un-serves the rows: they were charged one work unit each.
+  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
   std::vector<const Operator*> children() const override {
     return {child_.get()};
   }
@@ -60,11 +61,12 @@ class TempOp : public Operator {
   TempOp(std::unique_ptr<Operator> child, TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   bool HarvestInfo(HarvestedResult* out) const override;
   const char* name() const override { return "TEMP"; }
+  /// Un-serves the rows: they were charged one work unit each.
+  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
   std::vector<const Operator*> children() const override {
     return {child_.get()};
   }

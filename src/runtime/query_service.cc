@@ -441,14 +441,6 @@ void QueryService::RunOne(const std::shared_ptr<QueryTicket>& ticket) {
     // Engine diagnostics shared by both execution paths: the distributed
     // coordinator reports CHECK firings and per-shard profiles through the
     // same ExecutionStats shape the local executor uses.
-    if (trace.checks_fired > 0) {
-      std::lock_guard<std::mutex> lock(history_mu_);
-      for (const CheckEvent& ev : stats.check_events) {
-        if (!ev.fired) continue;
-        ++check_history_[QueryFeedbackStore::SubplanSignature(ticket->query_,
-                                                              ev.edge_set)];
-      }
-    }
     for (const CheckEvent& ev : stats.check_events) {
       if (ev.fired) flavor_fired_[static_cast<int>(ev.flavor)]->Increment();
     }
@@ -609,11 +601,6 @@ WriteQueryResult QueryService::ExecuteWrite(const txn::WriteStatement& stmt) {
     query_log_->Append(std::move(entry));
   }
   return out;
-}
-
-std::map<std::string, int64_t> QueryService::CheckHistory() const {
-  std::lock_guard<std::mutex> lock(history_mu_);
-  return check_history_;
 }
 
 }  // namespace popdb

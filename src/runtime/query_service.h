@@ -112,10 +112,9 @@ struct ServiceConfig {
   /// overhead would dominate).
   int64_t min_parallel_rows = 4096;
 
-  /// Rows per execution batch (ParallelPolicy::batch_rows): > 1 runs plans
-  /// through the vectorized engine, <= 1 forces row-at-a-time execution.
-  /// Results and re-optimization behavior are bit-identical either way.
-  int64_t exec_batch_rows = 1024;
+  /// Rows per execution batch (ParallelPolicy::batch_rows). Results and
+  /// re-optimization behavior do not depend on it.
+  int64_t exec_batch_rows = kDefaultBatchRows;
 
   /// Shared plan-cache capacity in entries; <= 0 disables plan caching.
   /// The cache is keyed by canonical query signature and gated by the
@@ -288,11 +287,6 @@ class QueryService {
   /// inspecting individual families in tests).
   MetricsRegistry& metrics_registry() { return metrics_.registry(); }
 
-  /// Process-wide check-firing history: canonical subplan signature of the
-  /// guarded edge -> number of times a checkpoint on it fired. Shared
-  /// diagnostic memory of where the optimizer's estimates break.
-  std::map<std::string, int64_t> CheckHistory() const;
-
   const ServiceConfig& config() const { return config_; }
 
   /// The catalog queries execute against (front ends bind SQL text against
@@ -426,9 +420,6 @@ class QueryService {
   QueryFeedbackStore shared_feedback_;
   std::mutex sessions_mu_;
   std::map<uint64_t, std::unique_ptr<QueryFeedbackStore>> session_feedback_;
-
-  mutable std::mutex history_mu_;
-  std::map<std::string, int64_t> check_history_;
 
   std::atomic<int64_t> next_query_id_{1};
 };

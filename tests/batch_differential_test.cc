@@ -1,8 +1,7 @@
-// Row-vs-batch differential oracle (the headline test for vectorized
-// execution): every query of the TPC-H paper subset (plain + parameter
-// marker) and the DMV workload runs once on the row-at-a-time engine
-// (batch_rows = 1) and once per tested execution batch size, including
-// randomized sizes. The two engines must be bit-identical in:
+// Batch-size differential oracle: every query of the TPC-H paper subset
+// (plain + parameter marker) and the DMV workload runs once at batch size
+// 1 (row granularity) and once per tested execution batch size, including
+// randomized sizes. The runs must be bit-identical in:
 //   - the returned row multiset,
 //   - every CHECK evaluation (edge set, flavor, site, observed count,
 //     fired or not) — i.e. batch-boundary checks decide exactly like
@@ -10,7 +9,9 @@
 //   - the number of re-optimizations and attempts,
 //   - the feedback cardinalities harvested into the cross-query store.
 // The plan-cache execution path is covered by a dedicated test below; the
-// dist subplan path has its own differential in dist_test.cc.
+// dist subplan path has its own differential in dist_test.cc. The golden
+// table in engine_golden_test.cc pins the same fields (plus work) under
+// further POP configurations.
 //
 // Set POPDB_EQUIV_LIGHT=1 to run a reduced corpus (used by the TSan CI
 // stage, where the full sweep is too slow).
@@ -41,7 +42,7 @@ bool LightMode() {
   return v != nullptr && *v != '\0' && *v != '0';
 }
 
-/// Everything about one execution that must be engine-invariant.
+/// Everything about one execution that must not depend on the batch size.
 struct Outcome {
   bool ok = false;
   std::string status;
@@ -86,20 +87,19 @@ Outcome RunOnce(const Catalog& catalog, const QuerySpec& query,
   return o;
 }
 
-void ExpectSameOutcome(const Outcome& row_engine, const Outcome& batched,
+void ExpectSameOutcome(const Outcome& one_row, const Outcome& batched,
                        const std::string& label) {
-  ASSERT_EQ(row_engine.ok, batched.ok)
-      << label << ": " << row_engine.status << " vs " << batched.status;
-  if (!row_engine.ok) return;
-  EXPECT_EQ(row_engine.rows, batched.rows)
-      << label << ": result rows differ";
-  EXPECT_EQ(row_engine.reopts, batched.reopts)
+  ASSERT_EQ(one_row.ok, batched.ok)
+      << label << ": " << one_row.status << " vs " << batched.status;
+  if (!one_row.ok) return;
+  EXPECT_EQ(one_row.rows, batched.rows) << label << ": result rows differ";
+  EXPECT_EQ(one_row.reopts, batched.reopts)
       << label << ": re-optimization count differs";
-  EXPECT_EQ(row_engine.attempts, batched.attempts)
+  EXPECT_EQ(one_row.attempts, batched.attempts)
       << label << ": attempt count differs";
-  EXPECT_EQ(row_engine.check_events, batched.check_events)
+  EXPECT_EQ(one_row.check_events, batched.check_events)
       << label << ": CHECK decisions differ";
-  EXPECT_EQ(row_engine.learned, batched.learned)
+  EXPECT_EQ(one_row.learned, batched.learned)
       << label << ": harvested feedback differs";
 }
 
@@ -114,13 +114,12 @@ void SweepCorpus(const Catalog& catalog,
                  const std::vector<QuerySpec>& corpus, const char* tag) {
   Rng rng(0x51ed2705);
   for (const QuerySpec& q : corpus) {
-    const Outcome row_engine = RunOnce(catalog, q, /*batch_rows=*/1);
+    const Outcome one_row = RunOnce(catalog, q, /*batch_rows=*/1);
     for (int64_t batch : BatchSizes(&rng)) {
       SCOPED_TRACE(std::string(tag) + "/" + q.name() +
                    " batch_rows=" + std::to_string(batch));
       const Outcome batched = RunOnce(catalog, q, batch);
-      ExpectSameOutcome(row_engine, batched,
-                        std::string(tag) + "/" + q.name());
+      ExpectSameOutcome(one_row, batched, std::string(tag) + "/" + q.name());
     }
   }
 }
@@ -137,7 +136,7 @@ TEST(BatchDifferentialTest, TpchPaperQueriesPlainAndMarker) {
     if (LightMode()) break;
   }
   // Parameter-marker variants inject estimation errors so checks actually
-  // fire and re-optimization runs under both engines.
+  // fire and re-optimization runs at every batch size.
   tpch::QueryOptions marked;
   marked.param_markers = true;
   for (int qnum : tpch::PaperQueries()) {
@@ -173,23 +172,23 @@ TEST(BatchDifferentialTest, Q10SelectivitySweepAgreesAtEverySize) {
       LightMode() ? std::vector<int>{50} : std::vector<int>{1, 10, 50, 90};
   for (int sel : sels) {
     const QuerySpec q = tpch::MakeQ10Selectivity(sel, /*use_marker=*/true);
-    const Outcome row_engine = RunOnce(catalog, q, /*batch_rows=*/1);
+    const Outcome one_row = RunOnce(catalog, q, /*batch_rows=*/1);
     for (int64_t batch : BatchSizes(&rng)) {
       SCOPED_TRACE("q10 sel=" + std::to_string(sel) +
                    " batch_rows=" + std::to_string(batch));
       const Outcome batched = RunOnce(catalog, q, batch);
-      ExpectSameOutcome(row_engine, batched, "q10");
+      ExpectSameOutcome(one_row, batched, "q10");
     }
   }
 }
 
 TEST(BatchDifferentialTest, PlanCachePathAgrees) {
-  // Two worlds (row engine, batched engine), each with its own plan cache
-  // and persistent feedback store. Every query runs three times per world:
-  // the cache key digests the seeded feedback, so the first repeat misses,
-  // the second installs under the post-feedback digest, and the third is
-  // served through the cached-plan path; all repeats must match across
-  // engines.
+  // Two worlds (batch size 1, batch size 1024), each with its own plan
+  // cache and persistent feedback store. Every query runs three times per
+  // world: the cache key digests the seeded feedback, so the first repeat
+  // misses, the second installs under the post-feedback digest, and the
+  // third is served through the cached-plan path; all repeats must match
+  // across the worlds.
   Catalog catalog;
   tpch::GenConfig gen;
   gen.scale = 0.002;
@@ -209,17 +208,48 @@ TEST(BatchDifferentialTest, PlanCachePathAgrees) {
     for (int repeat = 0; repeat < 3; ++repeat) {
       SCOPED_TRACE("plan_cache/" + q.name() +
                    " repeat=" + std::to_string(repeat));
-      const Outcome row_engine =
+      const Outcome one_row =
           RunOnce(catalog, q, /*batch_rows=*/1, &cache_row, &store_row);
       const Outcome batched =
           RunOnce(catalog, q, /*batch_rows=*/1024, &cache_batch,
                   &store_batch);
-      ExpectSameOutcome(row_engine, batched, "plan_cache/" + q.name());
+      ExpectSameOutcome(one_row, batched, "plan_cache/" + q.name());
     }
   }
   // The cached world actually exercised the cache.
   EXPECT_GT(cache_batch.stats().hits + cache_batch.stats().validity_hits,
             0u);
+}
+
+TEST(BatchDifferentialTest, ObserveOnlyEcbMatchesReferenceOnDmv) {
+  // The Figure 14 opportunity analysis: ECB at every placement site,
+  // observed but never enforced. An observe-only BUFCHECK records its
+  // violation and streams the rest of its child, so every query returns
+  // the brute-force result at batch size 1 and at the default size.
+  Catalog catalog;
+  dmv::GenConfig gen;
+  gen.scale = 0.05;
+  ASSERT_TRUE(dmv::BuildCatalog(gen, &catalog).ok());
+  PopConfig pop;
+  pop.enable_ecb = true;
+  pop.observe_only = true;
+  pop.require_narrowed_range = false;
+  for (const QuerySpec& q : dmv::MakeWorkload()) {
+    const std::vector<std::string> expected =
+        Canonicalize(testing::ReferenceExecute(catalog, q));
+    for (const int64_t batch_rows : {int64_t{1}, kDefaultBatchRows}) {
+      SCOPED_TRACE(q.name() + " batch_rows=" + std::to_string(batch_rows));
+      ProgressiveExecutor exec(catalog, OptimizerConfig{}, pop);
+      ParallelPolicy policy;
+      policy.batch_rows = batch_rows;
+      exec.set_parallel(nullptr, policy);
+      ExecutionStats stats;
+      Result<std::vector<Row>> rows = exec.Execute(q, &stats);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(expected, Canonicalize(rows.value()));
+      EXPECT_EQ(0, stats.reopts);
+    }
+  }
 }
 
 }  // namespace

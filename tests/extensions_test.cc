@@ -89,13 +89,16 @@ TEST_F(BufCheckTest, FiresExactlyAtEofWhenBelowLowerBound) {
 TEST_F(BufCheckTest, LowerBoundOnlyRangeReleasesValveEarly) {
   // [lo, inf): success certain at the lo-th row; buffer is bounded by lo.
   ExecContext ctx;
+  ctx.batch_rows = 1;
   BufCheckOp buf(Scan(), Spec(5, kInf));
   EXPECT_EQ(ExecStatus::kOk, buf.Open(&ctx));
   // Only 5 rows were pulled during Open (the valve released at lo).
-  Row row;
+  RowBatch batch;
   std::vector<Row> rows;
   ExecStatus s;
-  while ((s = buf.Next(&ctx, &row)) == ExecStatus::kRow) rows.push_back(row);
+  while ((s = buf.NextBatch(&ctx, &batch)) == ExecStatus::kRow) {
+    batch.MoveRowsInto(&rows);
+  }
   EXPECT_EQ(ExecStatus::kEof, s);
   EXPECT_EQ(50u, rows.size());  // Buffer prefix + streamed remainder.
   EXPECT_FALSE(ctx.reopt.triggered);

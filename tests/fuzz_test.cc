@@ -252,13 +252,12 @@ TEST_P(FuzzTest, PlanCacheOnOffAgree) {
             stats.hits + stats.validity_hits + stats.misses());
 }
 
-/// Differential fuzz for the vectorized engine: each random query (under
-/// a random POP configuration, so CHECK flavors, work bounds and re-opt
-/// budgets vary) runs on the row engine (batch_rows = 1) and at batch
-/// sizes 3 and 1024. Rows, CHECK firings by flavor, re-opt/attempt counts
-/// and absorbed feedback must be identical — batch-boundary checks decide
-/// exactly like per-row checks.
-TEST_P(FuzzTest, RowAndBatchEnginesAgree) {
+/// Batch-size differential fuzz: each random query (under a random POP
+/// configuration, so CHECK flavors, work bounds and re-opt budgets vary)
+/// runs at batch size 1 and at batch sizes 3 and 1024. Rows, CHECK firings
+/// by flavor, re-opt/attempt counts and absorbed feedback must be
+/// identical — batch-boundary checks decide exactly like per-row checks.
+TEST_P(FuzzTest, BatchSizesAgree) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 2654435761u + 777);
   for (int round = 0; round < 4; ++round) {
     const QuerySpec q = RandomQuery(&rng);

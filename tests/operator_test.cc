@@ -22,15 +22,28 @@
 namespace popdb {
 namespace {
 
-/// Drains `op` into a row vector; EXPECTs clean EOF.
-std::vector<Row> Drain(Operator* op, ExecContext* ctx) {
+/// Drains `op` through NextBatch with the context's batch size; records
+/// the terminal status in *final_status.
+std::vector<Row> DrainBatches(Operator* op, ExecContext* ctx,
+                              ExecStatus* final_status) {
   std::vector<Row> out;
   EXPECT_EQ(ExecStatus::kOk, op->Open(ctx));
-  Row row;
+  RowBatch batch;
   ExecStatus s;
-  while ((s = op->Next(ctx, &row)) == ExecStatus::kRow) out.push_back(row);
-  EXPECT_EQ(ExecStatus::kEof, s);
+  while ((s = op->NextBatch(ctx, &batch)) == ExecStatus::kRow) {
+    batch.MoveRowsInto(&out);
+  }
+  *final_status = s;
   op->Close(ctx);
+  return out;
+}
+
+/// Drains `op` one row per batch (batch size 1); EXPECTs clean EOF.
+std::vector<Row> Drain(Operator* op, ExecContext* ctx) {
+  ctx->batch_rows = 1;
+  ExecStatus s;
+  std::vector<Row> out = DrainBatches(op, ctx, &s);
+  EXPECT_EQ(ExecStatus::kEof, s);
   return out;
 }
 
@@ -437,14 +450,12 @@ TEST_F(OperatorTest, CheckPassesWithinRange) {
 
 TEST_F(OperatorTest, CheckFiresAboveUpperBoundWithLowerBoundSignal) {
   ExecContext ctx;
+  ctx.batch_rows = 1;
   CheckOp check(ScanLeft(), MakeCheck(0, 9.5));
-  EXPECT_EQ(ExecStatus::kOk, check.Open(&ctx));
-  Row row;
   ExecStatus s = ExecStatus::kOk;
-  int produced = 0;
-  while ((s = check.Next(&ctx, &row)) == ExecStatus::kRow) ++produced;
+  const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
   EXPECT_EQ(ExecStatus::kReoptimize, s);
-  EXPECT_EQ(9, produced);  // Fired while processing the 10th row.
+  EXPECT_EQ(9u, rows.size());  // Fired while processing the 10th row.
   EXPECT_TRUE(ctx.reopt.triggered);
   EXPECT_FALSE(ctx.reopt.exact);  // Count is only a lower bound.
   EXPECT_EQ(10, ctx.reopt.observed_rows);
@@ -452,14 +463,12 @@ TEST_F(OperatorTest, CheckFiresAboveUpperBoundWithLowerBoundSignal) {
 
 TEST_F(OperatorTest, CheckFiresBelowLowerBoundAtEofExactly) {
   ExecContext ctx;
+  ctx.batch_rows = 1;
   CheckOp check(ScanLeft(), MakeCheck(50, 1e9));
-  EXPECT_EQ(ExecStatus::kOk, check.Open(&ctx));
-  Row row;
   ExecStatus s = ExecStatus::kOk;
-  int produced = 0;
-  while ((s = check.Next(&ctx, &row)) == ExecStatus::kRow) ++produced;
+  const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
   EXPECT_EQ(ExecStatus::kReoptimize, s);
-  EXPECT_EQ(40, produced);  // Everything flowed; violation found at EOF.
+  EXPECT_EQ(40u, rows.size());  // Everything flowed; violation found at EOF.
   EXPECT_TRUE(ctx.reopt.exact);
   EXPECT_EQ(40, ctx.reopt.observed_rows);
 }
@@ -493,39 +502,19 @@ TEST_F(OperatorTest, CheckMaterializedPassesAndStreams) {
 
 // ----------------------------------------- CHECK at batch boundaries.
 
-/// Drains `op` through NextBatch with the given execution batch size;
-/// records the terminal status in *final_status.
-std::vector<Row> DrainBatches(Operator* op, ExecContext* ctx,
-                              ExecStatus* final_status) {
-  std::vector<Row> out;
-  EXPECT_EQ(ExecStatus::kOk, op->Open(ctx));
-  RowBatch batch;
-  ExecStatus s;
-  while ((s = op->NextBatch(ctx, &batch)) == ExecStatus::kRow) {
-    batch.MoveRowsInto(&out);
-  }
-  *final_status = s;
-  op->Close(ctx);
-  return out;
-}
-
 TEST_F(OperatorTest, CheckBatchMidBatchViolationFiresOnceAtBoundary) {
-  // Row engine reference: hi = 9.5 over a 40-row scan emits 9 rows, then
-  // fires while processing the 10th (observed_rows = 10, inexact). The
-  // batched engine must do exactly the same even when the threshold row
-  // sits mid-batch, and it must evaluate once per batch, not per row.
+  // Batch size 1 reference: hi = 9.5 over a 40-row scan emits 9 rows, then
+  // fires while processing the 10th (observed_rows = 10, inexact). Larger
+  // batches must do exactly the same even when the threshold row sits
+  // mid-batch, and must evaluate once per batch, not per row.
   ExecContext row_ctx;
+  row_ctx.batch_rows = 1;
   std::vector<Row> row_rows;
   {
     CheckOp check(ScanLeft(), MakeCheck(0, 9.5));
-    EXPECT_EQ(ExecStatus::kOk, check.Open(&row_ctx));
-    Row row;
     ExecStatus s;
-    while ((s = check.Next(&row_ctx, &row)) == ExecStatus::kRow) {
-      row_rows.push_back(row);
-    }
+    row_rows = DrainBatches(&check, &row_ctx, &s);
     EXPECT_EQ(ExecStatus::kReoptimize, s);
-    check.Close(&row_ctx);
   }
 
   for (const int64_t batch_rows : {2, 3, 8, 1024}) {
@@ -543,7 +532,7 @@ TEST_F(OperatorTest, CheckBatchMidBatchViolationFiresOnceAtBoundary) {
     EXPECT_TRUE(ctx.reopt.triggered);
     EXPECT_FALSE(ctx.reopt.exact);
     EXPECT_EQ(row_ctx.reopt.observed_rows, ctx.reopt.observed_rows);
-    // Fired exactly once, with the row engine's observed count.
+    // Fired exactly once, with the batch-size-1 observed count.
     ASSERT_EQ(1u, ctx.check_events.size());
     EXPECT_TRUE(ctx.check_events[0].fired);
     EXPECT_EQ(row_ctx.check_events[0].count, ctx.check_events[0].count);
@@ -564,7 +553,7 @@ TEST_F(OperatorTest, CheckBatchObserveOnlyRecordsRowExactCount) {
   EXPECT_FALSE(ctx.reopt.triggered);
   ASSERT_EQ(1u, ctx.check_events.size());
   EXPECT_TRUE(ctx.check_events[0].fired);
-  EXPECT_EQ(10, ctx.check_events[0].count);  // Row-engine count at the fire.
+  EXPECT_EQ(10, ctx.check_events[0].count);  // Row-exact count at the fire.
 }
 
 TEST_F(OperatorTest, CheckBatchLowerBoundFiresAtEofExactly) {
@@ -597,7 +586,7 @@ TEST_F(OperatorTest, BufCheckBatchDrainFiresWithRowExactCount) {
 
 TEST_F(OperatorTest, BufCheckBatchValvePassesAndServesBatches) {
   // [lo, inf) succeeds mid-stream; the batched consumer must see all rows
-  // (buffered prefix then pass-through) exactly like the row engine.
+  // (buffered prefix then pass-through) exactly as at batch size 1.
   ExecContext ctx;
   ctx.batch_rows = 8;
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -612,6 +601,81 @@ TEST_F(OperatorTest, BufCheckBatchValvePassesAndServesBatches) {
   EXPECT_EQ(5, ctx.check_events[0].count);  // Released at the lo-th row.
 }
 
+TEST_F(OperatorTest, ObserveOnlyBufCheckStreamsEveryJoinRow) {
+  // An observe-only BUFCHECK records its violation at the row-exact count
+  // and then streams the rest of its child: over a hash join (which emits
+  // every match of a probe batch) and over an index NLJN (which resumes an
+  // outer row across batches) every join row arrives, at any batch size.
+  const std::vector<Row> expected = ReferenceJoin();
+  const HashIndex index(right_, 0);
+  const std::vector<
+      std::pair<std::string, std::function<std::unique_ptr<Operator>()>>>
+      joins = {
+          {"HSJN",
+           [&] {
+             return std::make_unique<HsjnOp>(
+                 ScanLeft(), ScanRight(), std::vector<int>{0},
+                 std::vector<int>{0}, JoinMerge(), TableBit(0) | TableBit(1),
+                 CheckSpec{}, false);
+           }},
+          {"index NLJN",
+           [&] {
+             InnerAccess inner;
+             inner.table = &right_;
+             inner.table_id = 1;
+             inner.join_conds = {{0, 0}};
+             inner.index = &index;
+             return std::make_unique<NljnOp>(ScanLeft(), std::move(inner),
+                                             JoinMerge(),
+                                             TableBit(0) | TableBit(1));
+           }},
+      };
+  for (const auto& [name, make] : joins) {
+    for (const int64_t batch_rows : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
+      SCOPED_TRACE(name + " batch_rows=" + std::to_string(batch_rows));
+      ExecContext ctx;
+      ctx.batch_rows = batch_rows;
+      BufCheckOp check(make(), MakeCheck(0, 7, /*observe=*/true));
+      ExecStatus s;
+      const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
+      EXPECT_EQ(ExecStatus::kEof, s);
+      EXPECT_EQ(Canon(expected), Canon(rows));
+      EXPECT_FALSE(ctx.reopt.triggered);
+      ASSERT_EQ(1u, ctx.check_events.size());
+      EXPECT_TRUE(ctx.check_events[0].fired);
+      EXPECT_EQ(8, ctx.check_events[0].count);
+    }
+  }
+}
+
+TEST_F(OperatorTest, BufCheckValveChargesTheSameWorkAtEveryBatchSize) {
+  // A [lo, inf) valve over a hash join: the join returns every match of
+  // the probe rows the clamp let through, so rows past the release row sit
+  // in the buffer. They pass through uncharged, like the rows pulled after
+  // the release.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  int64_t work_at_one = -1;
+  for (const int64_t batch_rows :
+       {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    ExecContext ctx;
+    ctx.batch_rows = batch_rows;
+    BufCheckOp check(
+        std::make_unique<HsjnOp>(ScanLeft(), ScanRight(), std::vector<int>{0},
+                                 std::vector<int>{0}, JoinMerge(),
+                                 TableBit(0) | TableBit(1), CheckSpec{},
+                                 false),
+        MakeCheck(7, kInf));
+    ExecStatus s;
+    EXPECT_EQ(100u, DrainBatches(&check, &ctx, &s).size());
+    EXPECT_EQ(ExecStatus::kEof, s);
+    ASSERT_EQ(1u, ctx.check_events.size());
+    EXPECT_EQ(7, ctx.check_events[0].count);  // Released at the lo-th row.
+    if (work_at_one < 0) work_at_one = ctx.work;
+    EXPECT_EQ(work_at_one, ctx.work);
+  }
+}
+
 TEST_F(OperatorTest, CheckMaterializedStreamsBatchesAfterOpenEvaluation) {
   ExecContext ctx;
   ctx.batch_rows = 8;
@@ -624,9 +688,10 @@ TEST_F(OperatorTest, CheckMaterializedStreamsBatchesAfterOpenEvaluation) {
   EXPECT_FALSE(ctx.reopt.triggered);
 }
 
-TEST_F(OperatorTest, BatchWorkChargesMatchRowEngine) {
+TEST_F(OperatorTest, WorkChargesMatchBatchSizeOne) {
   // ctx.work parity is what keeps WORKBOUND decisions and check-event
-  // work columns engine-invariant; spot-check it on a scan drain.
+  // work columns independent of the batch size; spot-check it on a scan
+  // drain.
   ExecContext row_ctx;
   {
     auto scan = ScanLeft();
@@ -676,11 +741,12 @@ TEST_F(OperatorTest, AntiCompensateEmptySideTablePassesEverything) {
 
 // ------------------------------------------ Join kernels vs. nested loops.
 //
-// HSJN, index NLJN and the filtered scan are checked against loops written
-// here — not against another operator — in output order: HSJN returns each
-// probe row's matches in build order, index NLJN each outer row's
-// candidates in rid order, the scan its rows in rid order. Each case runs
-// through the row engine and the batch engine at two batch sizes.
+// HSJN, index NLJN, MGJN and the filtered scan are checked against loops
+// written here — not against another operator — in output order: HSJN
+// returns each probe row's matches in build order, index NLJN each outer
+// row's candidates in rid order, MGJN each left row's right key group in
+// sorted order, the scan its rows in rid order. Each case runs at batch
+// sizes 1, 3 and 1024 and must charge the same work at each.
 
 /// probe/outer side: (a int, b int); build/inner side: (x int, y int,
 /// z double). Query table ids 0 and 1.
@@ -729,7 +795,20 @@ std::vector<KernelCase> KernelCases() {
     cases.push_back(std::move(c));
   }
   {
-    // Value equality makes NULL join NULL, in HSJN and index NLJN alike.
+    // Key groups of 7 left and 3 right rows straddle the boundaries of 3-
+    // and 1024-row batches on both sides (rows 1022-1028 and 1023-1025);
+    // right keys run past the last left key.
+    KernelCase c{"groups across batches", {}, {}, {{0, 0}}};
+    for (int64_t i = 0; i < 1100; ++i) {
+      c.left.push_back({Value::Int(i / 7), Value::Int(i)});
+    }
+    for (int64_t i = 0; i < 1100; ++i) {
+      c.right.push_back(right_row(Value::Int(i / 3), i));
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // Value equality makes NULL join NULL, in every join kernel alike.
     KernelCase c{"null keys", {}, {}, {{0, 0}}};
     for (int64_t i = 0; i < 120; ++i) {
       c.left.push_back(
@@ -774,6 +853,19 @@ std::vector<KernelCase> KernelCases() {
       c.left.push_back({Value::Int(i % 4), Value::Int(i)});
     }
     c.right.push_back(right_row(Value::Int(3), 0));
+    cases.push_back(std::move(c));
+  }
+  {
+    KernelCase c{"empty probe", {}, {}, {{0, 0}}};
+    for (int64_t i = 0; i < 20; ++i) c.right.push_back(right_row(Value::Int(i), i));
+    cases.push_back(std::move(c));
+  }
+  {
+    KernelCase c{"one-row probe", {}, {}, {{0, 0}}};
+    c.left.push_back({Value::Int(2), Value::Int(7)});
+    for (int64_t i = 0; i < 20; ++i) {
+      c.right.push_back(right_row(Value::Int(i % 4), i));
+    }
     cases.push_back(std::move(c));
   }
   return cases;
@@ -844,24 +936,66 @@ std::unique_ptr<Operator> MakeIndexNljn(
                                   LeftRightMerge(), TableBit(0) | TableBit(1));
 }
 
-/// Drains fresh operators from `make` through the row engine and the batch
-/// engine; every run must produce exactly `expected`, in order.
+/// Sort keys for a merge-join input: the join columns, then every other
+/// column, so the order is total and a reference loop can follow it.
+std::vector<SortKey> JoinColumnsFirst(const std::vector<int>& join_cols,
+                                      int width) {
+  std::vector<SortKey> keys;
+  for (int c : join_cols) keys.push_back({c, false});
+  for (int c = 0; c < width; ++c) {
+    if (std::find(join_cols.begin(), join_cols.end(), c) == join_cols.end()) {
+      keys.push_back({c, false});
+    }
+  }
+  return keys;
+}
+
+std::vector<Row> SortedRows(std::vector<Row> rows,
+                            const std::vector<SortKey>& keys) {
+  std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    return CompareRowsByKeys(a, b, keys) < 0;
+  });
+  return rows;
+}
+
+/// The merge join of the optimizer's plans: both inputs sorted first.
+/// `left` and `right` are the inputs' rows in `left_sort`/`right_sort`
+/// order.
+std::unique_ptr<Operator> MakeMgjn(std::unique_ptr<Operator> left,
+                                   const Table& right,
+                                   const std::vector<SortKey>& right_sort,
+                                   const std::vector<std::pair<int, int>>& keys) {
+  std::vector<int> left_keys, right_keys;
+  for (const auto& [lk, rk] : keys) {
+    left_keys.push_back(lk);
+    right_keys.push_back(rk);
+  }
+  return std::make_unique<MgjnOp>(
+      std::move(left),
+      std::make_unique<SortOp>(
+          std::make_unique<TableScanOp>(&right, 1,
+                                        std::vector<ResolvedPredicate>{}),
+          right_sort, TableBit(1)),
+      left_keys, right_keys, LeftRightMerge(), TableBit(0) | TableBit(1));
+}
+
+/// Drains fresh operators from `make` at batch sizes 1, 3 and 1024; every
+/// run must produce exactly `expected`, in order, and charge the work of
+/// the batch-size-1 run.
 void ExpectRowsInOrder(const std::function<std::unique_ptr<Operator>()>& make,
                        const std::vector<Row>& expected) {
+  int64_t work_at_one = -1;
   for (const int64_t batch_rows : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
     SCOPED_TRACE("batch_rows " + std::to_string(batch_rows));
     ExecContext ctx;
     ctx.batch_rows = batch_rows;
     std::unique_ptr<Operator> op = make();
-    std::vector<Row> got;
-    if (batch_rows == 1) {
-      got = Drain(op.get(), &ctx);
-    } else {
-      ExecStatus s;
-      got = DrainBatches(op.get(), &ctx, &s);
-      EXPECT_EQ(ExecStatus::kEof, s);
-    }
+    ExecStatus s;
+    const std::vector<Row> got = DrainBatches(op.get(), &ctx, &s);
+    EXPECT_EQ(ExecStatus::kEof, s);
     EXPECT_EQ(InOrder(expected), InOrder(got));
+    if (work_at_one < 0) work_at_one = ctx.work;
+    EXPECT_EQ(work_at_one, ctx.work);
   }
 }
 
@@ -880,10 +1014,8 @@ TEST(JoinKernelTest, HsjnMatchesNestedLoopInOrder) {
         ctx.mem_rows = mem_rows;
         ctx.batch_rows = batch_rows;
         std::unique_ptr<Operator> op = MakeHsjn(left, right, c.keys);
-        ExecStatus s = ExecStatus::kEof;
-        const std::vector<Row> got = batch_rows == 1
-                                         ? Drain(op.get(), &ctx)
-                                         : DrainBatches(op.get(), &ctx, &s);
+        ExecStatus s = ExecStatus::kOk;
+        const std::vector<Row> got = DrainBatches(op.get(), &ctx, &s);
         EXPECT_EQ(ExecStatus::kEof, s);
         EXPECT_EQ(Canon(expected), Canon(got))
             << "mem_rows " << mem_rows << " batch_rows " << batch_rows;
@@ -905,6 +1037,32 @@ TEST(JoinKernelTest, IndexNljnMatchesNestedLoopInOrder) {
                                right, &index, c.keys);
         },
         NestedLoopJoin(c.left, c.right, c.keys));
+  }
+}
+
+TEST(JoinKernelTest, MgjnMatchesNestedLoopInOrder) {
+  for (const KernelCase& c : KernelCases()) {
+    SCOPED_TRACE(c.name);
+    std::vector<int> left_cols, right_cols;
+    for (const auto& [lk, rk] : c.keys) {
+      left_cols.push_back(lk);
+      right_cols.push_back(rk);
+    }
+    const std::vector<SortKey> left_sort = JoinColumnsFirst(left_cols, 2);
+    const std::vector<SortKey> right_sort = JoinColumnsFirst(right_cols, 3);
+    const Table left = LeftTable(c.left);
+    const Table right = RightTable(c.right);
+    ExpectRowsInOrder(
+        [&] {
+          return MakeMgjn(
+              std::make_unique<SortOp>(
+                  std::make_unique<TableScanOp>(
+                      &left, 0, std::vector<ResolvedPredicate>{}),
+                  left_sort, TableBit(0)),
+              right, right_sort, c.keys);
+        },
+        NestedLoopJoin(SortedRows(c.left, left_sort),
+                       SortedRows(c.right, right_sort), c.keys));
   }
 }
 
@@ -973,10 +1131,8 @@ TEST(JoinKernelTest, ParallelBuildMatchesNestedLoopInOrder) {
       ctx.dop = 4;
       ctx.batch_rows = batch_rows;
       std::unique_ptr<Operator> op = MakeHsjn(left, right, c.keys);
-      ExecStatus s = ExecStatus::kEof;
-      const std::vector<Row> got = batch_rows == 1
-                                       ? Drain(op.get(), &ctx)
-                                       : DrainBatches(op.get(), &ctx, &s);
+      ExecStatus s = ExecStatus::kOk;
+      const std::vector<Row> got = DrainBatches(op.get(), &ctx, &s);
       EXPECT_EQ(ExecStatus::kEof, s);
       EXPECT_EQ(InOrder(expected), InOrder(got))
           << (runner == &inline_runner ? "inline" : "rejecting")
@@ -985,9 +1141,9 @@ TEST(JoinKernelTest, ParallelBuildMatchesNestedLoopInOrder) {
   }
 }
 
-/// Serves `rows` as table 0 in one batch (or row by row), then requests
-/// cancellation: the consumer observes the cancel at its next poll, partway
-/// through probing this batch.
+/// Serves `rows` as table 0 in one batch, then requests cancellation: the
+/// consumer observes the cancel at its next poll, partway through probing
+/// this batch.
 class RowsThenCancelOp : public Operator {
  public:
   RowsThenCancelOp(std::vector<Row> rows, CancelToken* token)
@@ -996,7 +1152,6 @@ class RowsThenCancelOp : public Operator {
 
  protected:
   ExecStatus OpenImpl(ExecContext*) override { return ExecStatus::kOk; }
-  ExecStatus NextImpl(ExecContext*, Row*) override { return ExecStatus::kEof; }
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
     if (served_) return ExecStatus::kEof;
     served_ = true;
@@ -1085,6 +1240,29 @@ TEST(JoinKernelTest, CancelMidGatherFlushesMatchesFound) {
     EXPECT_GT(examined, 0);
     EXPECT_LT(examined, static_cast<int64_t>(all.size()));
     EXPECT_EQ(InOrder(std::vector<Row>(all.begin(), all.begin() + examined)),
+              InOrder(got));
+  }
+  {
+    SCOPED_TRACE("MGJN");
+    const std::vector<SortKey> left_sort = JoinColumnsFirst({0}, 2);
+    const std::vector<SortKey> right_sort = JoinColumnsFirst({0}, 3);
+    const std::vector<Row> left_sorted = SortedRows(c.left, left_sort);
+    CancelToken token;
+    ExecContext ctx;
+    ctx.cancel = &token;
+    ctx.batch_rows = 4096;
+    std::unique_ptr<Operator> join =
+        MakeMgjn(std::make_unique<RowsThenCancelOp>(left_sorted, &token),
+                 right, right_sort, c.keys);
+    int64_t open_work = 0;
+    const std::vector<Row> got = DrainUntilCancelled(join.get(), &ctx, &open_work);
+    // Matches found before the cancel are flushed: a non-empty proper
+    // prefix of the full join, in order.
+    const std::vector<Row> all = NestedLoopJoin(
+        left_sorted, SortedRows(c.right, right_sort), c.keys);
+    EXPECT_FALSE(got.empty());
+    ASSERT_LT(got.size(), all.size());
+    EXPECT_EQ(InOrder(std::vector<Row>(all.begin(), all.begin() + got.size())),
               InOrder(got));
   }
 }

@@ -370,9 +370,17 @@ TEST(QueryServiceTest, SharedFeedbackConvergesAcrossQueries) {
   EXPECT_EQ(1, stats.reoptimized_queries);
   EXPECT_GE(stats.reopt_attempts, 1);
 
-  // The firing checkpoint left a record in the shared check history.
+  // The firing checkpoint is counted in the per-flavor metric.
   int64_t total_fires = 0;
-  for (const auto& [sig, fires] : service.CheckHistory()) total_fires += fires;
+  for (int f = 0; f <= static_cast<int>(CheckFlavor::kWorkBound); ++f) {
+    total_fires +=
+        service.metrics_registry()
+            .GetCounter("popdb_checks_fired_by_flavor_total", "",
+                        std::string("flavor=\"") +
+                            CheckFlavorName(static_cast<CheckFlavor>(f)) +
+                            "\"")
+            ->value();
+  }
   EXPECT_GE(total_fires, 1);
 }
 

@@ -292,12 +292,12 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ValidityPropertyTest,
 
 // ----------------------- validity ranges under vectorized execution.
 
-TEST(ValidityBatchTest, RowAndBatchEnginesAgreeOnValidityRangeOutcomes) {
+TEST(ValidityBatchTest, BatchSizesAgreeOnValidityRangeOutcomes) {
   // The CHECK ranges this analyzer derives are evaluated at batch
-  // boundaries on the vectorized engine; an in/out-of-range decision must
-  // be identical to the row engine — same observed cardinality at the
-  // fire, same fired flag, same replanning sequence — at every batch
-  // size, including sizes that put the range boundary mid-batch.
+  // boundaries; an in/out-of-range decision must be identical to batch
+  // size 1 — same observed cardinality at the fire, same fired flag, same
+  // replanning sequence — at every batch size, including sizes that put
+  // the range boundary mid-batch.
   Catalog catalog;
   tpch::GenConfig gen;
   gen.scale = 0.002;
