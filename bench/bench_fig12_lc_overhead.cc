@@ -5,7 +5,8 @@
 // re-optimization forced at that checkpoint: the estimates were accurate,
 // so the re-optimizer sees confirming actuals, reuses the materialized
 // intermediate results, and picks (essentially) the same plan. The paper
-// reports a total overhead of only 2-3%.
+// reports a total overhead of only 2-3%; the work-unit bound asserted
+// here is 1.25.
 
 #include <algorithm>
 #include <cstdio>
@@ -19,33 +20,21 @@
 namespace popdb {
 namespace {
 
-void Run() {
+int Run() {
   bench::PrintHeader(
       "Normalized execution time with LC re-optimization (hash join "
       "disabled)",
       "Figure 12 of Markl et al., SIGMOD 2004");
   Catalog catalog;
-  tpch::GenConfig gen;
-  gen.scale = bench::EnvScale("POPDB_TPCH_SCALE", gen.scale);
-  POPDB_DCHECK(tpch::BuildCatalog(gen, &catalog).ok());
+  POPDB_DCHECK(tpch::BuildCatalog(tpch::GenConfig{}, &catalog).ok());
 
   OptimizerConfig opt;
   opt.methods.enable_hsjn = false;  // Force SORT/TEMP materializations.
 
   TablePrinter tp({"query", "checkpoint", "before_reopt", "optimize",
                    "after_reopt", "total_norm", "reopts"});
-
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("name").String("fig12_lc_overhead");
-  json.Key("config")
-      .BeginObject()
-      .Key("tpch_scale")
-      .Double(gen.scale)
-      .Key("hash_join_enabled")
-      .Bool(false)
-      .EndObject();
-  json.Key("points").BeginArray();
+  double max_norm = 0;
+  int runs = 0, reopted = 0;
 
   for (int qnum : {3, 4, 5, 7, 9}) {
     const QuerySpec query = tpch::MakeQuery(qnum);
@@ -101,44 +90,36 @@ void Run() {
             std::max(1e-3, stats.total_ms);
         opt_ms_frac = stats.attempts[1].optimize_ms * work_per_ms / t_plain;
       }
+      const double total_norm =
+          static_cast<double>(stats.total_work) / t_plain;
+      max_norm = std::max(max_norm, total_norm);
+      ++runs;
+      if (stats.reopts == 1) ++reopted;
       tp.AddRow({StrFormat("Q%d", qnum),
                  StrFormat("%c", static_cast<char>('a' + k)),
                  StrFormat("%.3f", before), StrFormat("%.3f", opt_ms_frac),
-                 StrFormat("%.3f", after),
-                 StrFormat("%.3f",
-                           static_cast<double>(stats.total_work) / t_plain),
+                 StrFormat("%.3f", after), StrFormat("%.3f", total_norm),
                  StrFormat("%d", stats.reopts)});
-      json.BeginObject()
-          .Key("query")
-          .String(StrFormat("Q%d", qnum))
-          .Key("checkpoint")
-          .Int(k)
-          .Key("before_reopt")
-          .Double(before)
-          .Key("optimize")
-          .Double(opt_ms_frac)
-          .Key("after_reopt")
-          .Double(after)
-          .Key("total_norm")
-          .Double(static_cast<double>(stats.total_work) / t_plain)
-          .Key("reopts")
-          .Int(stats.reopts)
-          .EndObject();
     }
   }
-  json.EndArray().EndObject();
-  bench::WriteBenchJson("fig12_lc_overhead", json.str());
   std::fputs(tp.ToString().c_str(), stdout);
   std::printf(
       "\n'before_reopt'/'after_reopt' are the work shares of the two\n"
       "execution phases, 'total_norm' the full POP run normalized to the\n"
-      "run without re-optimization (paper: ~1.02-1.03).\n");
+      "run without re-optimization (paper: ~1.02-1.03). 'optimize' is\n"
+      "wall time scaled onto the work axis and is not asserted.\n\n");
+
+  bench::Claims claims;
+  claims.Expect(runs > 0 && reopted == runs,
+                StrFormat("every forced checkpoint re-optimizes once (%d of "
+                          "%d runs)",
+                          reopted, runs));
+  claims.Expect(max_norm <= 1.25,
+                StrFormat("every total_norm <= 1.25 (max %.3f)", max_norm));
+  return claims.ExitCode();
 }
 
 }  // namespace
 }  // namespace popdb
 
-int main() {
-  popdb::Run();
-  return 0;
-}
+int main() { return popdb::Run(); }

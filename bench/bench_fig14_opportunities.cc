@@ -4,9 +4,11 @@
 // mode, the queries are executed to completion, and each checkpoint
 // reports at which fraction of total query work it was evaluated. ECB
 // checkpoints report a [first-row .. decision] window (the dashed ranges
-// in the paper's scatter plot).
+// in the paper's scatter plot). Asserted: LC checkpoints above hash-join
+// builds occur, and most evaluations come before 15% of the work.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "common/table_printer.h"
@@ -31,23 +33,16 @@ const char* SiteName(const CheckEvent& ev) {
   return "?";
 }
 
-void Run() {
+int Run() {
   bench::PrintHeader("Checkpoint opportunities during query execution",
                      "Figure 14 of Markl et al., SIGMOD 2004");
   Catalog catalog;
-  tpch::GenConfig gen;
-  gen.scale = bench::EnvScale("POPDB_TPCH_SCALE", gen.scale);
-  POPDB_DCHECK(tpch::BuildCatalog(gen, &catalog).ok());
+  POPDB_DCHECK(tpch::BuildCatalog(tpch::GenConfig{}, &catalog).ok());
 
   TablePrinter tp({"query", "checkpoint", "frac_first", "frac_eval",
                    "rows_seen"});
-
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("name").String("fig14_opportunities");
-  json.Key("config").BeginObject().Key("tpch_scale").Double(gen.scale)
-      .Key("observe_only").Bool(true).EndObject();
-  json.Key("points").BeginArray();
+  int evaluations = 0, early = 0;
+  std::string hj_build_queries;
 
   for (int qnum : {2, 3, 4, 5, 7, 8, 11, 18}) {
     const QuerySpec query = tpch::MakeQuery(qnum);
@@ -69,41 +64,37 @@ void Run() {
       const double f_first =
           ev.work_first < 0 ? -1.0 : static_cast<double>(ev.work_first) / total;
       const double f_eval = static_cast<double>(ev.work_eval) / total;
+      ++evaluations;
+      if (f_eval < 0.15) ++early;
+      if (ev.site == CheckSite::kHsjnBuild) {
+        hj_build_queries += StrFormat(" Q%d", qnum);
+      }
       tp.AddRow({StrFormat("Q%d", qnum), SiteName(ev),
                  f_first < 0 ? std::string("-") : StrFormat("%.3f", f_first),
                  StrFormat("%.3f", f_eval),
                  StrFormat("%lld", static_cast<long long>(ev.count))});
-      json.BeginObject()
-          .Key("query")
-          .String(StrFormat("Q%d", qnum))
-          .Key("checkpoint")
-          .String(SiteName(ev));
-      if (f_first < 0) {
-        json.Key("frac_first").Null();
-      } else {
-        json.Key("frac_first").Double(f_first);
-      }
-      json.Key("frac_eval")
-          .Double(f_eval)
-          .Key("rows_seen")
-          .Int(ev.count)
-          .EndObject();
     }
   }
-  json.EndArray().EndObject();
-  bench::WriteBenchJson("fig14_opportunities", json.str());
   std::fputs(tp.ToString().c_str(), stdout);
   std::printf(
       "\n'frac_eval' is the fraction of total query work completed when the\n"
       "checkpoint made its decision (the y-axis of the paper's scatter\n"
       "plot); ECB rows additionally show the fraction at which buffering\n"
-      "began ('frac_first') — the dashed opportunity windows.\n");
+      "began ('frac_first') — the dashed opportunity windows.\n\n");
+
+  bench::Claims claims;
+  claims.Expect(!hj_build_queries.empty(),
+                StrFormat("an LC above a hash-join build appears (in%s)",
+                          hj_build_queries.empty() ? " none"
+                                                   : hj_build_queries.c_str()));
+  claims.Expect(2 * early > evaluations,
+                StrFormat("most evaluations come before 15%% of the work "
+                          "(%d of %d)",
+                          early, evaluations));
+  return claims.ExitCode();
 }
 
 }  // namespace
 }  // namespace popdb
 
-int main() {
-  popdb::Run();
-  return 0;
-}
+int main() { return popdb::Run(); }

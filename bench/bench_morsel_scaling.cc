@@ -1,15 +1,14 @@
 // Morsel-parallelism scaling: speedup vs. intra-query dop on a scan-heavy
-// and a join-heavy TPC-H query, work-normalized like
-// bench_observability_overhead (identical work across dops is asserted, so
-// a plan change can never masquerade as scaling).
+// and a join-heavy TPC-H query, work-normalized (identical work across
+// dops is asserted, so a plan change can never masquerade as scaling).
 //
 // Two modes per query:
 //  - pure-cpu: no simulated I/O. On a single-core host (typical CI
 //    container) this measures fan-out overhead, not speedup.
 //  - io-modeled: each morsel pays ParallelPolicy::morsel_stall_ms of
-//    simulated page-read stall (same device as ServiceConfig::io_stall_ms).
-//    Stalls overlap across workers, so speedup reflects the scheduling
-//    benefit a disk-based engine would see, independent of core count.
+//    simulated page-read stall. Stalls overlap across workers, so speedup
+//    reflects the scheduling benefit a disk-based engine would see,
+//    independent of core count.
 // The headline target — >= 2x at dop 4 on the scan-heavy query — is
 // evaluated on the io-modeled mode.
 
@@ -127,31 +126,12 @@ void PrintMode(const char* query, const char* mode, const ModeResult& r) {
   std::fputs(tp.ToString().c_str(), stdout);
 }
 
-void JsonMode(JsonWriter* json, const char* key, const ModeResult& r) {
-  json->Key(key).BeginArray();
-  for (size_t i = 0; i < r.dops.size(); ++i) {
-    json->BeginObject()
-        .Key("dop")
-        .Int(r.dops[i])
-        .Key("ms")
-        .Double(r.points[i].ms)
-        .Key("work")
-        .Int(r.points[i].work)
-        .Key("morsels")
-        .Int(r.points[i].morsels)
-        .Key("speedup")
-        .Double(r.SpeedupAt(r.dops[i]))
-        .EndObject();
-  }
-  json->EndArray();
-}
-
 void Run() {
   bench::PrintHeader("Morsel scaling: speedup vs intra-query dop",
                      "morsel-driven parallelism (ISSUE PR 3)");
   Catalog catalog;
   tpch::GenConfig gen;
-  gen.scale = bench::EnvScale("POPDB_TPCH_SCALE", 0.002);
+  gen.scale = 0.002;
   POPDB_DCHECK(tpch::BuildCatalog(gen, &catalog).ok());
   // Index-free copy: forces hash joins over full scans for the join-heavy
   // query, which is the shape morsel parallelism targets.
@@ -191,32 +171,6 @@ void Run() {
       speedup_4x_scan, speedup_4x_join,
       meets_target ? "PASS: >= 2x on the scan-heavy query"
                    : "WARN: below the 2x target");
-
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("name").String("morsel_scaling");
-  json.Key("config")
-      .BeginObject()
-      .Key("tpch_scale")
-      .Double(gen.scale)
-      .Key("repeats")
-      .Int(repeats)
-      .Key("trials")
-      .Int(trials)
-      .Key("morsel_rows")
-      .Int(256)
-      .Key("io_stall_ms_per_morsel")
-      .Double(stall_ms)
-      .EndObject();
-  JsonMode(&json, "scan_heavy_pure_cpu", scan_cpu);
-  JsonMode(&json, "scan_heavy_io_modeled", scan_io);
-  JsonMode(&json, "join_heavy_pure_cpu", join_cpu);
-  JsonMode(&json, "join_heavy_io_modeled", join_io);
-  json.Key("speedup_4x_scan").Double(speedup_4x_scan);
-  json.Key("speedup_4x_join").Double(speedup_4x_join);
-  json.Key("meets_target").Bool(meets_target);
-  json.EndObject();
-  bench::WriteBenchJson("morsel_scaling", json.str());
 }
 
 }  // namespace

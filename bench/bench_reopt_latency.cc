@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/json.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
@@ -160,7 +159,7 @@ int BenchMain() {
 
   Catalog catalog;
   tpch::GenConfig gen;
-  gen.scale = bench::EnvScale("POPDB_TPCH_SCALE", 0.002);
+  gen.scale = 0.002;
   if (!tpch::BuildCatalog(gen, &catalog).ok()) {
     std::fprintf(stderr, "ERROR: catalog build failed\n");
     return 1;
@@ -214,39 +213,6 @@ int BenchMain() {
       all_identical ? "every round identical" : "VIOLATED", deep_speedup,
       kDeepTarget, deep_speedup_min);
 
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String("reopt_latency");
-  w.Key("tpch_scale").Double(gen.scale);
-  w.Key("rounds_per_scenario").Int(rounds);
-  w.Key("identical_plans").Bool(all_identical);
-  w.Key("deep_edge_speedup").Double(deep_speedup);
-  w.Key("deep_edge_speedup_min").Double(deep_speedup_min);
-  w.Key("deep_edge_speedup_target").Double(kDeepTarget);
-  w.Key("queries").BeginArray();
-  for (const QueryResult& qr : results) {
-    w.BeginObject();
-    w.Key("query").String(qr.name);
-    w.Key("tables").Int(qr.tables);
-    w.Key("scenarios").BeginArray();
-    for (const ScenarioResult& r : qr.scenarios) {
-      w.BeginObject();
-      w.Key("edge").String(r.name);
-      w.Key("edge_tables").Int(r.edge_tables);
-      w.Key("full_ms").Double(r.full_ms);
-      w.Key("incremental_ms").Double(r.incremental_ms);
-      w.Key("speedup").Double(r.Speedup());
-      w.Key("memo_reused").Int(r.reused);
-      w.Key("memo_invalidated").Int(r.invalidated);
-      w.Key("identical_plans").Bool(r.identical_plans);
-      w.EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  bench::WriteBenchJson("reopt_latency", w.str());
   return all_identical && deep_speedup >= kDeepTarget ? 0 : 1;
 }
 

@@ -1,11 +1,11 @@
 #ifndef POPDB_BENCH_BENCH_UTIL_H_
 #define POPDB_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
-#include "common/json.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "core/pop.h"
@@ -34,30 +34,6 @@ inline std::string JoinShape(const PlanNode& node) {
   }
 }
 
-/// Resident set size of this process in bytes (Linux /proc/self/statm;
-/// 0 elsewhere or on read failure). Used to attribute server memory to
-/// idle sessions in bench_net_throughput.
-inline int64_t SelfRssBytes() {
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  long long total = 0;
-  long long resident = 0;
-  const int fields = std::fscanf(f, "%lld %lld", &total, &resident);
-  std::fclose(f);
-  if (fields != 2) return 0;
-  return static_cast<int64_t>(resident) * 4096;
-}
-
-/// Reads a scale override from the environment (POPDB_TPCH_SCALE /
-/// POPDB_DMV_SCALE) so users can run the experiments at larger sizes
-/// without recompiling.
-inline double EnvScale(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const double parsed = std::strtod(v, nullptr);
-  return parsed > 0 ? parsed : fallback;
-}
-
 inline void PrintHeader(const char* title, const char* paper_ref) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title);
@@ -65,32 +41,52 @@ inline void PrintHeader(const char* title, const char* paper_ref) {
   std::printf("================================================================\n");
 }
 
-/// Destination for machine-readable results: BENCH_<name>.json in the
-/// working directory, or in $POPDB_BENCH_JSON_DIR when set.
-inline std::string BenchJsonPath(const char* name) {
-  const char* dir = std::getenv("POPDB_BENCH_JSON_DIR");
-  std::string path = (dir != nullptr && *dir != '\0')
-                         ? std::string(dir) + "/"
-                         : std::string();
-  return path + "BENCH_" + name + ".json";
+/// POP's outcome on one query against the static plan.
+enum class Verdict { kImproved, kUnchanged, kRegressed };
+
+/// Compares work units with a ±5% dead band: POP improved when the static
+/// plan did more than 1.05x POP's work, regressed below 0.95x, and is
+/// unchanged in between.
+inline Verdict CompareWork(int64_t static_work, int64_t pop_work) {
+  const double ratio = static_cast<double>(static_work) /
+                       static_cast<double>(std::max<int64_t>(1, pop_work));
+  if (ratio > 1.05) return Verdict::kImproved;
+  if (ratio < 0.95) return Verdict::kRegressed;
+  return Verdict::kUnchanged;
 }
 
-/// Writes a benchmark's results (a complete JSON document, typically built
-/// with JsonWriter) to BENCH_<name>.json so the perf trajectory can be
-/// tracked across commits. Prints the destination; failures are reported
-/// but non-fatal (benchmarks still print their tables).
-inline void WriteBenchJson(const char* name, const std::string& json) {
-  const std::string path = BenchJsonPath(name);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "WARN: cannot write %s\n", path.c_str());
-    return;
+inline const char* VerdictName(Verdict v) {
+  switch (v) {
+    case Verdict::kImproved:
+      return "improved";
+    case Verdict::kRegressed:
+      return "regressed";
+    case Verdict::kUnchanged:
+      return "=";
   }
-  std::fputs(json.c_str(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("results written to %s\n", path.c_str());
+  return "?";
 }
+
+/// The claims a paper binary asserts. Each Expect prints the claim with
+/// its measured value; ExitCode is 1 when any claim broke, so ctest fails
+/// the binary and its output names the broken claim.
+class Claims {
+ public:
+  void Expect(bool held, const std::string& claim) {
+    std::printf("%s %s\n", held ? "claim held:" : "CLAIM BROKEN:",
+                claim.c_str());
+    if (!held) ++broken_;
+  }
+
+  int ExitCode() const {
+    if (broken_ == 0) return 0;
+    std::printf("%d claim(s) broken\n", broken_);
+    return 1;
+  }
+
+ private:
+  int broken_ = 0;
+};
 
 }  // namespace popdb::bench
 

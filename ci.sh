@@ -17,7 +17,10 @@
 # write-path and batch-size tests.
 #
 # The release ctest runs everything including tests labeled "slow"
-# (parallel_stress_test); use `ctest -L fast` locally for the quick loop.
+# (parallel_stress_test) and "paper" (the figure/table binaries asserting
+# the paper's claims on work units); use `ctest -L fast` locally for the
+# quick loop. bench_reopt_latency, the one wall-time gate, runs serially
+# after it.
 # The sanitizer stages run the parallel-, plan-cache- and batch-size
 # differential suites (and TSan the golden engine-outcome table) in light
 # mode (POPDB_EQUIV_LIGHT=1) — the full corpus sweeps are release-only.
@@ -35,8 +38,13 @@ done
 
 echo "=== release build + full ctest ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+echo "=== re-optimization latency gate (serial, wall time) ==="
+# Identical plans every round and a corpus deep-edge speedup >= 5x of
+# incremental over full DP. Timed, so it stays out of parallel ctest.
+./build/bench/bench_reopt_latency
 
 echo "=== network smoke: popdb_server + scripted client on loopback ==="
 SMOKE_DIR="$(mktemp -d)"
@@ -167,7 +175,7 @@ else
   echo "=== ThreadSanitizer build + concurrency tests ==="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DPOPDB_SANITIZE=thread
-  cmake --build build-tsan -j \
+  cmake --build build-tsan -j "$(nproc)" \
         --target runtime_test concurrency_test observability_test \
         morsel_test parallel_equivalence_test plan_cache_test \
         plan_cache_equivalence_test batch_differential_test \
@@ -208,7 +216,7 @@ else
   echo "=== UndefinedBehaviorSanitizer build + observability/runtime tests ==="
   cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DPOPDB_SANITIZE=undefined
-  cmake --build build-ubsan -j \
+  cmake --build build-ubsan -j "$(nproc)" \
         --target runtime_test observability_test operator_test pop_test \
         morsel_test parallel_equivalence_test plan_cache_test \
         plan_cache_equivalence_test batch_differential_test \
@@ -255,7 +263,7 @@ echo "=== AddressSanitizer build + optimizer and join-kernel tests ==="
 # are exactly what ASan catches.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPOPDB_SANITIZE=address
-cmake --build build-asan -j \
+cmake --build build-asan -j "$(nproc)" \
       --target enumerator_test reopt_differential_test fuzz_test \
       plan_cache_equivalence_test storage_test operator_test txn_test \
       batch_differential_test

@@ -34,7 +34,7 @@ struct ParallelPolicy {
   /// Simulated per-morsel I/O stall in ms, sliced for cancel
   /// responsiveness. Models the page-read wait of a disk-based engine so
   /// scaling experiments (bench_morsel_scaling) can measure overlap
-  /// independent of core count — same idea as ServiceConfig::io_stall_ms.
+  /// independent of core count.
   double morsel_stall_ms = 0.0;
 
   /// Per-task hash-agg pre-aggregation above a parallel scan. Off by

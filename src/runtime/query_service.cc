@@ -339,17 +339,6 @@ void QueryService::RunOne(const std::shared_ptr<QueryTicket>& ticket) {
   trace.shared_feedback = config_.share_feedback;
   trace.queue_ms = NowMs() - ticket->submit_ms_;
 
-  if (config_.io_stall_ms > 0 && !ticket->cancel_.Expired()) {
-    // Simulated I/O stall, sliced so cancellation stays responsive.
-    double remaining_ms = config_.io_stall_ms;
-    while (remaining_ms > 0 && !ticket->cancel_.Expired()) {
-      const double slice = remaining_ms < 1.0 ? remaining_ms : 1.0;
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(slice));
-      remaining_ms -= slice;
-    }
-  }
-
   // Root span of the query's timeline, tagged with its trace token so
   // shard-side spans carrying the same token stitch under it. Recorded
   // manually (not RAII) so it is already in the buffer when FinishTicket

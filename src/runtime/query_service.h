@@ -92,12 +92,6 @@ struct ServiceConfig {
   /// clock starts at submission, so queue wait counts against it.
   double default_deadline_ms = 0.0;
 
-  /// Simulated per-query storage/network stall in ms (the worker sleeps
-  /// this long before executing). Models the I/O wait of a disk-based
-  /// engine so scheduler experiments (bench_runtime_throughput) can
-  /// measure dispatch scaling independent of core count; 0 = off.
-  double io_stall_ms = 0.0;
-
   /// Intra-query (morsel) degree of parallelism. When > 1, parallelizable
   /// plan fragments fan out over the service's own worker pool: idle
   /// workers double as morsel helpers, so intra-query parallelism uses
