@@ -257,7 +257,7 @@ else
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/dist_test
 fi
 
-echo "=== AddressSanitizer build + optimizer and join-kernel tests ==="
+echo "=== AddressSanitizer build + optimizer, join-kernel and record tests ==="
 # The DP table is a flat array indexed by table-set bitmasks and the memo
 # carries it across re-optimizations: out-of-bounds or stale-entry reads
 # are exactly what ASan catches.
@@ -266,7 +266,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "$(nproc)" \
       --target enumerator_test reopt_differential_test fuzz_test \
       plan_cache_equivalence_test storage_test operator_test txn_test \
-      batch_differential_test
+      batch_differential_test observability_test net_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/enumerator_test
 ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
     ./build-asan/tests/reopt_differential_test
@@ -285,5 +285,10 @@ ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/operator_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/txn_test
 ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
     ./build-asan/tests/batch_differential_test
+# Per-query records move from the executor to the service to the sink,
+# and the trace store's ring frees a record while a reader may still be
+# rendering it: a lifetime bug there is a use-after-free.
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/observability_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/net_test
 
 echo "=== ci.sh: all stages passed ==="

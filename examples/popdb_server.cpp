@@ -183,6 +183,7 @@ int RunShard(const Options& opts, int port_fd) {
     return 1;
   }
 
+  // Backs the shard's `trace` and `query_log` requests (its subplans).
   TraceStore traces(/*capacity=*/1024);
   ServiceConfig service_config;
   service_config.share_feedback = true;
@@ -333,8 +334,8 @@ int main(int argc, char** argv) {
   Catalog catalog;
   BuildDataset(opts.dataset, opts.quiet, &catalog);
 
-  // The trace store backs the wire `trace` request: every finished query's
-  // QueryTrace is retained (bounded FIFO) keyed by query id.
+  // The trace store backs the wire `trace` and `query_log` requests: the
+  // last 1024 finished reads and writes, one record each.
   TraceStore traces(/*capacity=*/1024);
   ServiceConfig service_config;
   service_config.share_feedback = true;

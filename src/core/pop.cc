@@ -40,7 +40,8 @@ ProgressiveExecutor::ProgressiveExecutor(const Catalog& catalog,
       optimizer_(catalog, std::move(opt_config)),
       pop_config_(std::move(pop_config)) {}
 
-std::string ProgressiveExecutor::PlanCacheKey(const QuerySpec& query) const {
+std::string ProgressiveExecutor::PlanCacheKey(
+    const std::string& signature) const {
   const OptimizerConfig& cfg = optimizer_.config();
   const CostParams& c = cfg.cost;
   const EstimatorConfig& e = cfg.estimator;
@@ -70,7 +71,7 @@ std::string ProgressiveExecutor::PlanCacheKey(const QuerySpec& query) const {
       p.min_plan_cost_for_checks, p.check_safety_factor,
       p.lcem_budget_fraction, p.max_reopts, p.work_bound_factor,
       p.min_assumptions_for_checks);
-  return QueryCacheSignature(query) +
+  return signature +
          StrFormat("|cfg:%016llx",
                    static_cast<unsigned long long>(FnvHash(knobs)));
 }
@@ -173,8 +174,12 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
   // execution-scoped feedback and matviews, so they never consult the
   // cache). Computed lazily below inside the attempt-0 branch.
   const bool use_plan_cache = pop_enabled && plan_cache_ != nullptr;
-  const std::string cache_key =
-      use_plan_cache ? PlanCacheKey(query) : std::string();
+  std::string cache_key;
+  if (use_plan_cache) {
+    std::string signature = QueryCacheSignature(query);
+    cache_key = PlanCacheKey(signature);
+    if (stats != nullptr) stats->signature = std::move(signature);
+  }
 
   std::vector<Row> result;
   std::vector<Row> returned_so_far;  // Canonical rows (ECDC compensation).
@@ -318,7 +323,8 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
       InsertCompensation(&root);
     }
     if (plan_hook_) plan_hook_(root.get(), attempt);
-    info.plan_text = root->ToString();
+    // Attempts reach the caller only through `stats`.
+    if (stats != nullptr) info.plan_text = root->ToString();
     info.optimize_ms = NowMs() - t_opt;
 
     const ParallelPolicy parallel =

@@ -69,6 +69,9 @@ struct ExecutionStats {
   /// served entry.
   PlanCacheOutcome plan_cache = PlanCacheOutcome::kNone;
   double plan_cache_age_ms = 0.0;
+  /// The query's QueryCacheSignature, set when the plan cache was
+  /// consulted (the cache key is built from it); empty otherwise.
+  std::string signature;
   /// Incremental re-optimization: DP memo entries reused / discarded
   /// across all attempts, and whether a plan-cache near miss warm-started
   /// the memo from the cached skeleton.
@@ -181,10 +184,10 @@ class ProgressiveExecutor {
  private:
   Result<std::vector<Row>> Run(const QuerySpec& query, bool pop_enabled,
                                ExecutionStats* stats);
-  /// Plan-cache key: canonical query signature + optimizer-config
+  /// Plan-cache key: the query's canonical signature + optimizer-config
   /// fingerprint (so one cache shared across differently configured
   /// executors can never serve a plan chosen under other knobs).
-  std::string PlanCacheKey(const QuerySpec& query) const;
+  std::string PlanCacheKey(const std::string& signature) const;
   /// Harvests feedback and reusable intermediate results after a CHECK
   /// fired.
   void Harvest(const ExecContext& ctx, const BuiltPlan& built,

@@ -397,8 +397,11 @@ bool NetServer::HandleQuery(ConnState* conn, const JsonValue& request) {
     // DML applies synchronously on the connection worker (the per-table
     // write lane is the concurrency control; the admission queue is for
     // analytical work) and answers with a single write_done frame.
-    const WriteQueryResult wr =
-        service_->ExecuteWrite(bound.value().write);
+    WriteQueryResult wr = service_->ExecuteWrite(bound.value().write);
+    if (traces_ != nullptr) {
+      wr.trace.session_id = conn->session_id;
+      traces_->Emit(wr.trace);
+    }
     if (!wr.status.ok()) {
       return SendError(conn, wr.status.code(), wr.status.message());
     }
@@ -533,24 +536,39 @@ bool NetServer::HandleSubplan(ConnState* conn, const JsonValue& request) {
       config_.subplan_backend->Run(request, token.get(), emit);
   sessions_.ReleaseCancelable(conn->session_id, query_id);
 
-  // Subplans bypass FinishTicket, so the shard-local trace store and query
-  // log are fed here: the shard's own `trace`/`query_log` endpoints resolve
-  // subplan ids too.
-  if (traces_ != nullptr || service_->query_log() != nullptr) {
+  // Subplans bypass the service, so the server records them itself: the
+  // shard's own `trace` and `query_log` requests resolve subplan ids too.
+  if (traces_ != nullptr) {
     QueryTrace trace;
     trace.query_id = query_id;
+    trace.kind = "subplan";
     trace.query_name = result.query_name;
     trace.session_id = conn->session_id;
     trace.outcome = result.outcome;
     if (!result.status.ok()) trace.status_message = result.status.message();
+    trace.end_ms = NowMs();
     trace.execute_ms = result.execute_ms;
     trace.total_ms = result.execute_ms;
     trace.result_rows = result.rows_sent;
-    trace.plan_cache = "none";
     TraceAttempt attempt;
     attempt.execute_ms = result.execute_ms;
     attempt.rows_returned = result.rows_sent;
-    attempt.reoptimized = !result.violation_json.empty();
+    if (!result.violation_json.empty()) {
+      // The one CHECK that fired, by its flavor in the violation frame.
+      Result<JsonValue> violation = JsonParse(result.violation_json);
+      int64_t flavor =
+          violation.ok() ? violation.value().GetInt("flavor", 0) : 0;
+      if (flavor < 0 ||
+          flavor > static_cast<int64_t>(CheckFlavor::kWorkBound)) {
+        flavor = 0;
+      }
+      attempt.reoptimized = true;
+      attempt.signal.triggered = true;
+      attempt.signal.flavor = static_cast<CheckFlavor>(flavor);
+      trace.check_events = 1;
+      trace.checks_fired = 1;
+      ++trace.fired_by_flavor[static_cast<int>(attempt.signal.flavor)];
+    }
     if (!result.profile_json.empty()) {
       Result<JsonValue> parsed_profile = JsonParse(result.profile_json);
       if (parsed_profile.ok() &&
@@ -559,25 +577,7 @@ bool NetServer::HandleSubplan(ConnState* conn, const JsonValue& request) {
       }
     }
     trace.attempts.push_back(std::move(attempt));
-    if (traces_ != nullptr) traces_->Emit(trace);
-    if (QueryLog* log = service_->query_log(); log != nullptr) {
-      QueryLogEntry entry;
-      entry.query_id = query_id;
-      entry.end_ms = NowMs();
-      entry.kind = "subplan";
-      entry.query_name = result.query_name;
-      entry.outcome = result.outcome;
-      if (!result.status.ok()) entry.status_message = result.status.message();
-      entry.plan_cache = "none";
-      entry.checks_fired = result.violation_json.empty() ? 0 : 1;
-      entry.execute_ms = result.execute_ms;
-      entry.total_ms = result.execute_ms;
-      entry.result_rows = result.rows_sent;
-      if (trace.attempts.back().has_profile) {
-        entry.peak_qerror = PeakProfileQError(trace.attempts.back().profile);
-      }
-      log->Append(std::move(entry));
-    }
+    traces_->Emit(trace);
   }
   if (!alive) return false;
 
@@ -751,18 +751,16 @@ bool NetServer::HandleSpans(ConnState* conn, const JsonValue& request) {
 }
 
 bool NetServer::HandleQueryLog(ConnState* conn, const JsonValue& request) {
-  QueryLog* log = service_->query_log();
-  if (log == nullptr) {
+  if (traces_ == nullptr) {
     return SendError(conn, StatusCode::kNotFound,
-                     "the query log is disabled on this server "
-                     "(query_log_entries <= 0)");
+                     "this server keeps no query log (no trace store)");
   }
   const int64_t limit = request.GetInt("limit", 0);
   JsonWriter w;
   w.BeginObject();
   w.Key("type").String("query_log_ok");
-  w.Key("total").Int(log->total());
-  w.Key("entries").Raw(log->ToJsonArray(limit));
+  w.Key("total").Int(traces_->total());
+  w.Key("entries").Raw(traces_->LogJson(limit));
   w.EndObject();
   return SendFrame(conn, w.str());
 }

@@ -161,7 +161,10 @@ struct NetServerConfig {
 class NetServer {
  public:
   /// `service` and `traces` are not owned and must outlive the server.
-  /// `traces` may be null (the `trace` request then reports not_found).
+  /// `traces` serves the `trace` and `query_log` requests; the server
+  /// records the writes and subplans it runs there (reads arrive through
+  /// the service's trace_sink). It may be null: both requests then report
+  /// not_found and nothing is recorded.
   NetServer(QueryService* service, TraceStore* traces,
             NetServerConfig config);
   ~NetServer();

@@ -1,6 +1,5 @@
 #include "runtime/query_service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -56,9 +55,6 @@ QueryService::QueryService(const Catalog& catalog, ServiceConfig config)
     : catalog_(catalog), config_(std::move(config)) {
   if (config_.num_workers < 1) config_.num_workers = 1;
   if (config_.queue_capacity < 1) config_.queue_capacity = 1;
-  // Service-level incremental-reopt switch: both it and the PopConfig knob
-  // must be on for executors to keep the DP memo across attempts.
-  if (!config_.incremental_reopt) config_.pop.incremental_reopt = false;
 
   MetricsRegistry& registry = metrics_.registry();
   for (int f = 0; f < 6; ++f) {
@@ -111,7 +107,6 @@ QueryService::QueryService(const Catalog& catalog, ServiceConfig config)
   if (config_.use_pop && config_.plan_cache_entries > 0) {
     PlanCacheConfig cache_config;
     cache_config.max_entries = config_.plan_cache_entries;
-    cache_config.validity_hits = config_.plan_cache_validity_hits;
     plan_cache_ = std::make_unique<PlanCache>(cache_config);
 
     plan_cache_lookups_ = registry.GetGauge(
@@ -147,10 +142,6 @@ QueryService::QueryService(const Catalog& catalog, ServiceConfig config)
         "popdb_plan_cache_hit_age_ms",
         "Age of plan-cache entries at the moment they were served.",
         Histogram::LogBuckets(0.5, 2.0, 20));
-  }
-
-  if (config_.query_log_entries > 0) {
-    query_log_ = std::make_unique<QueryLog>(config_.query_log_entries);
   }
 
   if (config_.intra_query_dop > 1) {
@@ -349,8 +340,6 @@ void QueryService::RunOne(const std::shared_ptr<QueryTicket>& ticket) {
   const int64_t span_start_us = span_active ? tracer.NowUs() : 0;
 
   QueryResult result;
-  ExecutionStats stats;
-  bool executed = false;
   if (ticket->cancel_.Expired()) {
     // Cancelled (or past deadline) while still queued: never execute.
     result.status =
@@ -359,81 +348,33 @@ void QueryService::RunOne(const std::shared_ptr<QueryTicket>& ticket) {
                                        "' exceeded its deadline in the queue")
             : Status::Cancelled("query '" + trace.query_name +
                                 "' cancelled while queued");
-  } else if (config_.dist_backend != nullptr &&
-             config_.dist_backend->CanExecute(ticket->query_)) {
-    // Scatter-gather execution across shards. The distributed path skips
-    // the local plan cache and matview reuse (shard results never
-    // materialize here) but shares the cross-query feedback store, so
-    // cluster-harvested cardinalities seed later compilations too.
-    executed = true;
-    DistQueryInfo info;
-    info.query_id = ticket->query_id_;
-    info.trace_token = ticket->trace_token_;
-    Result<std::vector<Row>> rows = config_.dist_backend->Execute(
-        ticket->query_, &ticket->cancel_, FeedbackFor(ticket->session_id_),
-        &stats, info);
-    FillTraceFromStats(stats, &trace);
-    result.status = rows.status();
-    if (rows.ok()) result.rows = std::move(rows).TakeValue();
-    metrics_.OnReopts(stats.reopts, trace.checks_fired);
-    if (reopt_incremental_hits_ != nullptr) {
-      reopt_incremental_hits_->Increment(stats.memo_entries_reused);
-      reopt_incremental_invalidated_->Increment(
-          stats.memo_entries_invalidated);
-    }
   } else {
-    executed = true;
-    ProgressiveExecutor exec(catalog_, config_.optimizer, config_.pop);
-    exec.set_cross_query_store(FeedbackFor(ticket->session_id_));
-    exec.set_plan_cache(plan_cache_.get());
-    exec.set_cancel_token(&ticket->cancel_);
-    ParallelPolicy parallel;
-    parallel.batch_rows = config_.exec_batch_rows;
-    if (morsel_pool_ != nullptr) {
-      parallel.dop = config_.intra_query_dop;
-      parallel.morsel_rows = config_.morsel_rows;
-      parallel.min_parallel_rows = config_.min_parallel_rows;
-    }
-    // A null pool leaves execution serial; the policy still carries the
-    // execution batch size.
-    exec.set_parallel(morsel_pool_.get(), parallel);
-    Result<std::vector<Row>> rows =
-        config_.use_pop ? exec.Execute(ticket->query_, &stats)
-                        : exec.ExecuteStatic(ticket->query_, &stats);
-    FillTraceFromStats(stats, &trace);
+    ExecutionStats stats;
+    Result<std::vector<Row>> rows = ExecuteQuery(ticket.get(), &stats);
     result.status = rows.status();
     if (rows.ok()) result.rows = std::move(rows).TakeValue();
-
-    if (morsel_pool_ != nullptr) {
-      morsels_total_->Increment(stats.morsels_dispatched);
-      parallel_work_total_->Increment(stats.parallel_work);
-      work_total_->Increment(stats.total_work);
-      if (stats.total_work > 0) {
-        parallel_fraction_->Observe(static_cast<double>(stats.parallel_work) /
-                                    static_cast<double>(stats.total_work));
-      }
-    }
     if (plan_cache_ != nullptr &&
         (stats.plan_cache == PlanCacheOutcome::kHit ||
          stats.plan_cache == PlanCacheOutcome::kValidityHit)) {
       plan_cache_hit_age_->Observe(stats.plan_cache_age_ms);
     }
-    metrics_.OnReopts(stats.reopts, trace.checks_fired);
     if (reopt_incremental_hits_ != nullptr) {
       reopt_incremental_hits_->Increment(stats.memo_entries_reused);
       reopt_incremental_invalidated_->Increment(
           stats.memo_entries_invalidated);
     }
-  }
-
-  if (executed) {
-    // Engine diagnostics shared by both execution paths: the distributed
-    // coordinator reports CHECK firings and per-shard profiles through the
-    // same ExecutionStats shape the local executor uses.
-    for (const CheckEvent& ev : stats.check_events) {
-      if (ev.fired) flavor_fired_[static_cast<int>(ev.flavor)]->Increment();
+    // Engine diagnostics shared by both execution paths read the record:
+    // the distributed coordinator reports CHECK firings and per-shard
+    // profiles through the same ExecutionStats shape the local executor
+    // uses.
+    FillTraceFromStats(&stats, &trace);
+    metrics_.OnReopts(trace.reopts, trace.checks_fired);
+    for (int f = 0; f < 6; ++f) {
+      if (trace.fired_by_flavor[f] > 0) {
+        flavor_fired_[f]->Increment(trace.fired_by_flavor[f]);
+      }
     }
-    for (const AttemptInfo& a : stats.attempts) {
+    for (const TraceAttempt& a : trace.attempts) {
       if (a.has_profile) ObserveQErrors(a.profile);
     }
   }
@@ -443,51 +384,63 @@ void QueryService::RunOne(const std::shared_ptr<QueryTicket>& ticket) {
                       tracer.NowUs() - span_start_us, "query_id",
                       ticket->query_id_, tracer.Intern(ticket->trace_token_));
   }
-  FinishTicket(ticket, std::move(result), std::move(trace),
-               executed ? &stats : nullptr);
+  FinishTicket(ticket, std::move(result), std::move(trace));
+}
+
+Result<std::vector<Row>> QueryService::ExecuteQuery(QueryTicket* ticket,
+                                                    ExecutionStats* stats) {
+  if (config_.dist_backend != nullptr &&
+      config_.dist_backend->CanExecute(ticket->query_)) {
+    // Scatter-gather execution across shards. The distributed path skips
+    // the local plan cache and matview reuse (shard results never
+    // materialize here) but shares the cross-query feedback store, so
+    // cluster-harvested cardinalities seed later compilations too.
+    DistQueryInfo info;
+    info.query_id = ticket->query_id_;
+    info.trace_token = ticket->trace_token_;
+    return config_.dist_backend->Execute(ticket->query_, &ticket->cancel_,
+                                         FeedbackFor(ticket->session_id_),
+                                         stats, info);
+  }
+  ProgressiveExecutor exec(catalog_, config_.optimizer, config_.pop);
+  exec.set_cross_query_store(FeedbackFor(ticket->session_id_));
+  exec.set_plan_cache(plan_cache_.get());
+  exec.set_cancel_token(&ticket->cancel_);
+  ParallelPolicy parallel;
+  parallel.batch_rows = config_.exec_batch_rows;
+  if (morsel_pool_ != nullptr) {
+    parallel.dop = config_.intra_query_dop;
+    parallel.morsel_rows = config_.morsel_rows;
+    parallel.min_parallel_rows = config_.min_parallel_rows;
+  }
+  // A null pool leaves execution serial; the policy still carries the
+  // execution batch size.
+  exec.set_parallel(morsel_pool_.get(), parallel);
+  Result<std::vector<Row>> rows =
+      config_.use_pop ? exec.Execute(ticket->query_, stats)
+                      : exec.ExecuteStatic(ticket->query_, stats);
+  if (morsel_pool_ != nullptr) {
+    morsels_total_->Increment(stats->morsels_dispatched);
+    parallel_work_total_->Increment(stats->parallel_work);
+    work_total_->Increment(stats->total_work);
+    if (stats->total_work > 0) {
+      parallel_fraction_->Observe(static_cast<double>(stats->parallel_work) /
+                                  static_cast<double>(stats->total_work));
+    }
+  }
+  return rows;
 }
 
 void QueryService::FinishTicket(const std::shared_ptr<QueryTicket>& ticket,
-                                QueryResult result, QueryTrace trace,
-                                const ExecutionStats* stats) {
-  trace.total_ms = NowMs() - ticket->submit_ms_;
+                                QueryResult result, QueryTrace trace) {
+  trace.end_ms = NowMs();
+  trace.total_ms = trace.end_ms - ticket->submit_ms_;
   trace.outcome = OutcomeName(result.status);
   if (!result.status.ok()) trace.status_message = result.status.ToString();
-
-  if (query_log_ != nullptr) {
-    QueryLogEntry entry;
-    entry.query_id = trace.query_id;
-    entry.end_ms = NowMs();
-    entry.query_name = trace.query_name;
-    entry.signature = QueryCacheSignature(ticket->query_);
-    entry.outcome = trace.outcome;
-    entry.status_message = trace.status_message;
-    entry.plan_cache = trace.plan_cache;
-    entry.reopts = trace.reopts;
-    entry.checks_fired = trace.checks_fired;
-    entry.queue_ms = trace.queue_ms;
-    entry.optimize_ms = trace.optimize_ms;
-    entry.execute_ms = trace.execute_ms;
-    entry.total_ms = trace.total_ms;
-    entry.result_rows = trace.result_rows;
-    if (stats != nullptr) {
-      for (const CheckEvent& ev : stats->check_events) {
-        if (ev.fired) ++entry.flavor_fired[static_cast<int>(ev.flavor)];
-      }
-    }
-    if (!trace.attempts.empty()) {
-      const TraceAttempt& last = trace.attempts.back();
-      entry.plan_digest = PlanTextDigest(last.plan_text);
-      entry.distributed = !last.shards.empty();
-      entry.shards = last.shards;
-    }
-    for (const TraceAttempt& a : trace.attempts) {
-      if (a.has_profile) {
-        entry.peak_qerror =
-            std::max(entry.peak_qerror, PeakProfileQError(a.profile));
-      }
-    }
-    query_log_->Append(std::move(entry));
+  // The executor hands over the signature it keyed the plan cache with;
+  // reads that never consulted the cache compute it here.
+  if (trace.signature.empty()) {
+    trace.signature = QueryCacheSignature(ticket->query_);
   }
 
   switch (result.status.code()) {
@@ -505,8 +458,8 @@ void QueryService::FinishTicket(const std::shared_ptr<QueryTicket>& ticket,
   }
   metrics_.RecordLatency(trace.total_ms);
 
-  result.trace = trace;
   if (config_.trace_sink != nullptr) config_.trace_sink->Emit(trace);
+  result.trace = std::move(trace);
 
   {
     std::lock_guard<std::mutex> lock(ticket->mu_);
@@ -575,20 +528,16 @@ WriteQueryResult QueryService::ExecuteWrite(const txn::WriteStatement& stmt) {
     if (out.stats_folded) stats_version_bumps_->Increment();
   }
 
-  if (query_log_ != nullptr) {
-    QueryLogEntry entry;
-    entry.query_id = out.query_id;
-    entry.end_ms = NowMs();
-    entry.kind = "write";
-    entry.query_name =
-        std::string(txn::WriteOpName(stmt.op)) + " " + stmt.table;
-    entry.outcome = OutcomeName(out.status);
-    if (!out.status.ok()) entry.status_message = out.status.ToString();
-    entry.total_ms = out.total_ms;
-    entry.execute_ms = out.total_ms;
-    entry.affected_rows = out.status.ok() ? out.affected_rows : 0;
-    query_log_->Append(std::move(entry));
-  }
+  QueryTrace& trace = out.trace;
+  trace.query_id = out.query_id;
+  trace.kind = "write";
+  trace.query_name = std::string(txn::WriteOpName(stmt.op)) + " " + stmt.table;
+  trace.outcome = OutcomeName(out.status);
+  if (!out.status.ok()) trace.status_message = out.status.ToString();
+  trace.end_ms = NowMs();
+  trace.total_ms = out.total_ms;
+  trace.execute_ms = out.total_ms;
+  trace.affected_rows = out.affected_rows;
   return out;
 }
 

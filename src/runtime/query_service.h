@@ -15,7 +15,6 @@
 #include "core/pop.h"
 #include "runtime/metrics.h"
 #include "runtime/morsel_dispatcher.h"
-#include "runtime/query_log.h"
 #include "runtime/trace.h"
 #include "storage/catalog.h"
 #include "txn/write.h"
@@ -118,30 +117,12 @@ struct ServiceConfig {
   /// when use_pop is true (static runs never consult the cache).
   int64_t plan_cache_entries = 256;
 
-  /// Relaxed reuse: serve entries whose feedback digest moved as long as
-  /// every current cardinality stays inside the cached plan's validity
-  /// ranges (PlanCacheConfig::validity_hits). Off by default.
-  bool plan_cache_validity_hits = false;
-
-  /// Incremental re-optimization (PopConfig::incremental_reopt surfaced as
-  /// a service knob): keep the DP memo alive across a query's
-  /// re-optimization attempts and warm-start it from cached skeletons on
-  /// plan-cache near misses. Plans are bit-identical either way; false
-  /// forces from-scratch DP per attempt (both this and pop.incremental_reopt
-  /// must be true for the incremental path).
-  bool incremental_reopt = true;
-
-  /// Capacity of the always-on structured query log (the last N finished
-  /// queries as compact JSONL records: signature, plan digest, cache
-  /// outcome, re-opt count, CHECK firings by flavor, per-shard timings,
-  /// peak Q-error, final status). <= 0 disables the log.
-  int64_t query_log_entries = 512;
-
   OptimizerConfig optimizer;
   PopConfig pop;
 
-  /// Receives a QueryTrace for every finished query. Not owned; may be
-  /// null. Must be thread safe (workers emit concurrently).
+  /// Receives the QueryTrace of every finished read (exactly one per
+  /// query; writes and subplans are recorded by the front end). Not owned;
+  /// may be null. Must be thread safe (workers emit concurrently).
   TraceSink* trace_sink = nullptr;
 
   /// Distributed scatter-gather back end (coordinator mode). Not owned;
@@ -185,6 +166,9 @@ struct WriteQueryResult {
   /// table's statistics were refreshed (bumping the stats version).
   bool stats_folded = false;
   double total_ms = 0.0;
+  /// The statement's kind="write" record (not emitted to trace_sink; a
+  /// front end keeps it in its TraceStore).
+  QueryTrace trace;
 };
 
 /// Client-side handle for one submission. Thread safe; obtained from
@@ -301,11 +285,6 @@ class QueryService {
   /// space.
   int64_t AllocateQueryId() { return next_query_id_.fetch_add(1); }
 
-  /// The structured query log, or null when query_log_entries <= 0. Front
-  /// ends serve it over the `query_log` wire request; shard servers also
-  /// append their subplan executions to it.
-  QueryLog* query_log() { return query_log_.get(); }
-
   /// Attaches the write path. `writes` (not owned, may be null to detach)
   /// must outlive the service; the owner also owns the *mutable* catalog
   /// behind `catalog()`. Until attached, ExecuteWrite rejects every
@@ -319,17 +298,18 @@ class QueryService {
   /// table (its write lane), so the statement blocks only on same-table
   /// writers while analytical queries proceed on snapshots. Records
   /// metrics (popdb_writes_total{op}, popdb_stats_version_bumps_total) and
-  /// a kind="write" query-log entry.
+  /// returns the statement's record in the result.
   WriteQueryResult ExecuteWrite(const txn::WriteStatement& stmt);
 
  private:
   void WorkerLoop();
   void RunOne(const std::shared_ptr<QueryTicket>& ticket);
-  /// `stats` (may be null for never-executed queries) provides the CHECK
-  /// flavor breakdown for the query-log entry.
+  /// Runs the ticket's query on the distributed back end when it claims
+  /// the query, else on a local ProgressiveExecutor.
+  Result<std::vector<Row>> ExecuteQuery(QueryTicket* ticket,
+                                        ExecutionStats* stats);
   void FinishTicket(const std::shared_ptr<QueryTicket>& ticket,
-                    QueryResult result, QueryTrace trace,
-                    const ExecutionStats* stats = nullptr);
+                    QueryResult result, QueryTrace trace);
   /// Feeds every annotated operator's Q-error into qerror_hist_.
   void ObserveQErrors(const PlanProfileNode& node);
   /// Store for a session (the shared store, or the per-session one).
@@ -404,9 +384,6 @@ class QueryService {
   /// way, since a hit requires the exact optimizer inputs that installed
   /// the entry.
   std::unique_ptr<PlanCache> plan_cache_;
-
-  /// Always-on structured query log; null when disabled.
-  std::unique_ptr<QueryLog> query_log_;
 
   /// Write path; null until AttachWriteManager (read-only service).
   txn::WriteManager* write_manager_ = nullptr;

@@ -156,33 +156,4 @@ int64_t SessionRegistry::inflight_queries() const {
   return static_cast<int64_t>(by_query_id_.size() + by_cancel_id_.size());
 }
 
-// ------------------------------------------------------------- TraceStore
-
-void TraceStore::Emit(const QueryTrace& trace) {
-  std::string json = trace.ToJson();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = by_id_.emplace(trace.query_id, std::move(json));
-  if (!inserted) {
-    it->second = trace.ToJson();  // Re-emitted id: keep the newest trace.
-    return;
-  }
-  order_.push_back(trace.query_id);
-  while (static_cast<int64_t>(order_.size()) > capacity_) {
-    by_id_.erase(order_.front());
-    order_.pop_front();
-  }
-}
-
-std::optional<std::string> TraceStore::Get(int64_t query_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_id_.find(query_id);
-  if (it == by_id_.end()) return std::nullopt;
-  return it->second;
-}
-
-int64_t TraceStore::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(by_id_.size());
-}
-
 }  // namespace popdb

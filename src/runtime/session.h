@@ -2,11 +2,9 @@
 #define POPDB_RUNTIME_SESSION_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -107,31 +105,6 @@ class SessionRegistry {
   std::unordered_map<int64_t, std::shared_ptr<QueryTicket>> by_query_id_;
   /// Same, for bare cancel tokens.
   std::unordered_map<int64_t, std::shared_ptr<CancelToken>> by_cancel_id_;
-};
-
-/// Bounded store of finished-query traces keyed by query id, FIFO-evicted:
-/// the backing for a front end's `trace` endpoint. Plugs into
-/// ServiceConfig::trace_sink; traces are rendered to JSON once at emit
-/// time so Get() is a cheap string copy.
-class TraceStore : public TraceSink {
- public:
-  explicit TraceStore(int64_t capacity = 1024)
-      : capacity_(capacity < 1 ? 1 : capacity) {}
-
-  void Emit(const QueryTrace& trace) override;
-
-  /// The stored trace JSON for `query_id`, or nullopt when the query is
-  /// unknown, unfinished, or already evicted.
-  std::optional<std::string> Get(int64_t query_id) const;
-
-  int64_t size() const;
-  int64_t capacity() const { return capacity_; }
-
- private:
-  const int64_t capacity_;
-  mutable std::mutex mu_;
-  std::unordered_map<int64_t, std::string> by_id_;
-  std::deque<int64_t> order_;  ///< Emit order; front = oldest.
 };
 
 }  // namespace popdb

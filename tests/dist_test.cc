@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
@@ -74,6 +75,42 @@ QuerySpec Parse(const Catalog& catalog, const std::string& sql) {
   Result<sql::BoundStatement> bound = sql::ParseSql(catalog, sql);
   EXPECT_TRUE(bound.ok()) << sql << ": " << bound.status().ToString();
   return bound.value().query;
+}
+
+/// A `subplan` request for `sql`, planned on the full catalog.
+std::string SubplanRequest(const Catalog& full, const std::string& sql) {
+  const QuerySpec query = Parse(full, sql);
+  ProgressiveExecutor exec(full, OptimizerConfig{}, PopConfig{});
+  Result<OptimizedPlan> plan = exec.Plan(query);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("type").String("subplan");
+  w.Key("query");
+  dist::AppendQuerySpecJson(query, &w);
+  w.Key("plan");
+  EXPECT_TRUE(dist::AppendPlanJson(*plan.value().root, &w).ok());
+  w.Key("batch_rows").Int(100);
+  w.Key("trace_token").String("tok-sub-7");
+  w.EndObject();
+  return w.str();
+}
+
+/// Runs a subplan request to its query_done frame; returns the subplan's
+/// query id and its query_done payload.
+std::pair<int64_t, JsonValue> RunSubplan(net::Client* client,
+                                         const std::string& request) {
+  Result<int64_t> id = client->SubplanStart(request);
+  EXPECT_TRUE(id.ok()) << id.status().ToString();
+  if (!id.ok()) return {-1, JsonValue()};
+  while (true) {
+    Result<net::ShardEvent> event = client->SubplanNext();
+    EXPECT_TRUE(event.ok()) << event.status().ToString();
+    if (!event.ok()) return {id.value(), JsonValue()};
+    if (event.value().kind == net::ShardEvent::Kind::kDone) {
+      return {id.value(), event.value().payload};
+    }
+  }
 }
 
 /// One in-process shard: its partition catalog, a QueryService (the
@@ -354,6 +391,20 @@ TEST_F(DistTest, ShardCheckViolationTriggersGlobalReoptimization) {
             stats.attempts.back().plan_text);
   EXPECT_EQ(testing::Canonicalize(RunLocal(sql)),
             testing::Canonicalize(rows.value()));
+  // A violating shard records its subplan with the CHECK's flavor.
+  int violations = 0;
+  for (const auto& shard : shards_) {
+    for (const auto& record : shard->traces.Tail(0)) {
+      if (record->checks_fired == 0) continue;
+      ++violations;
+      ASSERT_EQ(1u, record->attempts.size());
+      const CheckFlavor flavor = record->attempts[0].signal.flavor;
+      EXPECT_TRUE(record->attempts[0].reoptimized);
+      EXPECT_EQ(stats.attempts.front().signal.flavor, flavor);
+      EXPECT_EQ(1, record->fired_by_flavor[static_cast<int>(flavor)]);
+    }
+  }
+  EXPECT_GE(violations, 1);
 }
 
 TEST_F(DistTest, ShardBatchSizesAgree) {
@@ -755,51 +806,127 @@ TEST_F(DistTest, ClusterTraceAndFederatedMetricsFromLiveCluster) {
 // coordinator merges), and the shard's own query log records the subplan.
 TEST_F(DistTest, SubplanQueryDoneCarriesTimingAndProfile) {
   StartCluster(2);
-  const QuerySpec query = Parse(full_, "SELECT COUNT(*) FROM orders");
-  ProgressiveExecutor exec(full_, OptimizerConfig{}, PopConfig{});
-  Result<OptimizedPlan> plan = exec.Plan(query);
-  ASSERT_TRUE(plan.ok());
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("type").String("subplan");
-  w.Key("query");
-  dist::AppendQuerySpecJson(query, &w);
-  w.Key("plan");
-  ASSERT_TRUE(dist::AppendPlanJson(*plan.value().root, &w).ok());
-  w.Key("batch_rows").Int(100);
-  w.Key("trace_token").String("tok-sub-7");
-  w.EndObject();
-
   Result<net::Client> connected =
       net::Client::Connect("127.0.0.1", shards_[0]->server->port());
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
   net::Client client = std::move(connected).TakeValue();
-  Result<int64_t> id = client.SubplanStart(w.str());
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  bool saw_done = false;
-  while (!saw_done) {
-    Result<net::ShardEvent> event = client.SubplanNext();
-    ASSERT_TRUE(event.ok()) << event.status().ToString();
-    if (event.value().kind != net::ShardEvent::Kind::kDone) continue;
-    saw_done = true;
-    const JsonValue& done = event.value().payload;
-    EXPECT_EQ("ok", done.GetString("outcome", ""));
-    EXPECT_GE(done.GetNumber("execute_ms", -1.0), 0.0);
-    const JsonValue* profile_json = done.Find("profile");
-    ASSERT_NE(nullptr, profile_json);
-    PlanProfileNode profile;
-    ASSERT_TRUE(ProfileFromJson(*profile_json, &profile));
-    EXPECT_FALSE(profile.name.empty());
-  }
+  const auto [id, done] =
+      RunSubplan(&client, SubplanRequest(full_, "SELECT COUNT(*) FROM orders"));
+  EXPECT_EQ("ok", done.GetString("outcome", ""));
+  EXPECT_GE(done.GetNumber("execute_ms", -1.0), 0.0);
+  const JsonValue* profile_json = done.Find("profile");
+  ASSERT_NE(nullptr, profile_json);
+  PlanProfileNode profile;
+  ASSERT_TRUE(ProfileFromJson(*profile_json, &profile));
+  EXPECT_FALSE(profile.name.empty());
 
   // The shard logged the subplan with the query's name.
-  ASSERT_NE(nullptr, shards_[0]->service->query_log());
-  const std::vector<QueryLogEntry> tail =
-      shards_[0]->service->query_log()->Tail(0);
-  ASSERT_FALSE(tail.empty());
-  EXPECT_EQ("subplan", tail.back().kind);
-  EXPECT_EQ("ok", tail.back().outcome);
+  Result<std::string> log = client.QueryLogTail(0);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  Result<JsonValue> entries = JsonParse(log.value());
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_FALSE(entries.value().items().empty());
+  const JsonValue& last = entries.value().items().back();
+  EXPECT_EQ(id, last.GetInt("query_id", -1));
+  EXPECT_EQ("subplan", last.GetString("kind", ""));
+  EXPECT_EQ("ok", last.GetString("outcome", ""));
   client.Close();
+}
+
+// A shard records each subplan it serves exactly once, in the one ring
+// behind its `trace` and `query_log` requests.
+TEST_F(DistTest, SubplanIsRecordedOnce) {
+  StartCluster(2);
+  Result<net::Client> shard =
+      net::Client::Connect("127.0.0.1", shards_[0]->server->port());
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  const int64_t id =
+      RunSubplan(&shard.value(),
+                 SubplanRequest(full_, "SELECT COUNT(*) FROM orders"))
+          .first;
+  shard.value().Close();
+  const std::vector<std::shared_ptr<const QueryTrace>> records =
+      shards_[0]->traces.Tail(0);
+  ASSERT_EQ(1u, records.size());
+  EXPECT_EQ(id, records[0]->query_id);
+  EXPECT_EQ("subplan", records[0]->kind);
+  EXPECT_EQ(1, shards_[0]->traces.total());
+}
+
+// Key sequences of the `trace` and `query_log` views a cluster serves: a
+// shard's views of a subplan and a coordinator's views of a distributed
+// read. The table pins the wire format: clients parse these views, so a
+// change to a key or its order is a protocol change.
+TEST_F(DistTest, RecordViewsKeepTheirKeys) {
+  StartCluster(2);
+  const std::string sql = "SELECT COUNT(*) FROM orders";
+  Result<net::Client> shard =
+      net::Client::Connect("127.0.0.1", shards_[0]->server->port());
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  const int64_t subplan_id =
+      RunSubplan(&shard.value(), SubplanRequest(full_, sql)).first;
+  Result<std::string> subplan_trace = shard.value().Trace(subplan_id);
+  Result<std::string> shard_log = shard.value().QueryLogTail(0);
+  ASSERT_TRUE(subplan_trace.ok()) << subplan_trace.status().ToString();
+  ASSERT_TRUE(shard_log.ok()) << shard_log.status().ToString();
+  shard.value().Close();
+  EXPECT_EQ(
+      "query_id,query,session,priority,outcome,shared_feedback,latency_ms,"
+      "latency_ms.queue,latency_ms.optimize,latency_ms.execute,"
+      "latency_ms.total,work,morsels,parallel_work,result_rows,reopts,"
+      "check_events,checks_fired,plan_cache,attempts,attempts[].plan,"
+      "attempts[].optimize_ms,attempts[].execute_ms,attempts[].work,"
+      "attempts[].rows_returned,attempts[].reoptimized,attempts[].profile",
+      testing::JsonKeySequence(subplan_trace.value()));
+  EXPECT_EQ(
+      "query_id,end_ms,kind,query,outcome,plan_cache,reopts,checks_fired,"
+      "queue_ms,optimize_ms,execute_ms,total_ms,result_rows,peak_qerror,"
+      "distributed",
+      testing::LogEntryKeySequence(shard_log.value(), subplan_id));
+
+  // A coordinator front end over the same cluster.
+  TraceStore traces;
+  ServiceConfig service_config;
+  service_config.trace_sink = &traces;
+  service_config.dist_backend = coordinator_.get();
+  QueryService service(full_, service_config);
+  net::NetServerConfig net_config;
+  net_config.host = "127.0.0.1";
+  net_config.port = 0;
+  net::NetServer server(&service, &traces, net_config);
+  ASSERT_TRUE(server.Start().ok());
+  Result<net::Client> front = net::Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(front.ok()) << front.status().ToString();
+  const net::ClientQueryResult read = front.value().Query(sql);
+  ASSERT_TRUE(read.status.ok()) << read.status.ToString();
+  Result<std::string> read_trace = front.value().Trace(read.query_id);
+  Result<std::string> front_log = front.value().QueryLogTail(0);
+  ASSERT_TRUE(read_trace.ok()) << read_trace.status().ToString();
+  ASSERT_TRUE(front_log.ok()) << front_log.status().ToString();
+  front.value().Close();
+  server.Shutdown();
+  service.Shutdown();
+  const std::string shards =
+      "shards[].shard,shards[].execute_ms,shards[].rows,shards[].outcome";
+  const std::string attempt_shards =
+      "attempts[].shards[].shard,attempts[].shards[].execute_ms,"
+      "attempts[].shards[].rows,attempts[].shards[].outcome";
+  EXPECT_EQ(
+      "query_id,query,session,priority,outcome,shared_feedback,latency_ms,"
+      "latency_ms.queue,latency_ms.optimize,latency_ms.execute,"
+      "latency_ms.total,work,morsels,parallel_work,result_rows,reopts,"
+      "check_events,checks_fired,plan_cache,attempts,attempts[].plan,"
+      "attempts[].optimize_ms,attempts[].execute_ms,attempts[].work,"
+      "attempts[].rows_returned,attempts[].reoptimized,attempts[].profile,"
+      "attempts[].shards," +
+          attempt_shards + "," + attempt_shards,
+      testing::JsonKeySequence(read_trace.value()));
+  EXPECT_EQ(
+      "query_id,end_ms,kind,query,signature,plan_digest,outcome,plan_cache,"
+      "reopts,checks_fired,queue_ms,optimize_ms,execute_ms,total_ms,"
+      "result_rows,peak_qerror,distributed,shards," +
+          shards + "," + shards,
+      testing::LogEntryKeySequence(front_log.value(), read.query_id));
 }
 
 // The coordinator's own per-shard gauges after a distributed query.

@@ -19,6 +19,7 @@
 #include "net/server.h"
 #include "sql/binder.h"
 #include "tests/test_util.h"
+#include "txn/write_manager.h"
 
 namespace popdb {
 namespace {
@@ -363,6 +364,111 @@ TEST_F(NetTest, QueryLogRoundTripRecordsFinishedQueries) {
     ++last_count;
   }
   EXPECT_EQ(1, last_count);
+  client.Close();
+}
+
+// Key sequences of the `trace` and `query_log` views over the wire, for a
+// read planned by DP, the same read served from the plan cache, and a
+// write. The table pins the wire format: clients parse these views, so a
+// change to a key or its order is a protocol change.
+TEST_F(NetTest, RecordViewsKeepTheirKeys) {
+  txn::WriteManager writes(&catalog_);
+  service_->AttachWriteManager(&writes);
+  StartServer();
+  net::Client client = Connect();
+  const std::string sql =
+      "SELECT o_class, COUNT(*) FROM orders WHERE o_id < 500 GROUP BY o_class";
+  const net::ClientQueryResult cold = client.Query(sql);
+  // The first run's feedback moves the digest (a stale miss); the third
+  // run is served from the cache.
+  ASSERT_TRUE(client.Query(sql).status.ok());
+  const net::ClientQueryResult warm = client.Query(sql);
+  const net::ClientWriteResult write =
+      client.Write("INSERT INTO orders VALUES (5000, 3)");
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  ASSERT_TRUE(write.status.ok()) << write.status.ToString();
+  EXPECT_EQ("miss_cold", cold.plan_cache);
+  EXPECT_EQ("hit", warm.plan_cache);
+
+  const auto trace_keys = [&client](int64_t query_id) {
+    Result<std::string> trace = client.Trace(query_id);
+    return trace.ok() ? testing::JsonKeySequence(trace.value())
+                      : trace.status().ToString();
+  };
+  Result<std::string> log = client.QueryLogTail(0);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+
+  const std::string read_trace =
+      "query_id,query,session,priority,outcome,shared_feedback,latency_ms,"
+      "latency_ms.queue,latency_ms.optimize,latency_ms.execute,"
+      "latency_ms.total,work,morsels,parallel_work,result_rows,reopts,"
+      "check_events,checks_fired,plan_cache";
+  const std::string attempt =
+      "attempts[].plan,attempts[].optimize_ms,attempts[].execute_ms,"
+      "attempts[].work,attempts[].rows_returned,attempts[].reoptimized,"
+      "attempts[].profile";
+  EXPECT_EQ(read_trace + ",attempts," + attempt,
+            trace_keys(cold.query_id));
+  EXPECT_EQ(read_trace + ",plan_cache_age_ms,attempts," + attempt,
+            trace_keys(warm.query_id));
+  const std::string read_log =
+      "query_id,end_ms,kind,query,signature,plan_digest,outcome,plan_cache,"
+      "reopts,checks_fired,queue_ms,optimize_ms,execute_ms,total_ms,"
+      "result_rows,peak_qerror,distributed";
+  EXPECT_EQ(read_log,
+            testing::LogEntryKeySequence(log.value(), cold.query_id));
+  EXPECT_EQ(read_log,
+            testing::LogEntryKeySequence(log.value(), warm.query_id));
+  EXPECT_EQ(
+      "query_id,end_ms,kind,query,outcome,plan_cache,reopts,checks_fired,"
+      "queue_ms,optimize_ms,execute_ms,total_ms,result_rows,affected_rows,"
+      "distributed",
+      testing::LogEntryKeySequence(log.value(), write.query_id));
+  client.Close();
+  server_->Shutdown();
+  service_->AttachWriteManager(nullptr);
+}
+
+// Writes land in the server's trace store, so `trace` resolves a write id
+// to the write's own record.
+TEST_F(NetTest, TraceResolvesWriteIds) {
+  txn::WriteManager writes(&catalog_);
+  service_->AttachWriteManager(&writes);
+  StartServer();
+  net::Client client = Connect();
+  const net::ClientWriteResult write =
+      client.Write("INSERT INTO orders VALUES (5001, 4)");
+  ASSERT_TRUE(write.status.ok()) << write.status.ToString();
+  Result<std::string> trace = client.Trace(write.query_id);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  Result<JsonValue> parsed = JsonParse(trace.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(write.query_id, parsed.value().GetInt("query_id", -1));
+  EXPECT_EQ("insert orders", parsed.value().GetString("query", ""));
+  EXPECT_EQ("ok", parsed.value().GetString("outcome", ""));
+  EXPECT_EQ(static_cast<int64_t>(client.session_id()),
+            parsed.value().GetInt("session", -1));
+  client.Close();
+  server_->Shutdown();
+  service_->AttachWriteManager(nullptr);
+}
+
+// The query log is the server's trace store: without one, `query_log`
+// answers not_found like `trace` does.
+TEST_F(NetTest, QueryLogIsNotFoundWithoutTraceStore) {
+  net::NetServerConfig config;
+  config.host = "127.0.0.1";
+  config.port = 0;
+  server_ = std::make_unique<net::NetServer>(service_.get(), nullptr, config);
+  ASSERT_TRUE(server_->Start().ok());
+  net::Client client = Connect();
+  const net::ClientQueryResult read =
+      client.Query("SELECT COUNT(*) FROM orders");
+  ASSERT_TRUE(read.status.ok()) << read.status.ToString();
+  EXPECT_EQ(StatusCode::kNotFound, client.QueryLogTail(0).status().code());
+  EXPECT_EQ(StatusCode::kNotFound,
+            client.Trace(read.query_id).status().code());
   client.Close();
 }
 

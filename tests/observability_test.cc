@@ -16,7 +16,6 @@
 #include "core/explain.h"
 #include "core/pop.h"
 #include "runtime/metrics_registry.h"
-#include "runtime/query_log.h"
 #include "runtime/query_service.h"
 #include "runtime/trace.h"
 #include "tests/test_util.h"
@@ -401,40 +400,35 @@ TEST(ServiceObservabilityTest, MetricsTextExposesServiceAndEngineMetrics) {
 TEST(ServiceObservabilityTest, QueryLogRecordsTrapReoptimization) {
   Catalog catalog;
   BuildTrapCatalog(&catalog);
+  TraceStore traces;
   ServiceConfig config;
   config.num_workers = 1;
+  config.trace_sink = &traces;
   QueryService service(catalog, config);
   ASSERT_TRUE(service.ExecuteSync(TrapQuery("logged")).status.ok());
   service.Shutdown();
 
-  ASSERT_NE(nullptr, service.query_log());
-  const std::vector<QueryLogEntry> tail = service.query_log()->Tail(0);
+  const std::vector<std::shared_ptr<const QueryTrace>> tail = traces.Tail(0);
   ASSERT_EQ(1u, tail.size());
-  const QueryLogEntry& e = tail[0];
+  const QueryTrace& e = *tail[0];
   EXPECT_EQ("query", e.kind);
   EXPECT_EQ("logged", e.query_name);
   EXPECT_EQ("ok", e.outcome);
   EXPECT_GE(e.reopts, 1);  // The trap re-optimized.
   EXPECT_GE(e.checks_fired, 1);
   int64_t flavor_sum = 0;
-  for (int f = 0; f < 6; ++f) flavor_sum += e.flavor_fired[f];
+  for (int f = 0; f < 6; ++f) flavor_sum += e.fired_by_flavor[f];
   EXPECT_EQ(e.checks_fired, flavor_sum);
-  EXPECT_NE(0u, e.plan_digest);  // The final plan was digested.
   EXPECT_GT(e.result_rows, 0);
   EXPECT_GT(e.total_ms, 0.0);
+  // The query_log view derives the rest from the record.
+  Result<JsonValue> entry = JsonParse(e.ToLogJson());
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  // The final plan was digested.
+  EXPECT_FALSE(entry.value().GetString("plan_digest", "").empty());
   // The trap's misestimate shows up as a large peak Q-error.
-  EXPECT_GE(e.peak_qerror, 2.0);
-  EXPECT_FALSE(e.distributed);
-}
-
-TEST(ServiceObservabilityTest, QueryLogCanBeDisabled) {
-  Catalog catalog;
-  BuildToyCatalog(&catalog);
-  ServiceConfig config;
-  config.query_log_entries = 0;
-  QueryService service(catalog, config);
-  EXPECT_EQ(nullptr, service.query_log());
-  service.Shutdown();
+  EXPECT_GE(entry.value().GetNumber("peak_qerror", -1.0), 2.0);
+  EXPECT_FALSE(entry.value().GetBool("distributed", true));
 }
 
 TEST(ServiceObservabilityTest, PercentilesAreNaNWithNoCompletedQueries) {
@@ -599,55 +593,57 @@ TEST(ExplainAnalyzeTest, PeakProfileQErrorPicksWorstOperator) {
 // ------------------------------------------------- structured query log.
 
 TEST(QueryLogTest, RingEvictsOldestAndTracksTotals) {
-  QueryLog log(/*capacity=*/3);
-  EXPECT_EQ(3, log.capacity());
+  TraceStore store(/*capacity=*/3);
+  EXPECT_EQ(3, store.capacity());
   for (int64_t i = 0; i < 5; ++i) {
-    QueryLogEntry e;
+    QueryTrace e;
     e.query_id = i;
     e.query_name = "q" + std::to_string(i);
-    log.Append(std::move(e));
+    store.Emit(e);
   }
-  EXPECT_EQ(3, log.size());
-  EXPECT_EQ(5, log.total());
+  EXPECT_EQ(3, store.size());
+  EXPECT_EQ(5, store.total());
 
-  // Oldest first; the first two entries were evicted.
-  const std::vector<QueryLogEntry> all = log.Tail(0);
+  // Oldest first; the first two records were evicted.
+  const std::vector<std::shared_ptr<const QueryTrace>> all = store.Tail(0);
   ASSERT_EQ(3u, all.size());
-  EXPECT_EQ(2, all[0].query_id);
-  EXPECT_EQ(4, all[2].query_id);
+  EXPECT_EQ(2, all[0]->query_id);
+  EXPECT_EQ(4, all[2]->query_id);
+  EXPECT_FALSE(store.Get(1).has_value());
+  EXPECT_TRUE(store.Get(2).has_value());
 
-  const std::vector<QueryLogEntry> last = log.Tail(2);
+  const std::vector<std::shared_ptr<const QueryTrace>> last = store.Tail(2);
   ASSERT_EQ(2u, last.size());
-  EXPECT_EQ(3, last[0].query_id);
-  EXPECT_EQ(4, last[1].query_id);
+  EXPECT_EQ(3, last[0]->query_id);
+  EXPECT_EQ(4, last[1]->query_id);
 }
 
-TEST(QueryLogTest, ToJsonArrayIsParseableAndCarriesDigest) {
-  QueryLog log(8);
-  QueryLogEntry e;
+TEST(QueryLogTest, LogJsonIsParseableAndCarriesDigest) {
+  TraceStore store(8);
+  QueryTrace e;
   e.query_id = 41;
   e.kind = "query";
   e.query_name = "trap";
   e.signature = "sig-abc";
-  e.plan_digest = PlanTextDigest("HSJN(orders, items)");
   e.outcome = "ok";
   e.plan_cache = "miss";
   e.reopts = 2;
   e.checks_fired = 2;
-  e.flavor_fired[0] = 1;  // LC
-  e.flavor_fired[2] = 1;  // ECB
+  e.fired_by_flavor[0] = 1;  // LC
+  e.fired_by_flavor[2] = 1;  // ECB
   e.result_rows = 7;
-  e.peak_qerror = 12.5;
-  e.distributed = true;
+  TraceAttempt attempt;
+  attempt.plan_text = "HSJN(orders, items)";
   ShardAttemptInfo shard;
   shard.shard = 1;
   shard.execute_ms = 3.25;
   shard.rows = 4;
   shard.outcome = "reoptimize";
-  e.shards.push_back(shard);
-  log.Append(std::move(e));
+  attempt.shards.push_back(shard);
+  e.attempts.push_back(std::move(attempt));
+  store.Emit(e);
 
-  const std::string array = log.ToJsonArray(0);
+  const std::string array = store.LogJson(0);
   Result<JsonValue> parsed = JsonParse(array, {16, 1000000});
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   // Digest renders as a fixed-width hex string, never 0 for non-empty text.
@@ -676,7 +672,7 @@ TEST(QueryLogTest, PlanTextDigestDistinguishesPlans) {
 // milliseconds, so without the latch they could all finish before any
 // reader is scheduled, leaving nothing read.
 TEST(ObservabilityConcurrencyTest, QueryLogHammer) {
-  QueryLog log(/*capacity=*/64);
+  TraceStore store(/*capacity=*/64);
   constexpr int kWriters = 4;
   constexpr int kReaders = 2;
   constexpr int kPerWriter = 2000;
@@ -691,19 +687,21 @@ TEST(ObservabilityConcurrencyTest, QueryLogHammer) {
         std::this_thread::yield();
       }
       for (int i = 0; i < kPerWriter; ++i) {
-        QueryLogEntry e;
+        QueryTrace e;
         e.query_id = w * kPerWriter + i;
         e.query_name = "hammer";
-        e.plan_digest = PlanTextDigest("plan" + std::to_string(i % 7));
         e.outcome = (i % 13 == 0) ? "error" : "ok";
         e.reopts = i % 3;
+        TraceAttempt attempt;
+        attempt.plan_text = "plan" + std::to_string(i % 7);
         if (i % 5 == 0) {
           ShardAttemptInfo s;
           s.shard = i % 4;
           s.rows = i;
-          e.shards.push_back(s);
+          attempt.shards.push_back(s);
         }
-        log.Append(std::move(e));
+        e.attempts.push_back(std::move(attempt));
+        store.Emit(e);
       }
     });
   }
@@ -711,10 +709,16 @@ TEST(ObservabilityConcurrencyTest, QueryLogHammer) {
     threads.emplace_back([&]() {
       bool ready = false;
       while (!done.load(std::memory_order_acquire)) {
-        const std::vector<QueryLogEntry> tail = log.Tail(16);
+        const std::vector<std::shared_ptr<const QueryTrace>> tail =
+            store.Tail(16);
         if (tail.size() > 16u) std::abort();
-        if (log.size() > log.capacity()) std::abort();
-        read_bytes += static_cast<int64_t>(log.ToJsonArray(8).size());
+        if (store.size() > store.capacity()) std::abort();
+        read_bytes += static_cast<int64_t>(store.LogJson(8).size());
+        // Renders a record the writers are about to evict.
+        if (!tail.empty()) {
+          read_bytes += static_cast<int64_t>(
+              store.Get(tail.front()->query_id).value_or("").size());
+        }
         if (!ready) {
           ready = true;
           readers_ready.fetch_add(1, std::memory_order_release);
@@ -726,8 +730,8 @@ TEST(ObservabilityConcurrencyTest, QueryLogHammer) {
   done.store(true, std::memory_order_release);
   for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
 
-  EXPECT_EQ(kWriters * kPerWriter, log.total());
-  EXPECT_EQ(64, log.size());
+  EXPECT_EQ(kWriters * kPerWriter, store.total());
+  EXPECT_EQ(64, store.size());
   EXPECT_GT(read_bytes.load(), 0);
 }
 

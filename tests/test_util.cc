@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "exec/agg.h"
@@ -239,6 +240,50 @@ std::vector<std::string> Canonicalize(const std::vector<Row>& rows) {
   for (const Row& row : rows) out.push_back(RowToString(row));
   std::sort(out.begin(), out.end());
   return out;
+}
+
+namespace {
+
+void AppendKeys(const JsonValue& v, const std::string& prefix,
+                std::string* out) {
+  if (v.kind() == JsonValue::Kind::kArray) {
+    for (const JsonValue& item : v.items()) {
+      AppendKeys(item, prefix + "[]", out);
+    }
+    return;
+  }
+  if (v.kind() != JsonValue::Kind::kObject) return;
+  for (const auto& [key, member] : v.members()) {
+    const std::string name = prefix.empty() ? key : prefix + "." + key;
+    if (!out->empty()) *out += ',';
+    *out += name;
+    if (key != "profile") AppendKeys(member, name, out);
+  }
+}
+
+std::string KeySequence(const JsonValue& v) {
+  std::string keys;
+  AppendKeys(v, "", &keys);
+  return keys;
+}
+
+}  // namespace
+
+std::string JsonKeySequence(const std::string& json) {
+  Result<JsonValue> parsed = JsonParse(json);
+  return parsed.ok() ? KeySequence(parsed.value()) : std::string();
+}
+
+std::string LogEntryKeySequence(const std::string& entries,
+                                int64_t query_id) {
+  Result<JsonValue> parsed = JsonParse(entries);
+  if (!parsed.ok() || parsed.value().kind() != JsonValue::Kind::kArray) {
+    return std::string();
+  }
+  for (const JsonValue& entry : parsed.value().items()) {
+    if (entry.GetInt("query_id", -1) == query_id) return KeySequence(entry);
+  }
+  return std::string();
 }
 
 }  // namespace popdb::testing

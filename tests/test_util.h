@@ -29,6 +29,17 @@ std::vector<Row> ReferenceExecute(const Catalog& catalog,
 /// Multiset row comparison helper: sorts a printable encoding of each row.
 std::vector<std::string> Canonicalize(const std::vector<Row>& rows);
 
+/// The keys of a JSON document in document order, comma-joined. Nested
+/// objects and arrays of objects are flattened as "outer.inner" and
+/// "outer[].inner"; a "profile" member is listed but not entered (its keys
+/// belong to ProfileToJson). Empty when `json` does not parse.
+std::string JsonKeySequence(const std::string& json);
+
+/// JsonKeySequence of the entry whose "query_id" is `query_id` in a
+/// `query_log` entries array; empty when there is no such entry.
+std::string LogEntryKeySequence(const std::string& entries,
+                                int64_t query_id);
+
 }  // namespace popdb::testing
 
 #endif  // POPDB_TESTS_TEST_UTIL_H_
