@@ -409,11 +409,11 @@ bool NetServer::HandleQuery(ConnState* conn, const JsonValue& request) {
     JsonWriter w;
     w.BeginObject();
     w.Key("type").String("write_done");
-    w.Key("query_id").Int(wr.query_id);
-    w.Key("affected_rows").Int(wr.affected_rows);
+    w.Key("query_id").Int(wr.trace.query_id);
+    w.Key("affected_rows").Int(wr.trace.affected_rows);
     w.Key("stats_version").Int(wr.stats_version);
     w.Key("stats_folded").Bool(wr.stats_folded);
-    w.Key("total_ms").Double(wr.total_ms);
+    w.Key("total_ms").Double(wr.trace.total_ms);
     w.EndObject();
     return SendFrame(conn, w.str());
   }

@@ -506,7 +506,11 @@ std::string QueryService::MetricsText() {
 
 WriteQueryResult QueryService::ExecuteWrite(const txn::WriteStatement& stmt) {
   WriteQueryResult out;
-  out.query_id = next_query_id_.fetch_add(1);
+  QueryTrace& trace = out.trace;
+  trace.query_id = next_query_id_.fetch_add(1);
+  trace.kind = "write";
+  trace.query_name = std::string(txn::WriteOpName(stmt.op)) + " " + stmt.table;
+  trace.affected_rows = 0;
   const double start_ms = NowMs();
 
   if (write_manager_ == nullptr) {
@@ -516,28 +520,21 @@ WriteQueryResult QueryService::ExecuteWrite(const txn::WriteStatement& stmt) {
     Result<txn::WriteResult> applied = write_manager_->Apply(stmt);
     out.status = applied.status();
     if (applied.ok()) {
-      out.affected_rows = applied.value().affected_rows;
+      trace.affected_rows = applied.value().affected_rows;
       out.stats_version = applied.value().stats_version;
       out.stats_folded = applied.value().stats_folded;
     }
   }
-  out.total_ms = NowMs() - start_ms;
+  trace.end_ms = NowMs();
+  trace.total_ms = trace.end_ms - start_ms;
+  trace.execute_ms = trace.total_ms;
+  trace.outcome = OutcomeName(out.status);
+  if (!out.status.ok()) trace.status_message = out.status.ToString();
 
   if (out.status.ok()) {
     writes_total_[static_cast<int>(stmt.op)]->Increment();
     if (out.stats_folded) stats_version_bumps_->Increment();
   }
-
-  QueryTrace& trace = out.trace;
-  trace.query_id = out.query_id;
-  trace.kind = "write";
-  trace.query_name = std::string(txn::WriteOpName(stmt.op)) + " " + stmt.table;
-  trace.outcome = OutcomeName(out.status);
-  if (!out.status.ok()) trace.status_message = out.status.ToString();
-  trace.end_ms = NowMs();
-  trace.total_ms = out.total_ms;
-  trace.execute_ms = out.total_ms;
-  trace.affected_rows = out.affected_rows;
   return out;
 }
 

@@ -157,17 +157,15 @@ struct QueryResult {
 /// Final outcome of a DML statement routed through ExecuteWrite.
 struct WriteQueryResult {
   Status status;
-  int64_t query_id = 0;
-  int64_t affected_rows = 0;
   /// Catalog stats version after the statement (readers of this value can
   /// correlate plan-cache invalidations with the write that caused them).
   int64_t stats_version = 0;
   /// True when this statement's churn crossed the fold threshold and the
   /// table's statistics were refreshed (bumping the stats version).
   bool stats_folded = false;
-  double total_ms = 0.0;
-  /// The statement's kind="write" record (not emitted to trace_sink; a
-  /// front end keeps it in its TraceStore).
+  /// The statement's kind="write" record: query id, affected rows, total
+  /// time. Not emitted to trace_sink; a front end keeps it in its
+  /// TraceStore.
   QueryTrace trace;
 };
 
