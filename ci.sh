@@ -11,19 +11,20 @@
 # write-path snapshot consistency, metrics registry, span tracer), then a
 # UBSan build over the tracing/metrics/runtime/parallel/network/write/
 # storage/optimizer suites, then an AddressSanitizer build over the
-# optimizer's DP table (indexed by table-set bitmasks) and its
-# differential oracles, and over the flat join kernels (CSR index spans,
+# optimizer's DP table (indexed by table-set bitmasks) and the
+# differential oracle's sample, and over the flat join kernels (CSR index spans,
 # hash-join chain arrays, column gathers) with their storage, operator,
 # write-path and batch-size tests.
 #
 # The release ctest runs everything including tests labeled "slow"
-# (parallel_stress_test) and "paper" (the figure/table binaries asserting
-# the paper's claims on work units); use `ctest -L fast` locally for the
-# quick loop. bench_reopt_latency, the one wall-time gate, runs serially
-# after it.
-# The sanitizer stages run the parallel-, plan-cache- and batch-size
-# differential suites (and TSan the golden engine-outcome table) in light
-# mode (POPDB_EQUIV_LIGHT=1) — the full corpus sweeps are release-only.
+# (parallel_stress_test, the differential oracle's full config lattice)
+# and "paper" (the figure/table binaries asserting the paper's claims on
+# work units); use `ctest -L fast` locally for the quick loop.
+# bench_reopt_latency, the one wall-time gate, runs serially after it.
+# The sanitizer stages run the differential oracle's pairwise-covering
+# sample (--gtest_filter=DifferentialSample*), and TSan the golden
+# engine-outcome table at batch sizes 3 and 1024 — the full lattice
+# and the other batch sizes are release-only.
 #
 # Usage: ./ci.sh [--skip-tsan] [--skip-ubsan]
 set -euo pipefail
@@ -177,31 +178,20 @@ else
         -DPOPDB_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" \
         --target runtime_test concurrency_test observability_test \
-        morsel_test parallel_equivalence_test plan_cache_test \
-        plan_cache_equivalence_test batch_differential_test \
-        engine_golden_test reopt_differential_test fuzz_test txn_test \
-        parallel_stress_test net_test dist_test
+        morsel_test plan_cache_test differential_test engine_golden_test \
+        txn_test parallel_stress_test net_test dist_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/runtime_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/observability_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/morsel_test
-  TSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-      ./build-tsan/tests/parallel_equivalence_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/plan_cache_test
-  TSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-      ./build-tsan/tests/plan_cache_equivalence_test
-  # Batch-size differential oracle and golden engine-outcome table
-  # (ctest label "batch") in light mode: the full sweeps are release-only.
-  TSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-      ./build-tsan/tests/batch_differential_test
-  TSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-      ./build-tsan/tests/engine_golden_test
-  # Incremental-vs-full-DP re-optimization oracle (ctest label "reopt")
-  # in light mode, plus its randomized perturbation leg from fuzz_test.
-  TSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-      ./build-tsan/tests/reopt_differential_test
+  # The differential oracle's sample: morsel dispatchers, shared plan
+  # caches, loopback clusters and a concurrent writer in one world.
   TSAN_OPTIONS="halt_on_error=1" \
-      ./build-tsan/tests/fuzz_test --gtest_filter='*IncrementalReopt*'
+      ./build-tsan/tests/differential_test \
+      --gtest_filter='DifferentialSample*'
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_golden_test \
+      --gtest_filter='*/rows3:*/rows1024'
   # Write path (ctest label "txn"): copy-on-write snapshot hammer with
   # concurrent writers/readers plus the dop-1-vs-4 differential leg.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/txn_test
@@ -218,35 +208,27 @@ else
         -DPOPDB_SANITIZE=undefined
   cmake --build build-ubsan -j "$(nproc)" \
         --target runtime_test observability_test operator_test pop_test \
-        morsel_test parallel_equivalence_test plan_cache_test \
-        plan_cache_equivalence_test batch_differential_test \
-        reopt_differential_test fuzz_test txn_test net_test dist_test \
-        enumerator_test storage_test
+        morsel_test plan_cache_test differential_test txn_test net_test \
+        dist_test enumerator_test storage_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/observability_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/runtime_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/operator_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/pop_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/morsel_test
-  UBSAN_OPTIONS="halt_on_error=1" \
-      ./build-ubsan/tests/parallel_equivalence_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/plan_cache_test
-  UBSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-      ./build-ubsan/tests/plan_cache_equivalence_test
   # Batch-boundary CHECK math (floor/truncation) is exactly what UBSan
-  # watches for; run the differential oracle's full light corpus here too,
-  # with its observe-only ECB regression over the DMV workload (the
-  # operator-level one over HSJN and index NLJN is in operator_test).
-  UBSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-      ./build-ubsan/tests/batch_differential_test
+  # watches for; the differential oracle's sample crosses batch sizes with
+  # every other axis, including the observe-only ECB configuration over
+  # the DMV workload (the operator-level one over HSJN and index NLJN is
+  # in operator_test).
+  UBSAN_OPTIONS="halt_on_error=1" \
+      ./build-ubsan/tests/differential_test \
+      --gtest_filter='DifferentialSample*'
   # DP enumeration and memo invalidation are bit-twiddling over table sets
   # (subset walks, neighbour masks, superset masks) — UBSan's shift and
   # overflow checks cover exactly that. The golden plan table pins the
-  # costing arithmetic.
+  # costing arithmetic, the memo identity tests the incremental path.
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/enumerator_test
-  UBSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-      ./build-ubsan/tests/reopt_differential_test
-  UBSAN_OPTIONS="halt_on_error=1" \
-      ./build-ubsan/tests/fuzz_test --gtest_filter='*IncrementalReopt*'
   # StatsDelta histogram/NDV fold arithmetic and chunked COW row-version
   # math are integer-heavy — UBSan's overflow checks cover them.
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/txn_test
@@ -264,27 +246,21 @@ echo "=== AddressSanitizer build + optimizer, join-kernel and record tests ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPOPDB_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
-      --target enumerator_test reopt_differential_test fuzz_test \
-      plan_cache_equivalence_test storage_test operator_test txn_test \
-      batch_differential_test observability_test net_test
+      --target enumerator_test differential_test storage_test \
+      operator_test txn_test observability_test net_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/enumerator_test
-ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-    ./build-asan/tests/reopt_differential_test
-ASAN_OPTIONS="halt_on_error=1" \
-    ./build-asan/tests/fuzz_test --gtest_filter='*IncrementalReopt*'
-ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-    ./build-asan/tests/plan_cache_equivalence_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/differential_test \
+    --gtest_filter='DifferentialSample*'
 # Join kernels: index probes return spans into the CSR postings (or the
 # probe's scratch), hash joins walk flat chain arrays, and gathers index
 # the held input batch by raw row number — a stale span or index is a
 # heap overflow or use-after-free here. operator_test also holds the
-# observe-only BUFCHECK regression over HSJN and index NLJN, and
-# batch_differential_test the one over the DMV workload (Fig. 14 config).
+# observe-only BUFCHECK regression over HSJN and index NLJN, and the
+# differential sample above the one over the DMV workload (Fig. 14
+# config).
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/storage_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/operator_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/txn_test
-ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
-    ./build-asan/tests/batch_differential_test
 # Per-query records move from the executor to the service to the sink,
 # and the trace store's ring frees a record while a reader may still be
 # rendering it: a lifetime bug there is a use-after-free.

@@ -58,7 +58,7 @@ struct Coordinator::ScatterState {
   std::vector<int64_t> query_ids;  ///< Shard-assigned ids (-1 = unknown).
   std::vector<bool> finished;
   int done = 0;
-  bool abort = false;  ///< A violation or shard error ended the round.
+  bool abort = false;  ///< A shard error ended the round.
 };
 
 Coordinator::Coordinator(const Catalog& catalog, CoordinatorConfig config)
@@ -207,9 +207,7 @@ void Coordinator::GatherFromShard(int shard, const std::string& payload,
   state->shards[i] = std::move(out);
   state->finished[i] = true;
   ++state->done;
-  if (!state->shards[i].status.ok() || state->shards[i].has_violation) {
-    state->abort = true;
-  }
+  if (!state->shards[i].status.ok()) state->abort = true;
   state->cv.notify_all();
 }
 
@@ -452,6 +450,11 @@ Result<std::vector<Row>> Coordinator::Execute(const QuerySpec& query,
     // subplans touching partitioned tables sum across shards (exact only
     // when every shard reported exactly); replicated-only subplans see the
     // full data on every shard, so the max (exact if any) is global truth.
+    // A shard may observe one set several times (a materializer's count
+    // next to its plan edge, the failing CHECK's count); those describe
+    // one shard-local cardinality, so each shard contributes one value per
+    // set, its exact count if it has one and its largest lower bound
+    // otherwise, as a local execution records them.
     struct SetAgg {
       double sum = 0.0;
       double max = 0.0;
@@ -462,8 +465,17 @@ Result<std::vector<Row>> Coordinator::Execute(const QuerySpec& query,
     std::map<TableSet, SetAgg> aggregated;
     for (const ShardOutcome& shard : state.shards) {
       if (!shard.reported) continue;
+      std::map<TableSet, EdgeObservation> per_set;
       for (const EdgeObservation& obs : shard.observations) {
-        SetAgg& a = aggregated[obs.set];
+        auto [it, inserted] = per_set.emplace(obs.set, obs);
+        EdgeObservation& kept = it->second;
+        if (inserted || kept.exact > obs.exact) continue;
+        kept.rows = kept.exact == obs.exact ? std::max(kept.rows, obs.rows)
+                                            : obs.rows;
+        kept.exact = obs.exact;
+      }
+      for (const auto& [set, obs] : per_set) {
+        SetAgg& a = aggregated[set];
         a.sum += obs.rows;
         a.max = std::max(a.max, obs.rows);
         ++a.shards;

@@ -43,12 +43,14 @@ struct CoordinatorConfig {
 /// When any shard's CHECK fires (a per-shard cardinality left its scaled
 /// validity range), the shard ships a check_violation event plus every
 /// cardinality observation its aborted execution can justify. The
-/// coordinator cancels the remaining shards, aggregates the per-shard
-/// observations into global cardinalities (partitioned subplans sum across
-/// shards; replicated-only subplans take the max), feeds them into its
-/// feedback cache, and re-optimizes the *global* plan — the cluster-level
-/// analogue of the paper's optimize-check-reoptimize loop. The final
-/// attempt runs check-free to guarantee termination.
+/// coordinator lets the other shards reach their own end (EOF or their own
+/// violation): cancelling them would make the harvested cardinalities
+/// depend on how far each got before the cancel arrived. It aggregates the
+/// per-shard observations into global cardinalities (partitioned subplans
+/// sum across shards; replicated-only subplans take the max), feeds them
+/// into its feedback cache, and re-optimizes the *global* plan — the
+/// cluster-level analogue of the paper's optimize-check-reoptimize loop.
+/// The final attempt runs check-free to guarantee termination.
 ///
 /// Thread safe: concurrent Execute() calls share only the connection pool
 /// and metrics.

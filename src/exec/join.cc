@@ -390,6 +390,7 @@ ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     const ExecStatus s = probe_->NextBatch(ctx, &probe_batch_);
     if (s != ExecStatus::kRow) return s;
     const int64_t n = probe_batch_.ActiveRows();
+    match_end_.clear();
     for (int64_t i = 0; i < n; ++i) {
       if (ctx->CancelPending()) {
         merge_.Gather(&probe_batch_, &pending_, out);
@@ -408,10 +409,30 @@ ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
            b = NextMatch(table_, build_rows_, h, probe_at, &cursor)) {
         pending_.Add(raw, &build_rows_[b]);
       }
+      match_end_.push_back(static_cast<int64_t>(pending_.size()));
     }
     merge_.Gather(&probe_batch_, &pending_, out);
     if (out->num_rows > 0) return ExecStatus::kRow;
   }
+}
+
+void HsjnOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
+  Operator::ReturnUnconsumed(ctx, unconsumed);
+  if (!in_memory_mode_ || match_end_.empty()) return;
+  // The probe row that produced the last kept output row stays consumed
+  // (its remaining matches are what went back); every row after it goes
+  // back to the probe child.
+  const int64_t kept = match_end_.back() - unconsumed;
+  const int64_t last =
+      kept <= 0 ? -1
+                : std::lower_bound(match_end_.begin(), match_end_.end(),
+                                   kept) -
+                      match_end_.begin();
+  const int64_t rest = static_cast<int64_t>(match_end_.size()) - last - 1;
+  if (rest <= 0) return;
+  ctx->work -= rest;
+  probe_->ReturnUnconsumed(ctx, rest);
+  match_end_.resize(static_cast<size_t>(last + 1));
 }
 
 void HsjnOp::CloseImpl(ExecContext* ctx) {

@@ -138,6 +138,10 @@ class HsjnOp : public Operator {
   void CloseImpl(ExecContext* ctx) override;
   bool HarvestInfo(HarvestedResult* out) const override;
   const char* name() const override { return "HSJN"; }
+  /// Streaming mode also un-charges the probe rows after the one that
+  /// produced the last kept output row and hands them back to the probe
+  /// child: batch size 1 never pulls them.
+  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
   std::vector<const Operator*> children() const override {
     return {probe_.get(), build_.get()};
   }
@@ -196,6 +200,9 @@ class HsjnOp : public Operator {
   bool in_memory_mode_ = false;
   HashTable table_;  ///< Streaming (in-memory) mode: over build_rows_.
   RowBatch probe_batch_;
+  /// Output rows of the last returned batch through each probed row of
+  /// `probe_batch_` (running count, one entry per probed row).
+  std::vector<int64_t> match_end_;
   PendingMatches pending_;
 };
 

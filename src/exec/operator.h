@@ -249,8 +249,10 @@ class Operator {
   /// firing mid-batch, or a join stopping with input rows still held (MGJN
   /// at EOF of its other input, MGJN and NLJN at Close after an abort). The
   /// produced-row count drops by `unconsumed`, so harvested feedback counts
-  /// only consumed rows. SORT, TEMP and MVSCAN, which charge one work unit
-  /// per served row, override this to un-charge those units and rewind.
+  /// only consumed rows. SORT, TEMP, MVSCAN and TBSCAN, which charge work
+  /// per row they read or serve, override this to un-charge those units
+  /// and rewind; HSJN un-charges the probe rows it never needed and hands
+  /// them back to its probe child.
   virtual void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
     (void)ctx;
     rows_produced_ -= unconsumed;

@@ -31,14 +31,7 @@ ExecStatus TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     const Row& row = snapshot_.row(next_rid_);
     ++next_rid_;
     ++ctx->work;
-    bool pass = true;
-    for (const ResolvedPredicate& p : preds_) {
-      if (!EvalPredicate(p, row)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) pending_.right.push_back(&row);
+    if (Passes(row)) pending_.right.push_back(&row);
   }
   gather_.Gather(nullptr, &pending_, out);
   if (out->num_rows > 0) return ExecStatus::kRow;
@@ -46,6 +39,31 @@ ExecStatus TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
 }
 
 void TableScanOp::CloseImpl(ExecContext* ctx) { (void)ctx; }
+
+bool TableScanOp::Passes(const Row& row) const {
+  for (const ResolvedPredicate& p : preds_) {
+    if (!EvalPredicate(p, row)) return false;
+  }
+  return true;
+}
+
+void TableScanOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
+  Operator::ReturnUnconsumed(ctx, unconsumed);
+  // Walk back over the rows read since the last kept passing row: batch
+  // size 1 stops reading right after the row its consumer takes last.
+  int64_t returned = 0;
+  while (next_rid_ > begin_rid_) {
+    const int64_t rid = next_rid_ - 1;
+    if (snapshot_.alive(rid)) {
+      if (Passes(snapshot_.row(rid))) {
+        if (returned == unconsumed) break;
+        ++returned;
+      }
+      --ctx->work;
+    }
+    --next_rid_;
+  }
+}
 
 ExecStatus MatViewScanOp::OpenImpl(ExecContext* ctx) {
   (void)ctx;

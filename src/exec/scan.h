@@ -44,8 +44,13 @@ class TableScanOp : public Operator {
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "TBSCAN"; }
+  /// Un-reads the rows: rewinds to just past the last kept row and
+  /// un-charges every row read after it, passing or not.
+  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
 
  private:
+  bool Passes(const Row& row) const;
+
   TableSnapshot snapshot_;
   std::vector<ResolvedPredicate> preds_;
   int64_t begin_rid_ = 0;

@@ -113,81 +113,31 @@ std::pair<int64_t, JsonValue> RunSubplan(net::Client* client,
   }
 }
 
-/// One in-process shard: its partition catalog, a QueryService (the
-/// NetServer requires one), and a NetServer with the subplan backend.
-struct ShardProcess {
-  Catalog catalog;
-  TraceStore traces{64};
-  std::unique_ptr<QueryService> service;
-  std::unique_ptr<dist::ShardExecutor> executor;
-  std::unique_ptr<net::NetServer> server;
-
-  ~ShardProcess() {
-    if (server != nullptr) server->Shutdown();
-    if (service != nullptr) service->Shutdown(/*drain=*/false);
-  }
-};
-
 class DistTest : public ::testing::Test {
  protected:
-  void StartCluster(int num_shards, double stall_ms = 0.0,
-                    int64_t exec_batch_rows = 1024) {
-    // Allow restarting with a different shard configuration mid-test
-    // (e.g. shards at different execution batch sizes).
-    shards_.clear();
-    coordinator_.reset();
+  void StartCluster(int num_shards, double stall_ms = 0.0) {
     if (!built_full_) {
       BuildDistCatalog(&full_);
       built_full_ = true;
     }
     spec_ = DistSpec();
-    Result<std::vector<dist::KeyRange>> ranges =
-        dist::ComputeRanges(full_, spec_, num_shards);
-    ASSERT_TRUE(ranges.ok()) << ranges.status().ToString();
-    std::vector<net::Endpoint> endpoints;
-    for (int s = 0; s < num_shards; ++s) {
-      auto shard = std::make_unique<ShardProcess>();
-      ASSERT_TRUE(dist::BuildShardCatalog(full_, spec_, ranges.value(), s,
-                                          /*histogram_buckets=*/32,
-                                          &shard->catalog)
-                      .ok());
-      ServiceConfig service_config;
-      service_config.share_feedback = true;
-      service_config.trace_sink = &shard->traces;
-      shard->service =
-          std::make_unique<QueryService>(shard->catalog, service_config);
-      dist::ShardExecutorConfig executor_config;
-      executor_config.exec_batch_rows = exec_batch_rows;
-      shard->executor = std::make_unique<dist::ShardExecutor>(
-          shard->catalog, executor_config);
-      net::NetServerConfig net_config;
-      net_config.host = "127.0.0.1";
-      net_config.port = 0;
-      net_config.subplan_backend = shard->executor.get();
-      net_config.subplan_stall_ms = stall_ms;
-      shard->server = std::make_unique<net::NetServer>(
-          shard->service.get(), &shard->traces, net_config);
-      ASSERT_TRUE(shard->server->Start().ok());
-      endpoints.push_back({"127.0.0.1", shard->server->port()});
-      shards_.push_back(std::move(shard));
-    }
-    dist::CoordinatorConfig config;
-    config.shards = endpoints;
-    config.partition = spec_;
-    coordinator_ = std::make_unique<dist::Coordinator>(full_, config);
+    testing::LoopbackClusterOptions options;
+    options.num_shards = num_shards;
+    options.stall_ms = stall_ms;
+    const Status started = cluster_.Start(full_, spec_, options);
+    ASSERT_TRUE(started.ok()) << started.ToString();
   }
 
   Result<std::vector<Row>> RunDist(const std::string& sql,
                                    ExecutionStats* stats = nullptr,
                                    CancelToken* cancel = nullptr) {
     const QuerySpec query = Parse(full_, sql);
-    EXPECT_TRUE(coordinator_->CanExecute(query)) << sql;
+    EXPECT_TRUE(cluster_.coordinator->CanExecute(query)) << sql;
     CancelToken local_cancel;
     ExecutionStats local_stats;
-    return coordinator_->Execute(query,
-                                 cancel != nullptr ? cancel : &local_cancel,
-                                 /*feedback=*/nullptr,
-                                 stats != nullptr ? stats : &local_stats);
+    return cluster_.coordinator->Execute(
+        query, cancel != nullptr ? cancel : &local_cancel,
+        /*feedback=*/nullptr, stats != nullptr ? stats : &local_stats);
   }
 
   /// Single-node oracle: the same query through the progressive executor
@@ -202,8 +152,7 @@ class DistTest : public ::testing::Test {
   Catalog full_;
   bool built_full_ = false;
   dist::PartitionSpec spec_;
-  std::vector<std::unique_ptr<ShardProcess>> shards_;
-  std::unique_ptr<dist::Coordinator> coordinator_;
+  testing::LoopbackCluster cluster_;
 };
 
 // -------------------------------------------------------- partitioning
@@ -393,7 +342,7 @@ TEST_F(DistTest, ShardCheckViolationTriggersGlobalReoptimization) {
             testing::Canonicalize(rows.value()));
   // A violating shard records its subplan with the CHECK's flavor.
   int violations = 0;
-  for (const auto& shard : shards_) {
+  for (const auto& shard : cluster_.shards) {
     for (const auto& record : shard->traces.Tail(0)) {
       if (record->checks_fired == 0) continue;
       ++violations;
@@ -407,56 +356,6 @@ TEST_F(DistTest, ShardCheckViolationTriggersGlobalReoptimization) {
   EXPECT_GE(violations, 1);
 }
 
-TEST_F(DistTest, ShardBatchSizesAgree) {
-  // Runs the same corpus against a cluster whose shards execute subplans
-  // at batch size 1 and at larger batch sizes: the rows the coordinator
-  // sees, the shard CHECK escalations, and the resulting cluster-level
-  // re-optimization sequence must be identical.
-  const std::vector<std::string> corpus = {
-      "SELECT o_id, o_subclass FROM orders WHERE o_subclass < 12",
-      "SELECT o_class, COUNT(*), SUM(o_subclass), AVG(o_subclass) "
-      "FROM orders GROUP BY o_class ORDER BY 1",
-      "SELECT o_class, COUNT(*) FROM orders, items WHERE o_id = i_order "
-      "GROUP BY o_class ORDER BY 1",
-      // The correlated-predicate trap: shard CHECKs fire and escalate.
-      "SELECT o_class, COUNT(*) FROM orders, items WHERE o_id = i_order "
-      "AND o_class = 7 AND o_subclass = 77 GROUP BY o_class",
-      "SELECT o_id FROM orders WHERE o_subclass = 5 ORDER BY 1 LIMIT 7",
-  };
-  struct DistOutcome {
-    std::vector<std::string> rows;
-    int reopts = 0;
-    size_t attempts = 0;
-  };
-  const auto sweep = [&](int64_t exec_batch_rows) {
-    StartCluster(3, /*stall_ms=*/0.0, exec_batch_rows);
-    std::vector<DistOutcome> outcomes;
-    for (const std::string& sql : corpus) {
-      ExecutionStats stats;
-      Result<std::vector<Row>> rows = RunDist(sql, &stats);
-      EXPECT_TRUE(rows.ok()) << sql << ": " << rows.status().ToString();
-      DistOutcome o;
-      if (rows.ok()) o.rows = testing::Canonicalize(rows.value());
-      o.reopts = stats.reopts;
-      o.attempts = stats.attempts.size();
-      outcomes.push_back(std::move(o));
-    }
-    return outcomes;
-  };
-  const std::vector<DistOutcome> one_row = sweep(1);
-  for (const int64_t batch : {3, 1024}) {
-    SCOPED_TRACE("exec_batch_rows=" + std::to_string(batch));
-    const std::vector<DistOutcome> batched = sweep(batch);
-    ASSERT_EQ(one_row.size(), batched.size());
-    for (size_t i = 0; i < one_row.size(); ++i) {
-      SCOPED_TRACE(corpus[i]);
-      EXPECT_EQ(one_row[i].rows, batched[i].rows);
-      EXPECT_EQ(one_row[i].reopts, batched[i].reopts);
-      EXPECT_EQ(one_row[i].attempts, batched[i].attempts);
-    }
-  }
-}
-
 TEST_F(DistTest, CrossQueryFeedbackSkipsRepeatViolation) {
   StartCluster(2);
   const std::string sql =
@@ -466,13 +365,13 @@ TEST_F(DistTest, CrossQueryFeedbackSkipsRepeatViolation) {
   QueryFeedbackStore store;
   CancelToken c1;
   ExecutionStats first;
-  ASSERT_TRUE(coordinator_->Execute(query, &c1, &store, &first).ok());
+  ASSERT_TRUE(cluster_.coordinator->Execute(query, &c1, &store, &first).ok());
   EXPECT_GE(first.reopts, 1);
   // Second run seeds from the learned global cardinalities: right plan
   // first try, no violation.
   CancelToken c2;
   ExecutionStats second;
-  ASSERT_TRUE(coordinator_->Execute(query, &c2, &store, &second).ok());
+  ASSERT_TRUE(cluster_.coordinator->Execute(query, &c2, &store, &second).ok());
   EXPECT_EQ(0, second.reopts);
 }
 
@@ -485,7 +384,7 @@ TEST_F(DistTest, DeadlinePropagatesToShards) {
   ExecutionStats stats;
   // Small batches force many stalled emits, so the deadline always lands
   // mid-stream.
-  coordinator_->set_batch_rows(16);
+  cluster_.coordinator->set_batch_rows(16);
   Result<std::vector<Row>> rows =
       RunDist("SELECT o_id, o_subclass FROM orders", &stats, &cancel);
   ASSERT_FALSE(rows.ok());
@@ -495,7 +394,7 @@ TEST_F(DistTest, DeadlinePropagatesToShards) {
   // in-flight cancels a moment to settle.
   for (int i = 0; i < 100; ++i) {
     int64_t inflight = 0;
-    for (const auto& shard : shards_) {
+    for (const auto& shard : cluster_.shards) {
       inflight += shard->server->sessions().inflight_queries();
     }
     if (inflight == 0) return;
@@ -507,7 +406,7 @@ TEST_F(DistTest, DeadlinePropagatesToShards) {
 TEST_F(DistTest, ExplicitCancelPropagatesToShards) {
   StartCluster(2, /*stall_ms=*/30.0);
   CancelToken cancel;
-  coordinator_->set_batch_rows(16);
+  cluster_.coordinator->set_batch_rows(16);
   std::thread trip([&cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     cancel.RequestCancel();
@@ -524,10 +423,10 @@ TEST_F(DistTest, ExplicitCancelPropagatesToShards) {
 
 TEST_F(DistTest, ShardDeathMidQueryFailsCleanlyWithoutHang) {
   StartCluster(2, /*stall_ms=*/20.0);
-  coordinator_->set_batch_rows(16);
+  cluster_.coordinator->set_batch_rows(16);
   std::thread killer([this] {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    shards_[1]->server->Shutdown();  // Hard-drops every connection.
+    cluster_.shards[1]->server->Shutdown();  // Hard-drops every connection.
   });
   Result<std::vector<Row>> rows =
       RunDist("SELECT o_id, o_subclass FROM orders");
@@ -541,16 +440,16 @@ TEST_F(DistTest, ShardDeathMidQueryFailsCleanlyWithoutHang) {
   // The surviving shard drained its subquery (cancel fan-out / broken
   // sink), so nothing is left in flight.
   for (int i = 0; i < 100; ++i) {
-    if (shards_[0]->server->sessions().inflight_queries() == 0) break;
+    if (cluster_.shards[0]->server->sessions().inflight_queries() == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(0, shards_[0]->server->sessions().inflight_queries());
+  EXPECT_EQ(0, cluster_.shards[0]->server->sessions().inflight_queries());
 }
 
 TEST_F(DistTest, DeadShardAtScatterTimeFailsFast) {
   StartCluster(2);
-  shards_[0]->server->Shutdown();
-  shards_[0]->server = nullptr;
+  cluster_.shards[0]->server->Shutdown();
+  cluster_.shards[0]->server = nullptr;
   Result<std::vector<Row>> rows = RunDist("SELECT COUNT(*) FROM orders");
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(StatusCode::kUnavailable, rows.status().code())
@@ -561,9 +460,9 @@ TEST_F(DistTest, DeadShardAtScatterTimeFailsFast) {
 
 TEST_F(DistTest, NonShardableQueriesAreDeclined) {
   StartCluster(2);
-  EXPECT_FALSE(coordinator_->CanExecute(
+  EXPECT_FALSE(cluster_.coordinator->CanExecute(
       Parse(full_, "SELECT COUNT(*) FROM clazz")));
-  EXPECT_FALSE(coordinator_->CanExecute(Parse(
+  EXPECT_FALSE(cluster_.coordinator->CanExecute(Parse(
       full_, "SELECT COUNT(*) FROM orders, items WHERE o_subclass = i_qty")));
 }
 
@@ -773,7 +672,7 @@ TEST_F(DistTest, ClusterTraceAndFederatedMetricsFromLiveCluster) {
   // Stitched cluster trace: coordinator + both shards, one pid row each
   // (in-process shards share the tracer, but the stitch still assigns
   // every process its own pid and name row).
-  Result<std::string> trace = coordinator_->ClusterTraceJson();
+  Result<std::string> trace = cluster_.coordinator->ClusterTraceJson();
   ASSERT_TRUE(trace.ok()) << trace.status().ToString();
   Result<JsonValue> parsed = JsonParse(trace.value(), {32, 2000000});
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -790,7 +689,7 @@ TEST_F(DistTest, ClusterTraceAndFederatedMetricsFromLiveCluster) {
 
   // Federated exposition: coordinator families plus per-shard samples.
   Result<std::string> metrics =
-      coordinator_->FederatedMetricsText("popdb_up 1\n");
+      cluster_.coordinator->FederatedMetricsText("popdb_up 1\n");
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_NE(std::string::npos, metrics.value().find("popdb_up 1"));
   EXPECT_NE(std::string::npos, metrics.value().find("shard=\"0\""));
@@ -807,7 +706,7 @@ TEST_F(DistTest, ClusterTraceAndFederatedMetricsFromLiveCluster) {
 TEST_F(DistTest, SubplanQueryDoneCarriesTimingAndProfile) {
   StartCluster(2);
   Result<net::Client> connected =
-      net::Client::Connect("127.0.0.1", shards_[0]->server->port());
+      net::Client::Connect("127.0.0.1", cluster_.shards[0]->server->port());
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
   net::Client client = std::move(connected).TakeValue();
   const auto [id, done] =
@@ -838,7 +737,7 @@ TEST_F(DistTest, SubplanQueryDoneCarriesTimingAndProfile) {
 TEST_F(DistTest, SubplanIsRecordedOnce) {
   StartCluster(2);
   Result<net::Client> shard =
-      net::Client::Connect("127.0.0.1", shards_[0]->server->port());
+      net::Client::Connect("127.0.0.1", cluster_.shards[0]->server->port());
   ASSERT_TRUE(shard.ok()) << shard.status().ToString();
   const int64_t id =
       RunSubplan(&shard.value(),
@@ -846,11 +745,11 @@ TEST_F(DistTest, SubplanIsRecordedOnce) {
           .first;
   shard.value().Close();
   const std::vector<std::shared_ptr<const QueryTrace>> records =
-      shards_[0]->traces.Tail(0);
+      cluster_.shards[0]->traces.Tail(0);
   ASSERT_EQ(1u, records.size());
   EXPECT_EQ(id, records[0]->query_id);
   EXPECT_EQ("subplan", records[0]->kind);
-  EXPECT_EQ(1, shards_[0]->traces.total());
+  EXPECT_EQ(1, cluster_.shards[0]->traces.total());
 }
 
 // Key sequences of the `trace` and `query_log` views a cluster serves: a
@@ -861,7 +760,7 @@ TEST_F(DistTest, RecordViewsKeepTheirKeys) {
   StartCluster(2);
   const std::string sql = "SELECT COUNT(*) FROM orders";
   Result<net::Client> shard =
-      net::Client::Connect("127.0.0.1", shards_[0]->server->port());
+      net::Client::Connect("127.0.0.1", cluster_.shards[0]->server->port());
   ASSERT_TRUE(shard.ok()) << shard.status().ToString();
   const int64_t subplan_id =
       RunSubplan(&shard.value(), SubplanRequest(full_, sql)).first;
@@ -888,7 +787,7 @@ TEST_F(DistTest, RecordViewsKeepTheirKeys) {
   TraceStore traces;
   ServiceConfig service_config;
   service_config.trace_sink = &traces;
-  service_config.dist_backend = coordinator_.get();
+  service_config.dist_backend = cluster_.coordinator.get();
   QueryService service(full_, service_config);
   net::NetServerConfig net_config;
   net_config.host = "127.0.0.1";
@@ -933,7 +832,7 @@ TEST_F(DistTest, RecordViewsKeepTheirKeys) {
 TEST_F(DistTest, CoordinatorExportsPerShardMetrics) {
   StartCluster(2);
   MetricsRegistry registry;
-  coordinator_->RegisterMetrics(&registry);
+  cluster_.coordinator->RegisterMetrics(&registry);
   ASSERT_TRUE(RunDist("SELECT COUNT(*) FROM orders").ok());
   const std::string text = registry.RenderPrometheus();
   EXPECT_NE(std::string::npos,

@@ -8,15 +8,13 @@
 //     fired),
 //   - a digest of the feedback harvested into the cross-query store.
 // Every tested batch size must reproduce every field, so a batch of one
-// row and a batch of 1024 are the same engine as far as POP can tell.
-//
-// Set POPDB_EQUIV_LIGHT=1 to run a reduced corpus (used by the TSan CI
-// stage, where the full sweep is too slow).
+// row and a batch of 1024 are the same engine as far as POP can tell. One
+// test instance per batch size (named rows<N>, rowsRandom for the seeded
+// random size), so a sanitizer run can pick sizes with --gtest_filter.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,19 +22,10 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/pop.h"
-#include "dmv/dmv_gen.h"
-#include "dmv/dmv_queries.h"
 #include "tests/test_util.h"
-#include "tpch/tpch_gen.h"
-#include "tpch/tpch_queries.h"
 
 namespace popdb {
 namespace {
-
-bool LightMode() {
-  const char* v = std::getenv("POPDB_EQUIV_LIGHT");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
 
 struct GoldenOutcome {
   const char* label;
@@ -485,7 +474,7 @@ void CheckGolden(const std::vector<Actual>& actual, int64_t batch_rows) {
   SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
   std::map<std::string, const GoldenOutcome*> golden;
   for (const GoldenOutcome& g : kGoldenOutcomes) golden[g.label] = &g;
-  bool mismatch = !LightMode() && golden.size() != actual.size();
+  bool mismatch = golden.size() != actual.size();
   if (mismatch) {
     ADD_FAILURE() << "golden table has " << golden.size()
                   << " entries, the corpus " << actual.size();
@@ -519,51 +508,11 @@ void CheckGolden(const std::vector<Actual>& actual, int64_t batch_rows) {
   }
 }
 
-struct CorpusQuery {
-  std::string label;
-  const Catalog* catalog;
-  QuerySpec query;
-};
-
-struct Corpus {
-  Catalog tpch;
-  Catalog dmv;
-  std::vector<CorpusQuery> queries;
-};
-
-void BuildCorpus(Corpus* c) {
-  tpch::GenConfig tpch_gen;
-  tpch_gen.scale = 0.002;
-  ASSERT_TRUE(tpch::BuildCatalog(tpch_gen, &c->tpch).ok());
-  dmv::GenConfig dmv_gen;
-  dmv_gen.scale = 0.05;
-  ASSERT_TRUE(dmv::BuildCatalog(dmv_gen, &c->dmv).ok());
-
-  tpch::QueryOptions marked;
-  marked.param_markers = true;
-  for (int qnum : tpch::PaperQueries()) {
-    const std::string label = "tpch/q" + std::to_string(qnum);
-    c->queries.push_back({label, &c->tpch, tpch::MakeQuery(qnum)});
-    c->queries.push_back({label + "m", &c->tpch, tpch::MakeQuery(qnum, marked)});
-    if (LightMode()) break;
-  }
-  const std::vector<int> sels =
-      LightMode() ? std::vector<int>{50} : std::vector<int>{1, 10, 50, 90};
-  for (int sel : sels) {
-    c->queries.push_back({"tpch/q10m_sel" + std::to_string(sel), &c->tpch,
-                          tpch::MakeQ10Selectivity(sel, /*use_marker=*/true)});
-  }
-  dmv::WorkloadConfig wl;
-  if (LightMode()) wl.num_queries = 4;
-  for (QuerySpec& q : dmv::MakeWorkload(wl)) {
-    c->queries.push_back({"dmv/" + q.name(), &c->dmv, std::move(q)});
-  }
-}
-
-std::vector<Actual> RunCorpus(const Corpus& corpus, int64_t batch_rows) {
+std::vector<Actual> RunCorpus(const testing::EngineCorpus& corpus,
+                              int64_t batch_rows) {
   std::vector<Actual> out;
   for (const EngineConfig& config : Configs()) {
-    for (const CorpusQuery& q : corpus.queries) {
+    for (const testing::CorpusQuery& q : corpus.queries) {
       Actual a = RunOnce(*q.catalog, q.query, config, batch_rows);
       a.label = q.label + "@" + config.name;
       out.push_back(std::move(a));
@@ -572,38 +521,57 @@ std::vector<Actual> RunCorpus(const Corpus& corpus, int64_t batch_rows) {
   return out;
 }
 
-/// Batch sizes: one row, pathological small sizes that land CHECK
-/// thresholds mid-batch, the default, and a randomized size.
-std::vector<int64_t> BatchSizes() {
-  if (LightMode()) return {1, 3, kDefaultBatchRows};
-  Rng rng(0x5eed1e55);
-  return {1, 2, 3, 7, kDefaultBatchRows, rng.UniformInt(2, 2048)};
+class EngineGoldenTest : public ::testing::TestWithParam<int64_t> {
+ protected:
+  static void SetUpTestSuite() {
+    corpus_ = new testing::EngineCorpus();
+    ASSERT_TRUE(testing::BuildEngineCorpus(corpus_).ok());
+  }
+  static void TearDownTestSuite() {
+    delete corpus_;
+    corpus_ = nullptr;
+  }
+
+  static testing::EngineCorpus* corpus_;
+};
+
+testing::EngineCorpus* EngineGoldenTest::corpus_ = nullptr;
+
+TEST_P(EngineGoldenTest, OutcomesArePinned) {
+  const int64_t batch_rows = GetParam();
+  const std::vector<Actual> actual = RunCorpus(*corpus_, batch_rows);
+  CheckGolden(actual, batch_rows);
+  if (batch_rows != 1) return;
+  // The corpus reaches what it pins: merge joins, enforced re-opts under
+  // every enforcing configuration, and observed-only firings.
+  std::map<std::string, Actual> per_config;
+  for (const Actual& a : actual) {
+    Actual& sum = per_config[a.label.substr(a.label.find('@') + 1)];
+    sum.merge_joins += a.merge_joins;
+    sum.reopts += a.reopts;
+    sum.fired += a.fired;
+  }
+  EXPECT_GT(per_config["mgjn_only"].merge_joins, 200);
+  for (const char* enforcing : {"default", "ecb", "workbound"}) {
+    EXPECT_GT(per_config[enforcing].reopts, 0) << enforcing;
+  }
+  EXPECT_EQ(0, per_config["fig14"].reopts);
+  EXPECT_GT(per_config["fig14"].fired, 0);
 }
 
-TEST(EngineGoldenTest, OutcomesArePinnedAtEveryBatchSize) {
-  Corpus corpus;
-  BuildCorpus(&corpus);
-  for (const int64_t batch_rows : BatchSizes()) {
-    const std::vector<Actual> actual = RunCorpus(corpus, batch_rows);
-    CheckGolden(actual, batch_rows);
-    if (batch_rows != 1 || LightMode()) continue;
-    // The corpus reaches what it pins: merge joins, enforced re-opts
-    // under every enforcing configuration, and observed-only firings.
-    std::map<std::string, Actual> per_config;
-    for (const Actual& a : actual) {
-      Actual& sum = per_config[a.label.substr(a.label.find('@') + 1)];
-      sum.merge_joins += a.merge_joins;
-      sum.reopts += a.reopts;
-      sum.fired += a.fired;
-    }
-    EXPECT_GT(per_config["mgjn_only"].merge_joins, 200);
-    for (const char* enforcing : {"default", "ecb", "workbound"}) {
-      EXPECT_GT(per_config[enforcing].reopts, 0) << enforcing;
-    }
-    EXPECT_EQ(0, per_config["fig14"].reopts);
-    EXPECT_GT(per_config["fig14"].fired, 0);
-  }
-}
+/// One row, pathological small sizes that land CHECK thresholds
+/// mid-batch, the default, and a seeded random size.
+const int64_t kRandomBatchRows = Rng(0x5eed1e55).UniformInt(2, 2048);
+
+INSTANTIATE_TEST_SUITE_P(
+    BatchSizes, EngineGoldenTest,
+    ::testing::Values(int64_t{1}, int64_t{2}, int64_t{3}, int64_t{7},
+                      kDefaultBatchRows, kRandomBatchRows),
+    [](const ::testing::TestParamInfo<int64_t>& info) {
+      return info.param == kRandomBatchRows
+                 ? std::string("rowsRandom")
+                 : "rows" + std::to_string(info.param);
+    });
 
 }  // namespace
 }  // namespace popdb

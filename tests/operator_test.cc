@@ -676,6 +676,55 @@ TEST_F(OperatorTest, BufCheckValveChargesTheSameWorkAtEveryBatchSize) {
   }
 }
 
+TEST_F(OperatorTest, CheckOverJoinChargesTheSameWorkAtEveryBatchSize) {
+  // An enforced [0, 7.5] CHECK over a join of the 40-row scan fires at the
+  // 8th match, found while probing the 2nd scan row. HSJN returns every
+  // match of the probe rows the clamp let through and NLJN holds an outer
+  // batch of them; either way the scan rows after the 2nd were read and
+  // charged, and go back to the scan (HSJN at the violation, NLJN at
+  // Close), which un-reads them.
+  const std::vector<std::pair<const char*, std::function<std::unique_ptr<
+                                               Operator>()>>>
+      joins = {
+          {"hsjn",
+           [&] {
+             return std::make_unique<HsjnOp>(
+                 ScanLeft(), ScanRight(), std::vector<int>{0},
+                 std::vector<int>{0}, JoinMerge(), TableBit(0) | TableBit(1),
+                 CheckSpec{}, false);
+           }},
+          {"nljn",
+           [&] {
+             InnerAccess inner;
+             inner.table = &right_;
+             inner.table_id = 1;
+             inner.join_conds = {{0, 0}};
+             return std::make_unique<NljnOp>(ScanLeft(), std::move(inner),
+                                             JoinMerge(),
+                                             TableBit(0) | TableBit(1));
+           }},
+      };
+  for (const auto& [name, make_join] : joins) {
+    int64_t work_at_one = -1;
+    for (const int64_t batch_rows :
+         {int64_t{1}, int64_t{3}, int64_t{1024}}) {
+      SCOPED_TRACE(std::string(name) +
+                   " batch_rows=" + std::to_string(batch_rows));
+      ExecContext ctx;
+      ctx.batch_rows = batch_rows;
+      CheckOp check(make_join(), MakeCheck(0, 7.5));
+      ExecStatus s;
+      EXPECT_EQ(7u, DrainBatches(&check, &ctx, &s).size());
+      EXPECT_EQ(ExecStatus::kReoptimize, s);
+      ASSERT_EQ(1u, ctx.check_events.size());
+      EXPECT_EQ(8, ctx.check_events[0].count);
+      EXPECT_EQ(2, check.children()[0]->children()[0]->rows_produced());
+      if (work_at_one < 0) work_at_one = ctx.work;
+      EXPECT_EQ(work_at_one, ctx.work);
+    }
+  }
+}
+
 TEST_F(OperatorTest, CheckMaterializedStreamsBatchesAfterOpenEvaluation) {
   ExecContext ctx;
   ctx.batch_rows = 8;

@@ -3,11 +3,21 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/status.h"
 #include "common/value.h"
+#include "core/pop.h"
+#include "dist/coordinator.h"
+#include "dist/partition.h"
+#include "dist/shard.h"
+#include "net/server.h"
 #include "opt/query.h"
+#include "runtime/query_service.h"
+#include "runtime/trace.h"
 #include "storage/catalog.h"
 
 namespace popdb::testing {
@@ -20,9 +30,86 @@ namespace popdb::testing {
 void BuildToyCatalog(Catalog* catalog, int64_t emp_rows = 200,
                      int64_t sale_rows = 1000);
 
-/// Executes `query` by brute force (cross product + predicate filtering +
-/// hash aggregation), independent of the optimizer and executor under
-/// test. Intended as the correctness oracle.
+/// Builds a small star schema with engineered correlations:
+///   fact(f_id, f_dim1, f_dim2, f_a, f_b)  -- 1200 rows; f_b is determined
+///                                            by f_a 80% of the time
+///   dim1(d1_id, d1_x, d1_name)            -- 60 rows, indexed on d1_id
+///   dim2(d2_id, d2_y)                     -- 40 rows, unindexed (NLJN
+///                                            into it scans)
+void BuildStarCatalog(Catalog* catalog);
+
+/// A random SPJ(+agg) query over the star schema: always fact, optionally
+/// joined to dim1 and dim2, with random local predicates (sometimes the
+/// correlated pair, sometimes a bound parameter marker), and either a
+/// GROUP BY with SUM/COUNT and HAVING or a projection, maybe DISTINCT.
+QuerySpec RandomStarQuery(Rng* rng);
+
+/// A random join-method set (never all disabled), spilling everywhere
+/// (mem_rows 64) 30% of the time.
+OptimizerConfig RandomOptimizerConfig(Rng* rng);
+
+/// Random checkpoint flavors, re-optimization budget, reuse and
+/// work-bound knobs.
+PopConfig RandomPopConfig(Rng* rng);
+
+/// One labeled query of the engine corpus.
+struct CorpusQuery {
+  std::string label;  ///< "tpch/q3", "tpch/q3m", "tpch/q10m_sel50", ...
+  const Catalog* catalog;
+  QuerySpec query;
+};
+
+/// The engine corpus: the TPC-H paper queries (scale 0.002) plain and with
+/// parameter markers ("m"), the marker Q10 selectivity sweep at 1, 10, 50
+/// and 90%, and the DMV workload (scale 0.05), in that order.
+struct EngineCorpus {
+  Catalog tpch;
+  Catalog dmv;
+  std::vector<CorpusQuery> queries;
+};
+Status BuildEngineCorpus(EngineCorpus* corpus);
+
+/// One in-process shard: its partition catalog, a QueryService (the
+/// NetServer requires one) and a loopback NetServer with the subplan
+/// backend.
+struct LoopbackShard {
+  LoopbackShard() = default;
+  LoopbackShard(const LoopbackShard&) = delete;
+  LoopbackShard& operator=(const LoopbackShard&) = delete;
+  ~LoopbackShard();
+
+  Catalog catalog;
+  TraceStore traces{64};
+  std::unique_ptr<QueryService> service;
+  std::unique_ptr<dist::ShardExecutor> executor;
+  std::unique_ptr<net::NetServer> server;
+};
+
+struct LoopbackClusterOptions {
+  int num_shards = 2;
+  /// NetServerConfig::subplan_stall_ms of every shard.
+  double stall_ms = 0.0;
+  /// ShardExecutorConfig::exec_batch_rows of every shard.
+  int64_t exec_batch_rows = kDefaultBatchRows;
+  /// The coordinator's POP configuration.
+  PopConfig pop;
+};
+
+/// A scatter-gather cluster on loopback: shard i serves partition i of
+/// `full` under `spec`, and a Coordinator over them plans against `full`.
+/// Start may be called again to restart with other options.
+struct LoopbackCluster {
+  Status Start(const Catalog& full, const dist::PartitionSpec& spec,
+               const LoopbackClusterOptions& options);
+
+  std::vector<std::unique_ptr<LoopbackShard>> shards;
+  std::unique_ptr<dist::Coordinator> coordinator;
+};
+
+/// Executes `query` by brute force (a nested-loop join binding one table at
+/// a time, probing rows hashed on a join key when the table joins one bound
+/// earlier, + predicate filtering + hash aggregation), independent of the
+/// optimizer and executor under test. Intended as the correctness oracle.
 std::vector<Row> ReferenceExecute(const Catalog& catalog,
                                   const QuerySpec& query);
 
