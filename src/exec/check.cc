@@ -14,6 +14,7 @@ ExecStatus CheckOp::OpenImpl(ExecContext* ctx) {
   count_ = 0;
   work_first_ = -1;
   event_recorded_ = false;
+  violated_ = false;
   if (spec_.enabled) {
     TRACE_INSTANT_ARG("checkpoint_armed", "exec", "edge_set",
                       spec_.edge_set);
@@ -45,6 +46,7 @@ ExecStatus CheckOp::Fire(ExecContext* ctx, bool exact) {
     // Observation mode: note the violation but keep executing.
     return ExecStatus::kRow;
   }
+  violated_ = true;
   ctx->reopt.triggered = true;
   ctx->reopt.edge_set = spec_.edge_set;
   ctx->reopt.observed_rows = count_;
@@ -53,6 +55,13 @@ ExecStatus CheckOp::Fire(ExecContext* ctx, bool exact) {
   ctx->reopt.check_lo = spec_.lo;
   ctx->reopt.check_hi = spec_.hi;
   return ExecStatus::kReoptimize;
+}
+
+void CheckOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
+  Operator::ReturnUnconsumed(ctx, unconsumed);
+  if (violated_) return;
+  count_ -= unconsumed;
+  child_->ReturnUnconsumed(ctx, unconsumed);
 }
 
 ExecStatus CheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {

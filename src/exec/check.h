@@ -31,6 +31,11 @@ class CheckOp : public Operator {
   std::vector<const Operator*> children() const override {
     return {child_.get()};
   }
+  /// Rows that passed the check leave its count and go back to the child
+  /// (a join above stopping with pulled rows still held). After an
+  /// enforced violation nothing goes back: the decision read every kept
+  /// row.
+  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
 
   int64_t count() const { return count_; }
 
@@ -43,6 +48,7 @@ class CheckOp : public Operator {
   int64_t count_ = 0;
   int64_t work_first_ = -1;
   bool event_recorded_ = false;
+  bool violated_ = false;  ///< An enforced violation ended the stream.
 };
 
 /// BUFCHECK (paper Figures 8 and 10): a CHECK fused with a bounded buffer,

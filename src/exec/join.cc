@@ -421,7 +421,8 @@ void HsjnOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
   if (!in_memory_mode_ || match_end_.empty()) return;
   // The probe row that produced the last kept output row stays consumed
   // (its remaining matches are what went back); every row after it goes
-  // back to the probe child.
+  // back to the probe child. The last entry then ends at the kept count,
+  // so a later hand-back from the same batch starts where this one ended.
   const int64_t kept = match_end_.back() - unconsumed;
   const int64_t last =
       kept <= 0 ? -1
@@ -429,10 +430,12 @@ void HsjnOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
                                    kept) -
                       match_end_.begin();
   const int64_t rest = static_cast<int64_t>(match_end_.size()) - last - 1;
-  if (rest <= 0) return;
-  ctx->work -= rest;
-  probe_->ReturnUnconsumed(ctx, rest);
+  if (rest > 0) {
+    ctx->work -= rest;
+    probe_->ReturnUnconsumed(ctx, rest);
+  }
   match_end_.resize(static_cast<size_t>(last + 1));
+  if (last >= 0) match_end_.back() = kept;
 }
 
 void HsjnOp::CloseImpl(ExecContext* ctx) {

@@ -252,7 +252,9 @@ class Operator {
   /// only consumed rows. SORT, TEMP, MVSCAN and TBSCAN, which charge work
   /// per row they read or serve, override this to un-charge those units
   /// and rewind; HSJN un-charges the probe rows it never needed and hands
-  /// them back to its probe child.
+  /// them back to its probe child; CHECK and CHECKM pass the rows on to
+  /// their child. Hand-backs compose: two calls take back what one call
+  /// with their sum takes back.
   virtual void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
     (void)ctx;
     rows_produced_ -= unconsumed;

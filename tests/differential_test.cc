@@ -1,11 +1,12 @@
 // One differential oracle over a crossed configuration lattice: dop
 // {1, 4} x batch_rows {1, 3, 1024, seeded random} x plan cache x
 // incremental memo x shards {0, 2} x writer. Each configuration is one
-// persistent world (feedback stores, plan caches, a morsel dispatcher,
-// loopback clusters) that replays the corpus for kPasses passes: the TPC-H
-// paper queries plain and with markers, the marker Q10 sweep, the DMV
-// workload plain and under the Fig. 14 observe-only ECB configuration, and
-// random star queries under random optimizer and POP configurations.
+// persistent world (feedback stores, plan caches, a morsel dispatcher with
+// a seeded morsel size, loopback clusters) that replays the corpus for
+// kPasses passes: the TPC-H paper queries plain and with markers, the
+// marker Q10 sweep, the DMV workload (scale 0.2) plain and under the
+// Fig. 14 observe-only ECB configuration, and random star queries under
+// random optimizer and POP configurations.
 //
 // Run i of a world must equal run i of the baseline world (dop 1, batch 1,
 // everything else off) in status, canonical rows, re-opts, plan texts per
@@ -53,7 +54,7 @@ constexpr int64_t kSideRows = 64;
 enum Axis { kDop, kBatch, kCache, kMemo, kShards, kWriter, kAxes };
 constexpr int kAxisValues[kAxes] = {2, 4, 2, 2, 2, 2};
 const int64_t kBatchRows[4] = {1, 3, kDefaultBatchRows,
-                               Rng(0x5eed1e55).UniformInt(2, 2048)};
+                               testing::kRandomBatchRows};
 
 /// One lattice point: the value index of every axis.
 struct Config {
@@ -61,14 +62,25 @@ struct Config {
   bool on(Axis a) const { return v[a] != 0; }
   int dop() const { return on(kDop) ? 4 : 1; }
   int64_t batch_rows() const { return kBatchRows[v[kBatch]]; }
+  /// Rows per morsel at dop 4, drawn from [16, 400] with the axis values
+  /// hashed into the seed, so the dop-4 worlds split tables at different
+  /// sizes (the sample's: 229, 341, 219 and 16).
+  int64_t morsel_rows() const {
+    uint64_t seed = 0x9e3779b9;
+    for (const int x : v) seed = Rng(seed + static_cast<uint64_t>(x)).NextU64();
+    return Rng(seed).UniformInt(16, 400);
+  }
   bool operator==(const Config&) const = default;
 };
 
 std::string Name(const Config& c) {
   const auto onoff = [&](Axis a) { return c.on(a) ? "on" : "off"; };
-  return StrFormat("dop=%d batch_rows=%lld cache=%s memo=%s shards=%d "
-                   "writer=%s",
-                   c.dop(), static_cast<long long>(c.batch_rows()),
+  const std::string dop =
+      c.on(kDop) ? StrFormat("dop=%d morsel_rows=%lld", c.dop(),
+                             static_cast<long long>(c.morsel_rows()))
+                 : "dop=1";
+  return StrFormat("%s batch_rows=%lld cache=%s memo=%s shards=%d writer=%s",
+                   dop.c_str(), static_cast<long long>(c.batch_rows()),
                    onoff(kCache), onoff(kMemo), c.on(kShards) ? 2 : 0,
                    onoff(kWriter));
 }
@@ -122,7 +134,8 @@ struct Corpus {
 const Corpus& GetCorpus() {
   static const Corpus* corpus = [] {
     auto* c = new Corpus();
-    POPDB_DCHECK(testing::BuildEngineCorpus(&c->engine).ok());
+    POPDB_DCHECK(testing::BuildEngineCorpus(/*dmv_scale=*/0.2, &c->engine)
+                     .ok());
     testing::BuildStarCatalog(&c->star);
     c->groups.resize(3);
     c->groups[0].catalog = &c->engine.tpch;
@@ -374,7 +387,7 @@ class World {
       ParallelPolicy policy;
       policy.batch_rows = config_.batch_rows();
       policy.dop = config_.dop();
-      policy.morsel_rows = 256;
+      policy.morsel_rows = config_.morsel_rows();
       policy.min_parallel_rows = 1;
       exec.set_parallel(dispatcher_.get(), policy);
       rows = exec.Execute(e.query, &stats);

@@ -3,12 +3,9 @@
 #include "core/pop.h"
 #include "dmv/dmv_gen.h"
 #include "dmv/dmv_queries.h"
-#include "tests/test_util.h"
 
 namespace popdb {
 namespace {
-
-using ::popdb::testing::Canonicalize;
 
 class DmvTest : public ::testing::Test {
  protected:
@@ -133,18 +130,6 @@ TEST_F(DmvTest, WorkloadIsDeterministic) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].ToString(), b[i].ToString());
-  }
-}
-
-TEST_F(DmvTest, PopMatchesStaticOnWorkloadSample) {
-  const std::vector<QuerySpec> workload = dmv::MakeWorkload();
-  for (size_t i = 0; i < workload.size(); i += 7) {
-    SCOPED_TRACE(workload[i].name());
-    ProgressiveExecutor exec(*catalog_, OptimizerConfig{}, PopConfig{});
-    Result<std::vector<Row>> s = exec.ExecuteStatic(workload[i]);
-    Result<std::vector<Row>> p = exec.Execute(workload[i]);
-    ASSERT_TRUE(s.ok() && p.ok());
-    EXPECT_EQ(Canonicalize(s.value()), Canonicalize(p.value()));
   }
 }
 

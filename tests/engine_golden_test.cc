@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/string_util.h"
 #include "core/pop.h"
 #include "tests/test_util.h"
@@ -525,7 +524,7 @@ class EngineGoldenTest : public ::testing::TestWithParam<int64_t> {
  protected:
   static void SetUpTestSuite() {
     corpus_ = new testing::EngineCorpus();
-    ASSERT_TRUE(testing::BuildEngineCorpus(corpus_).ok());
+    ASSERT_TRUE(testing::BuildEngineCorpus(/*dmv_scale=*/0.05, corpus_).ok());
   }
   static void TearDownTestSuite() {
     delete corpus_;
@@ -561,14 +560,12 @@ TEST_P(EngineGoldenTest, OutcomesArePinned) {
 
 /// One row, pathological small sizes that land CHECK thresholds
 /// mid-batch, the default, and a seeded random size.
-const int64_t kRandomBatchRows = Rng(0x5eed1e55).UniformInt(2, 2048);
-
 INSTANTIATE_TEST_SUITE_P(
     BatchSizes, EngineGoldenTest,
     ::testing::Values(int64_t{1}, int64_t{2}, int64_t{3}, int64_t{7},
-                      kDefaultBatchRows, kRandomBatchRows),
+                      kDefaultBatchRows, testing::kRandomBatchRows),
     [](const ::testing::TestParamInfo<int64_t>& info) {
-      return info.param == kRandomBatchRows
+      return info.param == testing::kRandomBatchRows
                  ? std::string("rowsRandom")
                  : "rows" + std::to_string(info.param);
     });

@@ -677,50 +677,105 @@ TEST_F(OperatorTest, BufCheckValveChargesTheSameWorkAtEveryBatchSize) {
 }
 
 TEST_F(OperatorTest, CheckOverJoinChargesTheSameWorkAtEveryBatchSize) {
-  // An enforced [0, 7.5] CHECK over a join of the 40-row scan fires at the
-  // 8th match, found while probing the 2nd scan row. HSJN returns every
-  // match of the probe rows the clamp let through and NLJN holds an outer
-  // batch of them; either way the scan rows after the 2nd were read and
-  // charged, and go back to the scan (HSJN at the violation, NLJN at
-  // Close), which un-reads them.
-  const std::vector<std::pair<const char*, std::function<std::unique_ptr<
-                                               Operator>()>>>
-      joins = {
-          {"hsjn",
-           [&] {
-             return std::make_unique<HsjnOp>(
-                 ScanLeft(), ScanRight(), std::vector<int>{0},
-                 std::vector<int>{0}, JoinMerge(), TableBit(0) | TableBit(1),
-                 CheckSpec{}, false);
-           }},
-          {"nljn",
-           [&] {
-             InnerAccess inner;
-             inner.table = &right_;
-             inner.table_id = 1;
-             inner.join_conds = {{0, 0}};
-             return std::make_unique<NljnOp>(ScanLeft(), std::move(inner),
-                                             JoinMerge(),
-                                             TableBit(0) | TableBit(1));
-           }},
-      };
-  for (const auto& [name, make_join] : joins) {
+  // An enforced CHECK over a join of the 40-row scan fires mid-batch. HSJN
+  // returns every match of the probe rows the clamp let through and NLJN
+  // holds an outer batch of them; either way scan rows were read and
+  // charged that batch size 1 never reads, and they go back to the scan
+  // (HSJN at the violation, NLJN at Close, through a passing CHECK), which
+  // un-reads them. [0, 7.5] over HSJN or NLJN fires at the 8th match,
+  // found while probing the 2nd scan row; [0, 11.5] over an NLJN whose
+  // outer is a passing CHECK over the HSJN fires at the NLJN's 12th row,
+  // found while probing its 3rd outer row, which the 1st scan row made.
+  const auto hsjn = [&] {
+    return std::make_unique<HsjnOp>(ScanLeft(), ScanRight(),
+                                    std::vector<int>{0}, std::vector<int>{0},
+                                    JoinMerge(), TableBit(0) | TableBit(1),
+                                    CheckSpec{}, false);
+  };
+  const auto nljn = [&](std::unique_ptr<Operator> outer, int inner_id) {
+    const std::vector<int> widths = {2, 2, 2};
+    const TableSet outer_set = outer->table_set();
+    InnerAccess inner;
+    inner.table = &right_;
+    inner.table_id = inner_id;
+    inner.join_conds = {{0, 0}};
+    return std::make_unique<NljnOp>(
+        std::move(outer), std::move(inner),
+        MergeSpec::Make(RowLayout(outer_set, widths),
+                        RowLayout(TableBit(inner_id), widths),
+                        RowLayout(outer_set | TableBit(inner_id), widths),
+                        widths),
+        outer_set | TableBit(inner_id));
+  };
+  struct Case {
+    const char* name;
+    double hi;
+    int64_t scan_rows;
+    std::function<std::unique_ptr<Operator>()> make;
+  };
+  const std::vector<Case> cases = {
+      {"hsjn", 7.5, 2, hsjn},
+      {"nljn", 7.5, 2, [&] { return nljn(ScanLeft(), 1); }},
+      {"nljn/check/hsjn", 11.5, 1,
+       [&] {
+         return nljn(std::make_unique<CheckOp>(hsjn(), MakeCheck(0, 1000)),
+                     2);
+       }},
+  };
+  for (const Case& c : cases) {
     int64_t work_at_one = -1;
     for (const int64_t batch_rows :
          {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      SCOPED_TRACE(std::string(name) +
+      SCOPED_TRACE(std::string(c.name) +
                    " batch_rows=" + std::to_string(batch_rows));
       ExecContext ctx;
       ctx.batch_rows = batch_rows;
-      CheckOp check(make_join(), MakeCheck(0, 7.5));
+      CheckOp check(c.make(), MakeCheck(0, c.hi));
       ExecStatus s;
-      EXPECT_EQ(7u, DrainBatches(&check, &ctx, &s).size());
+      EXPECT_EQ(static_cast<size_t>(c.hi),
+                DrainBatches(&check, &ctx, &s).size());
       EXPECT_EQ(ExecStatus::kReoptimize, s);
       ASSERT_EQ(1u, ctx.check_events.size());
-      EXPECT_EQ(8, ctx.check_events[0].count);
-      EXPECT_EQ(2, check.children()[0]->children()[0]->rows_produced());
+      EXPECT_EQ(static_cast<int64_t>(c.hi) + 1, ctx.check_events[0].count);
+      const Operator* scan = &check;
+      while (std::string(scan->name()) != "TBSCAN") {
+        scan = scan->children()[0];
+      }
+      EXPECT_EQ(c.scan_rows, scan->rows_produced());
       if (work_at_one < 0) work_at_one = ctx.work;
       EXPECT_EQ(work_at_one, ctx.work);
+    }
+  }
+}
+
+TEST_F(OperatorTest, HashJoinHandBacksComposeAcrossCalls) {
+  // Keeping 7 rows of the join and handing the rest back a row at a time,
+  // or all at once, leaves the probe scan where batch size 1 leaves it:
+  // each hand-back starts where the one before it ended.
+  int64_t work_at_one = -1;
+  for (const int64_t batch_rows : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
+    for (const bool one_at_a_time : {true, false}) {
+      SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows) +
+                   (one_at_a_time ? " one at a time" : " at once"));
+      ExecContext ctx;
+      ctx.batch_rows = batch_rows;
+      HsjnOp join(ScanLeft(), ScanRight(), {0}, {0}, JoinMerge(),
+                  TableBit(0) | TableBit(1), CheckSpec{}, false);
+      ASSERT_EQ(ExecStatus::kOk, join.Open(&ctx));
+      RowBatch batch;
+      int64_t pulled = 0;
+      while (pulled < 7) {
+        ASSERT_EQ(ExecStatus::kRow, join.NextBatch(&ctx, &batch));
+        pulled += batch.ActiveRows();
+      }
+      for (; pulled > 7; pulled = one_at_a_time ? pulled - 1 : 7) {
+        join.ReturnUnconsumed(&ctx, one_at_a_time ? 1 : pulled - 7);
+      }
+      EXPECT_EQ(7, join.rows_produced());
+      EXPECT_EQ(2, join.children()[0]->rows_produced());
+      if (work_at_one < 0) work_at_one = ctx.work;
+      EXPECT_EQ(work_at_one, ctx.work);
+      join.Close(&ctx);
     }
   }
 }

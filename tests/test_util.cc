@@ -199,13 +199,13 @@ PopConfig RandomPopConfig(Rng* rng) {
   return pop;
 }
 
-Status BuildEngineCorpus(EngineCorpus* c) {
+Status BuildEngineCorpus(double dmv_scale, EngineCorpus* c) {
   tpch::GenConfig tpch_gen;
   tpch_gen.scale = 0.002;
   Status s = tpch::BuildCatalog(tpch_gen, &c->tpch);
   if (!s.ok()) return s;
   dmv::GenConfig dmv_gen;
-  dmv_gen.scale = 0.05;
+  dmv_gen.scale = dmv_scale;
   s = dmv::BuildCatalog(dmv_gen, &c->dmv);
   if (!s.ok()) return s;
 

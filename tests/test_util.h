@@ -61,13 +61,20 @@ struct CorpusQuery {
 
 /// The engine corpus: the TPC-H paper queries (scale 0.002) plain and with
 /// parameter markers ("m"), the marker Q10 selectivity sweep at 1, 10, 50
-/// and 90%, and the DMV workload (scale 0.05), in that order.
+/// and 90%, and the DMV workload at `dmv_scale`, in that order. The golden
+/// table pins DMV at 0.05; the differential oracle replays it at 0.2,
+/// where most DMV tables span several execution batches.
 struct EngineCorpus {
   Catalog tpch;
   Catalog dmv;
   std::vector<CorpusQuery> queries;
 };
-Status BuildEngineCorpus(EngineCorpus* corpus);
+Status BuildEngineCorpus(double dmv_scale, EngineCorpus* corpus);
+
+/// A seeded random execution batch size from [2, 2048], replayed by the
+/// golden table and the differential oracle alike. Inline, so it is
+/// initialized before any variable defined after this header.
+inline const int64_t kRandomBatchRows = Rng(0x5eed1e55).UniformInt(2, 2048);
 
 /// One in-process shard: its partition catalog, a QueryService (the
 /// NetServer requires one) and a loopback NetServer with the subplan

