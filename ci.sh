@@ -12,9 +12,10 @@
 # UBSan build over the tracing/metrics/runtime/parallel/network/write/
 # storage/optimizer suites, then an AddressSanitizer build over the
 # optimizer's DP table (indexed by table-set bitmasks) and the
-# differential oracle's sample, and over the flat join kernels (CSR index spans,
+# differential oracle's sample, over the flat join kernels (CSR index spans,
 # hash-join chain arrays, column gathers) with their storage, operator,
-# write-path and batch-size tests.
+# write-path and batch-size tests, and over the shared row buffers of
+# reused intermediate results (POP, matview and extension tests).
 #
 # The release ctest runs everything including tests labeled "slow"
 # (parallel_stress_test, the differential oracle's full config lattice)
@@ -247,7 +248,8 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPOPDB_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
       --target enumerator_test differential_test storage_test \
-      operator_test txn_test observability_test net_test
+      operator_test txn_test observability_test net_test pop_test \
+      feedback_matview_test extensions_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/enumerator_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/differential_test \
     --gtest_filter='DifferentialSample*'
@@ -266,5 +268,13 @@ ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/txn_test
 # rendering it: a lifetime bug there is a use-after-free.
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/observability_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/net_test
+# A reused intermediate result is one row buffer owned jointly by the
+# operator that filled it, the matview registry, plan nodes, NLJN inners
+# and the indexes built over it: re-optimizations that reuse TEMP/SORT
+# results and hash-join builds, index a view, or compensate ECDC rows are
+# where a lifetime bug would read freed rows.
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/pop_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/feedback_matview_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/extensions_test
 
 echo "=== ci.sh: all stages passed ==="

@@ -207,7 +207,8 @@ Result<std::unique_ptr<Operator>> ExecutorBuilder::BuildNode(
     case PlanOpKind::kTemp: {
       Result<std::unique_ptr<Operator>> child = BuildNode(*node.children[0]);
       if (!child.ok()) return child.status();
-      op = std::make_unique<TempOp>(std::move(child.value()), node.set);
+      op = std::make_unique<SortOp>(std::move(child.value()),
+                                    std::vector<SortKey>{}, node.set);
       break;
     }
     case PlanOpKind::kAgg: {

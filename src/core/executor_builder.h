@@ -22,8 +22,8 @@ struct BuiltPlan {
   /// (subplan table set, operator) for every canonical-row operator.
   std::vector<std::pair<TableSet, Operator*>> edges;
   /// Hash indexes built on temporary materialized views for this plan
-  /// (the re-optimizer's "index the view before reuse" decision); owned
-  /// here because the views themselves live in the MatViewRegistry.
+  /// (the re-optimizer's "index the view before reuse" decision); they
+  /// index rows the plan's nodes share with the MatViewRegistry.
   std::vector<std::unique_ptr<HashIndex>> owned_indexes;
 };
 

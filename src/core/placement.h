@@ -77,18 +77,6 @@ struct PopConfig {
   ValidityConfig validity;
 };
 
-/// Count of checkpoints inserted per flavor.
-struct PlacementStats {
-  int lc = 0;
-  int lcem = 0;
-  int ecb = 0;
-  int ecwc = 0;
-  int ecdc = 0;
-  int work_bound = 0;
-
-  int total() const { return lc + lcem + ecb + ecwc + ecdc; }
-};
-
 /// Post-optimization pass inserting CHECK operators into a (private,
 /// mutable) plan per the paper's placement policy (Section 4):
 ///   - LC above every SORT/TEMP materialization point and on hash-join
@@ -100,7 +88,8 @@ struct PlacementStats {
 ///   - ECWC below materialization points;
 ///   - ECDC streaming checks in pipelined SPJ plans plus an INSERT(S)
 ///     row tracker at the top for deferred compensation.
-/// `query_is_spj` gates ECDC. Returns per-flavor insertion counts.
+/// `query_is_spj` (QuerySpec::pipelined) gates ECDC and the row tracker.
+/// Returns per-flavor insertion counts.
 PlacementStats PlaceCheckpoints(std::shared_ptr<PlanNode>* root,
                                 const PopConfig& config,
                                 const CostModel& cost_model,

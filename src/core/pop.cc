@@ -129,11 +129,13 @@ void ProgressiveExecutor::Harvest(const ExecContext& ctx,
   TRACE_SPAN("harvest_feedback", "pop");
   // Materialized intermediate rows become temporary MVs when complete and
   // reuse is on (Section 2.3; the prototype reuses TEMP and SORT results).
+  // A view shares its operator's row buffer: nothing is copied.
   for (Operator* op : ctx.materializers) {
     HarvestedResult info;
     if (!op->HarvestInfo(&info)) continue;
     if (info.complete && pop_config_.reuse_matviews && info.rows != nullptr) {
-      matviews_.Register(info.table_set, *info.rows, info.sorted_positions);
+      matviews_.Register(info.table_set, std::move(info.rows),
+                         std::move(info.sorted_positions));
       TRACE_INSTANT_ARG("matview_registered", "pop", "rows", info.count);
       if (stats != nullptr) stats->mv_rows_harvested += info.count;
     }
@@ -167,7 +169,7 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
       pop_enabled && pop_config_.incremental_reopt ? &memo_ : nullptr;
 
   const CostModel cost_model(optimizer_.config().cost);
-  const bool query_is_spj = !query.has_aggregation();
+  const bool query_is_spj = query.pipelined();
   const int max_attempts = pop_enabled ? pop_config_.max_reopts + 1 : 1;
 
   // Plan-cache inputs for attempt 0 (re-optimization attempts carry
@@ -252,12 +254,7 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
           // the placement pass reduce to one clone.
           root = cached.placed_plan->Clone();
           placement_from_cache = true;
-          info.checks.lc = cached.placed_checks.lc;
-          info.checks.lcem = cached.placed_checks.lcem;
-          info.checks.ecb = cached.placed_checks.ecb;
-          info.checks.ecwc = cached.placed_checks.ecwc;
-          info.checks.ecdc = cached.placed_checks.ecdc;
-          info.checks.work_bound = cached.placed_checks.work_bound;
+          info.checks = cached.placed_checks;
         } else {
           // The skeleton (with its validity ranges) is exactly what a
           // fresh optimization would produce; clone it and skip DP
@@ -306,17 +303,10 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
         // Placement is deterministic given the skeleton and the placement
         // knobs (both pinned by the cache key), so attach the placed plan
         // to the entry: the next identical submission skips this pass too.
-        PlacedCheckCounts counts;
-        counts.lc = info.checks.lc;
-        counts.lcem = info.checks.lcem;
-        counts.ecb = info.checks.ecb;
-        counts.ecwc = info.checks.ecwc;
-        counts.ecdc = info.checks.ecdc;
-        counts.work_bound = info.checks.work_bound;
         plan_cache_->InstallPlacement(cache_key, root->Clone(),
                                       cache_external_epoch,
                                       cache_catalog_version, cache_digest,
-                                      counts);
+                                      info.checks);
       }
     }
     if (!returned_so_far.empty()) {

@@ -300,7 +300,7 @@ Result<std::vector<Row>> Coordinator::Execute(const QuerySpec& query,
       // scaled to one shard's share, so these CHECKs guard per-shard
       // cardinalities.
       info.checks = PlaceCheckpoints(&split.fragment, config_.pop,
-                                     cost_model, !query.has_aggregation());
+                                     cost_model, query.pipelined());
     }
     info.plan_text = split.fragment->ToString();
     info.optimize_ms = NowMs() - opt_start;

@@ -1,5 +1,6 @@
 #include "exec/check.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -22,39 +23,15 @@ ExecStatus CheckOp::OpenImpl(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-void CheckOp::RecordEvent(ExecContext* ctx, bool fired) {
-  if (event_recorded_) return;
+bool CheckOp::Decide(ExecContext* ctx, bool fired, bool exact) {
+  if (event_recorded_) return false;
   event_recorded_ = true;
-  CheckEvent ev;
-  ev.edge_set = spec_.edge_set;
-  ev.flavor = spec_.flavor;
-  ev.site = spec_.flavor == CheckFlavor::kEagerBuffered
-                ? CheckSite::kNljnOuter
-                : CheckSite::kPipeline;
-  ev.work_first = work_first_;
-  ev.work_eval = ctx->work;
-  ev.count = count_;
-  ev.fired = fired;
-  ctx->check_events.push_back(ev);
-  TRACE_INSTANT_ARG(ev.fired ? "checkpoint_fired" : "checkpoint_evaluated",
-                    "exec", "count", ev.count);
-}
-
-ExecStatus CheckOp::Fire(ExecContext* ctx, bool exact) {
-  RecordEvent(ctx, /*fired=*/true);
-  if (spec_.observe_only) {
-    // Observation mode: note the violation but keep executing.
-    return ExecStatus::kRow;
-  }
-  violated_ = true;
-  ctx->reopt.triggered = true;
-  ctx->reopt.edge_set = spec_.edge_set;
-  ctx->reopt.observed_rows = count_;
-  ctx->reopt.exact = exact;
-  ctx->reopt.flavor = spec_.flavor;
-  ctx->reopt.check_lo = spec_.lo;
-  ctx->reopt.check_hi = spec_.hi;
-  return ExecStatus::kReoptimize;
+  violated_ = spec_.Decide(ctx,
+                           spec_.flavor == CheckFlavor::kEagerBuffered
+                               ? CheckSite::kNljnOuter
+                               : CheckSite::kPipeline,
+                           work_first_, count_, fired, exact);
+  return violated_;
 }
 
 void CheckOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
@@ -66,57 +43,43 @@ void CheckOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
 
 ExecStatus CheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // For an enforced upper bound, clamp the child's batch target to the
-  // rows remaining before the violation threshold (count > hi first holds
-  // at floor(hi) + 1): the child never produces past the violating row, so
-  // a violation lands on the final row of the pulled batch and no
-  // consumed-but-unemitted rows exist. Observation mode and pure lower
-  // bounds never truncate, so they pass full batches through unclamped.
+  // rows remaining before the violation threshold: the child never
+  // produces past the violating row, so a violation lands on the final row
+  // of the pulled batch and no consumed-but-unemitted rows exist.
+  // Observation mode and pure lower bounds never truncate, so they pass
+  // full batches through unclamped.
   const bool enforced_hi =
       spec_.enabled && !spec_.observe_only &&
       spec_.hi != std::numeric_limits<double>::infinity();
   const int64_t full_target = ctx->batch_rows;
-  if (enforced_hi) {
-    const double remaining =
-        std::floor(spec_.hi) + 1.0 - static_cast<double>(count_);
-    if (remaining < static_cast<double>(full_target)) {
-      ctx->batch_rows =
-          remaining > 1.0 ? static_cast<int64_t>(remaining) : 1;
-    }
-  }
+  if (enforced_hi) ctx->batch_rows = spec_.ClampTarget(count_, full_target);
   const ExecStatus s = child_->NextBatch(ctx, out);
   ctx->batch_rows = full_target;
   if (s == ExecStatus::kRow) {
     const int64_t n = out->ActiveRows();
     if (count_ == 0 && n > 0) work_first_ = ctx->work;
     const int64_t before = count_;
-    if (spec_.enabled && static_cast<double>(before + n) > spec_.hi) {
+    const int64_t keep = spec_.enabled ? spec_.ViolatingRow(before, n) : -1;
+    if (keep >= 0) {
       // Fire on the first row that pushes the count past hi, emitting only
-      // the rows before it: keep that prefix and report the count through
-      // the violating row. With the clamp above an enforced violation is
-      // the batch's final row (keep == n - 1) unless the child returned
-      // more than its target (a hash join's matches); those rows go back.
-      int64_t keep = static_cast<int64_t>(std::floor(spec_.hi)) - before;
-      if (keep < 0) keep = 0;
-      if (keep > n - 1) keep = n - 1;
+      // the rows before it, and report the count through the violating
+      // row. With the clamp above an enforced violation is the batch's
+      // final row (keep == n - 1) unless the child returned more than its
+      // target (a hash join's matches); those rows go back. In observation
+      // mode the event is recorded and the full batch streams on.
       count_ = before + keep + 1;
-      const ExecStatus fired = Fire(ctx, /*exact=*/false);
-      if (fired == ExecStatus::kReoptimize) {
-        if (n - keep - 1 > 0) child_->ReturnUnconsumed(ctx, n - keep - 1);
+      if (Decide(ctx, /*fired=*/true, /*exact=*/false)) {
+        child_->ReturnUnconsumed(ctx, n - keep - 1);
         out->TruncateActive(keep);
         return FlushOrStatus(out, ExecStatus::kReoptimize);
       }
-      // Observation mode: the event is recorded; the full batch streams on.
     }
     count_ = before + n;
     return ExecStatus::kRow;
   }
-  if (s == ExecStatus::kEof) {
-    if (spec_.enabled && static_cast<double>(count_) < spec_.lo) {
-      const ExecStatus fired = Fire(ctx, /*exact=*/true);
-      if (fired == ExecStatus::kReoptimize) return fired;
-    } else if (spec_.enabled) {
-      RecordEvent(ctx, /*fired=*/false);
-    }
+  if (s == ExecStatus::kEof && spec_.enabled &&
+      Decide(ctx, static_cast<double>(count_) < spec_.lo, /*exact=*/true)) {
+    return ExecStatus::kReoptimize;
   }
   return s;
 }
@@ -124,36 +87,11 @@ ExecStatus CheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
 BufCheckOp::BufCheckOp(std::unique_ptr<Operator> child, CheckSpec spec)
     : Operator(child->table_set()), child_(std::move(child)), spec_(spec) {}
 
-void BufCheckOp::RecordEvent(ExecContext* ctx, bool fired) {
-  if (event_recorded_) return;
+bool BufCheckOp::Decide(ExecContext* ctx, bool fired, bool exact) {
+  if (event_recorded_) return false;
   event_recorded_ = true;
-  CheckEvent ev;
-  ev.edge_set = spec_.edge_set;
-  ev.flavor = spec_.flavor;
-  ev.site = CheckSite::kNljnOuter;
-  ev.work_first = work_first_;
-  ev.work_eval = ctx->work;
-  ev.count = count_;
-  ev.fired = fired;
-  ctx->check_events.push_back(ev);
-  TRACE_INSTANT_ARG(ev.fired ? "checkpoint_fired" : "checkpoint_evaluated",
-                    "exec", "count", ev.count);
-}
-
-ExecStatus BufCheckOp::Fire(ExecContext* ctx, bool exact) {
-  RecordEvent(ctx, /*fired=*/true);
-  if (spec_.observe_only) {
-    decided_ = true;  // Keep streaming in observation mode.
-    return ExecStatus::kOk;
-  }
-  ctx->reopt.triggered = true;
-  ctx->reopt.edge_set = spec_.edge_set;
-  ctx->reopt.observed_rows = count_;
-  ctx->reopt.exact = exact;
-  ctx->reopt.flavor = spec_.flavor;
-  ctx->reopt.check_lo = spec_.lo;
-  ctx->reopt.check_hi = spec_.hi;
-  return ExecStatus::kReoptimize;
+  return spec_.Decide(ctx, CheckSite::kNljnOuter, work_first_, count_, fired,
+                      exact);
 }
 
 ExecStatus BufCheckOp::OpenImpl(ExecContext* ctx) {
@@ -185,22 +123,16 @@ ExecStatus BufCheckOp::OpenImpl(ExecContext* ctx) {
   const int64_t full_target = ctx->batch_rows;
   RowBatch b;
   while (!decided_) {
-    const double stop =
-        (finite_hi ? std::floor(spec_.hi) + 1.0 : spec_.lo) -
-        static_cast<double>(count_);
-    ctx->batch_rows = stop < static_cast<double>(full_target)
-                          ? (stop > 1.0 ? static_cast<int64_t>(stop) : 1)
-                          : full_target;
+    ctx->batch_rows = spec_.ClampTarget(count_, full_target);
     const ExecStatus cs = child_->NextBatch(ctx, &b);
     ctx->batch_rows = full_target;
     if (cs == ExecStatus::kEof) {
       child_eof_ = true;
-      if (static_cast<double>(count_) < spec_.lo) {
-        const ExecStatus fired = Fire(ctx, /*exact=*/true);
-        if (fired == ExecStatus::kReoptimize) return fired;
+      if (Decide(ctx, static_cast<double>(count_) < spec_.lo,
+                 /*exact=*/true)) {
+        return ExecStatus::kReoptimize;
       }
       decided_ = true;
-      RecordEvent(ctx, /*fired=*/false);
       break;
     }
     if (cs != ExecStatus::kRow) return cs;
@@ -209,28 +141,26 @@ ExecStatus BufCheckOp::OpenImpl(ExecContext* ctx) {
     const int64_t before = count_;
     // Rows through the decision row, when this batch decides.
     int64_t decided_at = n;
-    if (static_cast<double>(before + n) > spec_.hi) {
+    const int64_t keep = spec_.ViolatingRow(before, n);
+    if (keep >= 0) {
       // Cut short at the first row past hi: the count through it is a
-      // lower bound, and nothing was emitted yet.
-      int64_t keep = static_cast<int64_t>(std::floor(spec_.hi)) - before;
-      if (keep < 0) keep = 0;
-      if (keep > n - 1) keep = n - 1;
+      // lower bound, and nothing was emitted yet. Observation mode records
+      // the event and streams on.
       count_ = before + keep + 1;
-      if (!spec_.observe_only) {
-        if (n - keep - 1 > 0) child_->ReturnUnconsumed(ctx, n - keep - 1);
-        return Fire(ctx, /*exact=*/false);
+      if (!spec_.observe_only) child_->ReturnUnconsumed(ctx, n - keep - 1);
+      if (Decide(ctx, /*fired=*/true, /*exact=*/false)) {
+        return ExecStatus::kReoptimize;
       }
-      Fire(ctx, /*exact=*/false);  // Observation mode: record, stream on.
+      decided_ = true;
       decided_at = keep + 1;
     } else if (!finite_hi && static_cast<double>(before + n) >= spec_.lo) {
       // [lo, inf): success is certain at the first row reaching lo;
       // release the valve there.
-      decided_at = static_cast<int64_t>(std::ceil(spec_.lo)) - before;
-      if (decided_at < 1) decided_at = 1;
-      if (decided_at > n) decided_at = n;
+      decided_at = std::clamp<int64_t>(
+          static_cast<int64_t>(std::ceil(spec_.lo)) - before, 1, n);
       count_ = before + decided_at;
       decided_ = true;
-      RecordEvent(ctx, /*fired=*/false);
+      Decide(ctx, /*fired=*/false, /*exact=*/false);
     }
     // Rows past the decision row count like pass-through rows.
     count_ = before + n;
@@ -268,16 +198,17 @@ bool BufCheckOp::HarvestInfo(HarvestedResult* out) const {
   // it may hold only a prefix of the stream.
   out->complete = child_eof_ || eof_seen();
   out->count = count_;
-  out->rows = nullptr;
   return true;
 }
 
 WorkBoundOp::WorkBoundOp(std::unique_ptr<Operator> child, double work_budget,
                          TableSet edge_set)
-    : Operator(child->table_set()),
-      child_(std::move(child)),
-      work_budget_(work_budget),
-      edge_set_(edge_set) {}
+    : Operator(child->table_set()), child_(std::move(child)) {
+  bound_.enabled = true;
+  bound_.hi = work_budget;
+  bound_.flavor = CheckFlavor::kWorkBound;
+  bound_.edge_set = edge_set;
+}
 
 ExecStatus WorkBoundOp::OpenImpl(ExecContext* ctx) {
   count_ = 0;
@@ -296,18 +227,12 @@ ExecStatus WorkBoundOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     held_pos_ = 0;
   }
   ++count_;
-  if (static_cast<double>(ctx->work) > work_budget_) {
+  if (static_cast<double>(ctx->work) > bound_.hi) {
     // The violating row stays consumed; rows after it were never reached.
     const int64_t rest = held_.ActiveRows() - held_pos_ - 1;
-    if (rest > 0) child_->ReturnUnconsumed(ctx, rest);
+    child_->ReturnUnconsumed(ctx, rest);
     held_pos_ = held_.ActiveRows();
-    ctx->reopt.triggered = true;
-    ctx->reopt.edge_set = edge_set_;
-    ctx->reopt.observed_rows = count_;
-    ctx->reopt.exact = false;
-    ctx->reopt.flavor = CheckFlavor::kWorkBound;
-    ctx->reopt.check_lo = 0;
-    ctx->reopt.check_hi = work_budget_;
+    bound_.Raise(ctx, count_, /*exact=*/false);
     return ExecStatus::kReoptimize;
   }
   const int width = held_.width();
@@ -330,34 +255,12 @@ ExecStatus CheckMaterializedOp::OpenImpl(ExecContext* ctx) {
   HarvestedResult info;
   const bool has_info = child_->HarvestInfo(&info);
   POPDB_DCHECK(has_info && info.complete);
-  if (spec_.enabled) {
-    const double card = static_cast<double>(info.count);
-    const bool violated = card < spec_.lo || card > spec_.hi;
-    CheckEvent ev;
-    ev.edge_set = spec_.edge_set;
-    ev.flavor = spec_.flavor;
-    ev.site = spec_.flavor == CheckFlavor::kLazyEagerMat
-                  ? CheckSite::kNljnOuter
-                  : CheckSite::kMatPoint;
-    ev.work_first = ctx->work;
-    ev.work_eval = ctx->work;
-    ev.count = info.count;
-    ev.fired = violated;
-    ctx->check_events.push_back(ev);
-    TRACE_INSTANT_ARG(ev.fired ? "checkpoint_fired" : "checkpoint_evaluated",
-                      "exec", "count", ev.count);
-    if (violated && !spec_.observe_only) {
-      ctx->reopt.triggered = true;
-      ctx->reopt.edge_set = spec_.edge_set;
-      ctx->reopt.observed_rows = info.count;
-      ctx->reopt.exact = true;  // Materialization completed: exact count.
-      ctx->reopt.flavor = spec_.flavor;
-      ctx->reopt.check_lo = spec_.lo;
-      ctx->reopt.check_hi = spec_.hi;
-      return ExecStatus::kReoptimize;
-    }
-  }
-  return ExecStatus::kOk;
+  const CheckSite site = spec_.flavor == CheckFlavor::kLazyEagerMat
+                             ? CheckSite::kNljnOuter
+                             : CheckSite::kMatPoint;
+  return spec_.DecideMaterialized(ctx, site, info.count)
+             ? ExecStatus::kReoptimize
+             : ExecStatus::kOk;
 }
 
 ExecStatus RidTrackOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {

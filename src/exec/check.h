@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/join.h"
 #include "exec/operator.h"
 
 namespace popdb {
@@ -40,8 +39,9 @@ class CheckOp : public Operator {
   int64_t count() const { return count_; }
 
  private:
-  ExecStatus Fire(ExecContext* ctx, bool exact);
-  void RecordEvent(ExecContext* ctx, bool fired);
+  /// Records this checkpoint's one evaluation (CheckSpec::Decide); true
+  /// when an enforced violation ends the stream.
+  bool Decide(ExecContext* ctx, bool fired, bool exact);
 
   std::unique_ptr<Operator> child_;
   CheckSpec spec_;
@@ -83,8 +83,9 @@ class BufCheckOp : public Operator {
   int64_t count() const { return count_; }
 
  private:
-  ExecStatus Fire(ExecContext* ctx, bool exact);
-  void RecordEvent(ExecContext* ctx, bool fired);
+  /// Records this checkpoint's one evaluation (CheckSpec::Decide); true
+  /// when an enforced violation ends the stream.
+  bool Decide(ExecContext* ctx, bool fired, bool exact);
 
   std::unique_ptr<Operator> child_;
   CheckSpec spec_;
@@ -124,8 +125,9 @@ class WorkBoundOp : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  double work_budget_;
-  TableSet edge_set_;
+  /// The budget as the range [0, work_budget] of a WORKBOUND check on the
+  /// guarded edge; fills the re-optimization signal when exceeded.
+  CheckSpec bound_;
   int64_t count_ = 0;
   RowBatch held_;  ///< Child batch being served row by row.
   int64_t held_pos_ = 0;

@@ -163,7 +163,7 @@ void NljnOp::CloseImpl(ExecContext* ctx) {
   if (outer_batch_valid_) {
     const int64_t rest =
         outer_batch_.ActiveRows() - outer_idx_ - (probing_ ? 1 : 0);
-    if (rest > 0) outer_->ReturnUnconsumed(ctx, rest);
+    outer_->ReturnUnconsumed(ctx, rest);
     outer_batch_valid_ = false;
   }
   outer_->Close(ctx);
@@ -268,43 +268,23 @@ ExecStatus HsjnOp::OpenImpl(ExecContext* ctx) {
   ctx->materializers.push_back(this);
   ExecStatus s = build_->Open(ctx);
   if (s != ExecStatus::kOk) return s;
-  s = DrainChildRows(build_.get(), ctx, &build_rows_);
+  std::vector<Row> rows;
+  s = DrainChildRows(build_.get(), ctx, &rows);
+  build_count_ = static_cast<int64_t>(rows.size());
   if (s != ExecStatus::kEof) return s;
   build_->Close(ctx);
-  build_complete_ = true;
+  build_rows_ = std::make_shared<const std::vector<Row>>(std::move(rows));
 
-  if (build_check_.enabled) {
-    const double card = static_cast<double>(build_rows_.size());
-    const bool violated = card < build_check_.lo || card > build_check_.hi;
-    CheckEvent ev;
-    ev.edge_set = build_check_.edge_set;
-    ev.flavor = build_check_.flavor;
-    ev.site = CheckSite::kHsjnBuild;
-    ev.work_first = ctx->work;
-    ev.work_eval = ctx->work;
-    ev.count = static_cast<int64_t>(build_rows_.size());
-    ev.fired = violated;
-    ctx->check_events.push_back(ev);
-    TRACE_INSTANT_ARG(ev.fired ? "checkpoint_fired" : "checkpoint_evaluated",
-                      "exec", "count", ev.count);
-    if (violated && !build_check_.observe_only) {
-      ctx->reopt.triggered = true;
-      ctx->reopt.edge_set = build_check_.edge_set;
-      ctx->reopt.observed_rows = static_cast<int64_t>(build_rows_.size());
-      ctx->reopt.exact = true;
-      ctx->reopt.flavor = build_check_.flavor;
-      ctx->reopt.check_lo = build_check_.lo;
-      ctx->reopt.check_hi = build_check_.hi;
-      return ExecStatus::kReoptimize;
-    }
+  if (build_check_.DecideMaterialized(ctx, CheckSite::kHsjnBuild,
+                                      build_count_)) {
+    return ExecStatus::kReoptimize;
   }
 
-  if (static_cast<int64_t>(build_rows_.size()) <= ctx->mem_rows) {
+  if (build_count_ <= ctx->mem_rows) {
     // Streaming in-memory mode.
     in_memory_mode_ = true;
-    const bool parallel = static_cast<int64_t>(build_rows_.size()) >=
-                          kMinParallelBuildRows;
-    BuildTable(ctx, build_rows_, parallel ? std::max(1, ctx->dop) : 1,
+    const bool parallel = build_count_ >= kMinParallelBuildRows;
+    BuildTable(ctx, *build_rows_, parallel ? std::max(1, ctx->dop) : 1,
                &table_);
     return probe_->Open(ctx);
   }
@@ -318,8 +298,8 @@ ExecStatus HsjnOp::OpenImpl(ExecContext* ctx) {
   s = DrainChildRows(probe_.get(), ctx, &probe_rows);
   if (s != ExecStatus::kEof) return s;
   probe_->Close(ctx);
-  // Join from a copy so build_rows_ stays harvestable.
-  std::vector<Row> build_copy = build_rows_;
+  // Partitioning moves rows: join from a private copy of the build.
+  std::vector<Row> build_copy = *build_rows_;
   return Join(ctx, &build_copy, &probe_rows, 0);
 }
 
@@ -386,6 +366,7 @@ ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // from the probe batch and the build rows once the batch is probed (or
   // on cancel), so no match is materialized row-major.
   out->Reset(static_cast<int>(merge_.sources.size()));
+  const std::vector<Row>& build = *build_rows_;
   while (true) {
     const ExecStatus s = probe_->NextBatch(ctx, &probe_batch_);
     if (s != ExecStatus::kRow) return s;
@@ -404,10 +385,10 @@ ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       };
       const size_t h = HashKey(probe_keys_.size(), probe_at);
       uint32_t cursor = table_.First(h);
-      for (uint32_t b = NextMatch(table_, build_rows_, h, probe_at, &cursor);
+      for (uint32_t b = NextMatch(table_, build, h, probe_at, &cursor);
            b != HashTable::kEnd;
-           b = NextMatch(table_, build_rows_, h, probe_at, &cursor)) {
-        pending_.Add(raw, &build_rows_[b]);
+           b = NextMatch(table_, build, h, probe_at, &cursor)) {
+        pending_.Add(raw, &build[b]);
       }
       match_end_.push_back(static_cast<int64_t>(pending_.size()));
     }
@@ -430,10 +411,8 @@ void HsjnOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
                                    kept) -
                       match_end_.begin();
   const int64_t rest = static_cast<int64_t>(match_end_.size()) - last - 1;
-  if (rest > 0) {
-    ctx->work -= rest;
-    probe_->ReturnUnconsumed(ctx, rest);
-  }
+  ctx->work -= rest;
+  probe_->ReturnUnconsumed(ctx, rest);
   match_end_.resize(static_cast<size_t>(last + 1));
   if (last >= 0) match_end_.back() = kept;
 }
@@ -445,9 +424,9 @@ void HsjnOp::CloseImpl(ExecContext* ctx) {
 
 bool HsjnOp::HarvestInfo(HarvestedResult* out) const {
   out->table_set = build_->table_set();
-  out->complete = build_complete_;
-  out->count = static_cast<int64_t>(build_rows_.size());
-  out->rows = offer_build_for_reuse_ ? &build_rows_ : nullptr;
+  out->complete = build_rows_ != nullptr;
+  out->count = build_count_;
+  out->rows = offer_build_for_reuse_ ? build_rows_ : nullptr;
   return true;
 }
 
@@ -510,7 +489,6 @@ ExecStatus MgjnOp::Advance(ExecContext* ctx, Input* in, RowBatch* out) {
 void MgjnOp::ReturnHeldRows(ExecContext* ctx, Input* in) {
   if (!in->valid) return;
   const int64_t rest = in->batch.ActiveRows() - in->idx - 1;
-  if (rest <= 0) return;
   in->op->ReturnUnconsumed(ctx, rest);
   in->batch.TruncateActive(in->idx + 1);
 }

@@ -13,20 +13,6 @@
 
 namespace popdb {
 
-/// Check condition evaluated against a materialized cardinality (used for
-/// the optional lazy check on a hash-join build, and by the CHECK
-/// operators in check.h).
-struct CheckSpec {
-  bool enabled = false;
-  double lo = 0.0;
-  double hi = 0.0;
-  CheckFlavor flavor = CheckFlavor::kLazy;
-  TableSet edge_set = 0;
-  /// Record a CheckEvent but never trigger re-optimization (used by the
-  /// opportunity-analysis experiments, Figure 14).
-  bool observe_only = false;
-};
-
 /// Describes how a nested-loop join accesses its inner table. The inner of
 /// an NLJN is always a base-table (or materialized-view) access path, as
 /// produced by the Selinger-style enumerator; when `index` is set, the
@@ -38,7 +24,7 @@ struct InnerAccess {
   /// tests); the builder passes the query's shared snapshot.
   TableSnapshot snapshot;
   /// For a matview inner, rows come from here instead of `table`.
-  const std::vector<Row>* mv_rows = nullptr;
+  SharedRows mv_rows;
   int table_id = -1;
   std::vector<ResolvedPredicate> local_preds;  ///< Positions in inner row.
 
@@ -193,12 +179,14 @@ class HsjnOp : public Operator {
   CheckSpec build_check_;
   bool offer_build_for_reuse_;
 
-  std::vector<Row> build_rows_;  ///< Kept alive for harvesting.
-  bool build_complete_ = false;
+  /// The completed build (null until the drain completes), kept for
+  /// harvesting; `build_count_` counts the rows drained so far.
+  SharedRows build_rows_;
+  int64_t build_count_ = 0;
   std::vector<Row> output_;  ///< Joined rows (spill mode, computed in Open).
   size_t next_out_ = 0;
   bool in_memory_mode_ = false;
-  HashTable table_;  ///< Streaming (in-memory) mode: over build_rows_.
+  HashTable table_;  ///< Streaming (in-memory) mode: over *build_rows_.
   RowBatch probe_batch_;
   /// Output rows of the last returned batch through each probed row of
   /// `probe_batch_` (running count, one entry per probed row).

@@ -81,15 +81,68 @@ struct CheckEvent {
   bool fired = false;
 };
 
+struct ExecContext;
+
+/// Check condition evaluated against a row count: the CHECK operators
+/// (check.h) and the optional lazy check on a hash-join build. One
+/// evaluation is recorded per checkpoint; the helpers below are the one
+/// place that records it and raises the re-optimization signal.
+struct CheckSpec {
+  bool enabled = false;
+  double lo = 0.0;
+  double hi = 0.0;
+  CheckFlavor flavor = CheckFlavor::kLazy;
+  TableSet edge_set = 0;
+  /// Record a CheckEvent but never trigger re-optimization (used by the
+  /// opportunity-analysis experiments, Figure 14).
+  bool observe_only = false;
+
+  /// Records one evaluation at `site` over `count` rows as a CheckEvent
+  /// (`work_first`: ExecContext::work when the first row arrived) with its
+  /// checkpoint_fired / checkpoint_evaluated trace instant. When it
+  /// `fired` and is enforced, raises the re-optimization signal with
+  /// `count` observed rows and returns true: the caller stops with
+  /// kReoptimize.
+  bool Decide(ExecContext* ctx, CheckSite site, int64_t work_first,
+              int64_t count, bool fired, bool exact) const;
+
+  /// The lazy check on a completed materialization of `count` rows (CHECKM
+  /// above SORT/TEMP, HSJN's build check): evaluated once, with an exact
+  /// count. Returns true when the caller must stop with kReoptimize.
+  bool DecideMaterialized(ExecContext* ctx, CheckSite site,
+                          int64_t count) const;
+
+  /// Fills ExecContext::reopt: this spec's edge, flavor and range, and
+  /// `observed` rows (`exact` when the count is the full cardinality).
+  void Raise(ExecContext* ctx, int64_t observed, bool exact) const;
+
+  /// Batch target for the child of a streaming check that has passed
+  /// `count` rows: the rows left before the next decision point (the
+  /// violation threshold floor(hi) + 1 for a finite upper bound, else the
+  /// release count lo), at least 1 and at most `full`. The decision then
+  /// falls on the last row of a pulled batch.
+  int64_t ClampTarget(int64_t count, int64_t full) const;
+
+  /// Index in an `n`-row batch, arriving after `before` rows, of the first
+  /// row that pushes the count past hi (so the rows kept before it), or -1
+  /// when the batch stays within hi.
+  int64_t ViolatingRow(int64_t before, int64_t n) const;
+};
+
+/// One completed materialization: the immutable row buffer a SORT, TEMP
+/// or hash-join build fills during Open. The producing operator, the
+/// temporary-MV registry, plan nodes, MVSCAN and NLJN inners share it, so
+/// reusing a result copies no row and it lives as long as its last reader.
+using SharedRows = std::shared_ptr<const std::vector<Row>>;
+
 /// A materialized intermediate result offered for reuse after a CHECK
-/// fires (paper Section 2.3). `rows` points into the producing operator and
-/// is only valid until the operator tree is destroyed; the re-optimization
-/// controller copies what it keeps.
+/// fires (paper Section 2.3).
 struct HarvestedResult {
   TableSet table_set = 0;
   bool complete = false;  ///< True if materialization finished (exact card).
   int64_t count = 0;
-  const std::vector<Row>* rows = nullptr;  ///< Null if reuse is disabled.
+  /// The completed buffer; null while incomplete or when reuse is off.
+  SharedRows rows;
   /// Canonical-layout positions the rows are sorted on (empty if unsorted);
   /// lets a re-optimized merge join skip re-sorting the reused view.
   std::vector<int> sorted_positions;
@@ -249,12 +302,17 @@ class Operator {
   /// firing mid-batch, or a join stopping with input rows still held (MGJN
   /// at EOF of its other input, MGJN and NLJN at Close after an abort). The
   /// produced-row count drops by `unconsumed`, so harvested feedback counts
-  /// only consumed rows. SORT, TEMP, MVSCAN and TBSCAN, which charge work
-  /// per row they read or serve, override this to un-charge those units
-  /// and rewind; HSJN un-charges the probe rows it never needed and hands
-  /// them back to its probe child; CHECK and CHECKM pass the rows on to
-  /// their child. Hand-backs compose: two calls take back what one call
-  /// with their sum takes back.
+  /// only consumed rows. SORT, TEMP and MVSCAN share one override
+  /// (RowBufferOp) that un-charges the served rows and rewinds; TBSCAN
+  /// rewinds by rid, un-charging every row it read after the last kept
+  /// one; HSJN un-charges the probe rows it never needed and hands them
+  /// back to its probe child; CHECK (until it fires) and CHECKM pass the
+  /// rows on to their child. Hand-backs compose: two calls take back what
+  /// one call with their sum takes back. A consumer that stops early calls
+  /// it even when it kept every row it pulled: the producer may have read
+  /// past the last row it handed over (a hash join's probe rows without a
+  /// match, a scan's trailing rows failing its predicates), which batch
+  /// size 1 never reads.
   virtual void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
     (void)ctx;
     rows_produced_ -= unconsumed;

@@ -65,31 +65,4 @@ void TableScanOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
   }
 }
 
-ExecStatus MatViewScanOp::OpenImpl(ExecContext* ctx) {
-  (void)ctx;
-  next_ = 0;
-  return ExecStatus::kOk;
-}
-
-ExecStatus MatViewScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  const int64_t target = BatchTarget(
-      ctx, rows_->empty() ? 0 : static_cast<int>(rows_->front().size()));
-  out->Clear();
-  while (next_ < rows_->size() && out->num_rows < target) {
-    ++ctx->work;
-    out->AppendRow((*rows_)[next_]);
-    ++next_;
-  }
-  if (out->num_rows > 0) return ExecStatus::kRow;
-  return ExecStatus::kEof;
-}
-
-void MatViewScanOp::CloseImpl(ExecContext* ctx) { (void)ctx; }
-
-void MatViewScanOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
-  Operator::ReturnUnconsumed(ctx, unconsumed);
-  ctx->work -= unconsumed;
-  next_ -= static_cast<size_t>(unconsumed);
-}
-
 }  // namespace popdb

@@ -61,26 +61,6 @@ class TableScanOp : public Operator {
   PendingMatches pending_;  ///< Batch path: passing rows (right only).
 };
 
-/// Scan over an in-memory row vector (a temporary materialized view created
-/// by a previous execution step). The rows already carry the canonical
-/// layout for `table_set`.
-class MatViewScanOp : public Operator {
- public:
-  MatViewScanOp(const std::vector<Row>* rows, TableSet table_set)
-      : Operator(table_set), rows_(rows) {}
-
-  ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
-  void CloseImpl(ExecContext* ctx) override;
-  const char* name() const override { return "MVSCAN"; }
-  /// Un-serves the rows: they were charged one work unit each.
-  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
-
- private:
-  const std::vector<Row>* rows_;
-  size_t next_ = 0;
-};
-
 }  // namespace popdb
 
 #endif  // POPDB_EXEC_SCAN_H_

@@ -2,6 +2,7 @@
 #define POPDB_EXEC_SORT_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "exec/operator.h"
@@ -18,69 +19,70 @@ struct SortKey {
 int CompareRowsByKeys(const Row& a, const Row& b,
                       const std::vector<SortKey>& keys);
 
-/// Full sort. Materializes its input at Open (a natural materialization
-/// point and thus a lazy-checkpoint site, Section 3.1). Inputs larger than
-/// the memory budget are sorted as runs and merged — an extra pass whose
-/// cost cliff the optimizer's cost model mirrors.
-class SortOp : public Operator {
+/// Serves one immutable row buffer in order, charging one work unit per
+/// row served: the buffer a SORT or TEMP filled at Open, or the one an
+/// MVSCAN reuses from an earlier attempt.
+class RowBufferOp : public Operator {
+ public:
+  ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
+  /// Un-serves the rows: they were charged one work unit each.
+  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
+
+ protected:
+  RowBufferOp(TableSet table_set, SharedRows rows)
+      : Operator(table_set), rows_(std::move(rows)) {}
+
+  SharedRows rows_;
+  size_t next_ = 0;
+};
+
+/// Full sort, or TEMP when `keys` is empty. Materializes its input at Open
+/// into one shared buffer (a natural materialization point and thus a
+/// lazy-checkpoint site, Section 3.1), then serves it. SORT inputs larger
+/// than the memory budget are sorted as runs and merged — an extra pass
+/// whose cost cliff the optimizer's cost model mirrors. TEMP keeps its
+/// input order (no sort call, as std::sort may reorder equal rows, and no
+/// merge pass); it is also the buffer used to implement LCEM and ECB
+/// checkpoints (the paper's prototype implements BUFCHECK as a TEMP over a
+/// CHECK).
+class SortOp : public RowBufferOp {
  public:
   SortOp(std::unique_ptr<Operator> child, std::vector<SortKey> keys,
          TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   bool HarvestInfo(HarvestedResult* out) const override;
-  const char* name() const override { return "SORT"; }
-  /// Un-serves the rows: they were charged one work unit each.
-  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
+  const char* name() const override {
+    return keys_.empty() ? "TEMP" : "SORT";
+  }
   std::vector<const Operator*> children() const override {
     return {child_.get()};
   }
 
-  int64_t materialized_count() const {
-    return static_cast<int64_t>(rows_.size());
-  }
-  bool materialization_complete() const { return complete_; }
-  const std::vector<SortKey>& keys() const { return keys_; }
-
  private:
+  /// Sorts `rows` on keys_, with runs and a merge pass past mem_rows.
+  ExecStatus Sort(ExecContext* ctx, std::vector<Row>* rows);
+
   std::unique_ptr<Operator> child_;
   std::vector<SortKey> keys_;
-  std::vector<Row> rows_;
-  bool complete_ = false;
-  size_t next_ = 0;
+  int64_t count_ = 0;  ///< Rows drained (so far, after an abort).
 };
 
-/// TEMP: materializes its input at Open, then streams it. A natural lazy
-/// checkpoint site and the buffer used to implement LCEM and ECB
-/// checkpoints (the paper's prototype implements BUFCHECK as a TEMP over a
-/// CHECK).
-class TempOp : public Operator {
+/// Scan over a temporary materialized view created by a previous execution
+/// step. The rows already carry the canonical layout for `table_set`.
+class MatViewScanOp : public RowBufferOp {
  public:
-  TempOp(std::unique_ptr<Operator> child, TableSet table_set);
+  MatViewScanOp(SharedRows rows, TableSet table_set)
+      : RowBufferOp(table_set, std::move(rows)) {}
 
-  ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
-  void CloseImpl(ExecContext* ctx) override;
-  bool HarvestInfo(HarvestedResult* out) const override;
-  const char* name() const override { return "TEMP"; }
-  /// Un-serves the rows: they were charged one work unit each.
-  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
-  std::vector<const Operator*> children() const override {
-    return {child_.get()};
+  ExecStatus OpenImpl(ExecContext* ctx) override {
+    (void)ctx;
+    next_ = 0;
+    return ExecStatus::kOk;
   }
-
-  int64_t materialized_count() const {
-    return static_cast<int64_t>(rows_.size());
-  }
-  bool materialization_complete() const { return complete_; }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<Row> rows_;
-  bool complete_ = false;
-  size_t next_ = 0;
+  void CloseImpl(ExecContext* ctx) override { (void)ctx; }
+  const char* name() const override { return "MVSCAN"; }
 };
 
 }  // namespace popdb

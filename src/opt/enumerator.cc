@@ -646,8 +646,8 @@ std::vector<MemoMatViewKey> JoinEnumerator::CurrentMatViewKeys() const {
   if (!methods_.consider_matviews || matviews_ == nullptr) return keys;
   keys.reserve(matviews_->size());
   for (const AvailableMatView& mv : *matviews_) {
-    keys.push_back(MemoMatViewKey{mv.name, mv.set, mv.card, mv.rows,
-                                  mv.sorted_positions});
+    keys.push_back(
+        MemoMatViewKey{mv.name, mv.set, mv.card, mv.sorted_positions});
   }
   return keys;
 }

@@ -23,7 +23,7 @@ struct AvailableMatView {
   std::string name;
   TableSet set = 0;
   double card = 0.0;
-  const std::vector<Row>* rows = nullptr;
+  SharedRows rows;
   /// Canonical positions the rows are sorted on (ascending); a merge join
   /// over the view can skip its sort when these cover the join keys.
   std::vector<int> sorted_positions;
@@ -50,13 +50,14 @@ struct JoinMethodConfig {
 
 /// Identity of one offered materialized view, captured when the memo is
 /// committed. A view whose identity changed between optimizations (new
-/// rows, different sort order, dropped/replaced) dirties every memo entry
-/// whose table set could have used it.
+/// name, cardinality or sort order, or dropped) dirties every memo entry
+/// whose table set could have used it. A re-registration for the same set
+/// keeps its name, and the optimizer reads only these fields of a view,
+/// so the row buffer is not part of the identity.
 struct MemoMatViewKey {
   std::string name;
   TableSet set = 0;
   double card = 0.0;
-  const std::vector<Row>* rows = nullptr;
   std::vector<int> sorted_positions;
 
   bool operator==(const MemoMatViewKey&) const = default;

@@ -77,7 +77,7 @@ struct PlanNode {
   std::string table_name;
   std::vector<int> pred_ids;  ///< Local predicate ids applied here.
   std::string mv_name;        ///< For kMatViewScan.
-  const std::vector<Row>* mv_rows = nullptr;
+  SharedRows mv_rows;         ///< For kMatViewScan: the view's rows.
 
   // --- Join payload.
   std::vector<int> join_pred_ids;
@@ -113,6 +113,19 @@ struct PlanNode {
   /// Sum of rows produced by join/scan operators — used by benchmarks as a
   /// deterministic "work" proxy.
   double TotalCost() const { return cost; }
+};
+
+/// Checkpoints placed in a plan, counted per flavor (the placement pass's
+/// result, cached with a placed plan).
+struct PlacementStats {
+  int lc = 0;
+  int lcem = 0;
+  int ecb = 0;
+  int ecwc = 0;
+  int ecdc = 0;
+  int work_bound = 0;
+
+  int total() const { return lc + lcem + ecb + ecwc + ecdc; }
 };
 
 /// Order-sensitive 64-bit FNV-1a digest of a full plan tree: operator

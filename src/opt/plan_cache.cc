@@ -481,7 +481,7 @@ void PlanCache::InstallPlacement(const std::string& signature,
                                  int64_t external_epoch,
                                  int64_t catalog_version,
                                  uint64_t feedback_digest,
-                                 PlacedCheckCounts checks) {
+                                 PlacementStats checks) {
   if (placed_plan == nullptr || config_.max_entries <= 0) return;
   if (ContainsMatViewScan(*placed_plan)) return;
   // The placed plan carries extra CHECK/TEMP nodes; apply the same size

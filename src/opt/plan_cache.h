@@ -70,17 +70,6 @@ enum class PlanCacheOutcome {
 
 const char* PlanCacheOutcomeName(PlanCacheOutcome outcome);
 
-/// Checkpoint counts of a cached placement, mirrored from the placement
-/// pass as plain ints (the opt layer cannot see core's PlacementStats).
-struct PlacedCheckCounts {
-  int lc = 0;
-  int lcem = 0;
-  int ecb = 0;
-  int ecwc = 0;
-  int ecdc = 0;
-  int work_bound = 0;
-};
-
 struct PlanCacheConfig {
   /// Total entry cap across shards (LRU per shard). <= 0 disables installs.
   int64_t max_entries = 256;
@@ -129,7 +118,7 @@ class PlanCache {
     /// it verbatim) when InstallPlacement recorded one. Validity hits
     /// re-place: moved feedback can change check ranges.
     std::shared_ptr<const PlanNode> placed_plan;
-    PlacedCheckCounts placed_checks;
+    PlacementStats placed_checks;
     int64_t candidates = 0;  ///< DP candidates of the installing run.
     double est_cost = 0.0;
     double est_card = 0.0;
@@ -213,7 +202,7 @@ class PlanCache {
   void InstallPlacement(const std::string& signature,
                         std::shared_ptr<const PlanNode> placed_plan,
                         int64_t external_epoch, int64_t catalog_version,
-                        uint64_t feedback_digest, PlacedCheckCounts checks);
+                        uint64_t feedback_digest, PlacementStats checks);
 
   /// Drops every entry (DDL-style invalidation).
   void InvalidateAll();
@@ -227,7 +216,7 @@ class PlanCache {
     std::shared_ptr<const PlanNode> plan;
     /// Checkpoint-placed variant (null until InstallPlacement).
     std::shared_ptr<const PlanNode> placed_plan;
-    PlacedCheckCounts placed_checks;
+    PlacementStats placed_checks;
     uint64_t feedback_digest = 0;
     /// Install-time feedback snapshot (what feedback_digest digests).
     FeedbackMap feedback;

@@ -110,6 +110,15 @@ class QuerySpec {
 
   bool has_aggregation() const { return !aggs_.empty() || !group_by_.empty(); }
 
+  /// True when result rows reach the application as the plan produces
+  /// them: no aggregation, DISTINCT or ORDER BY holds them back. Only then
+  /// were rows an aborted attempt produced really returned, so only then
+  /// may a re-optimized plan compensate for them (ECDC, the work bound's
+  /// row tracker).
+  bool pipelined() const {
+    return !has_aggregation() && !distinct_ && order_by_.empty();
+  }
+
   /// Bitmask of all query tables.
   TableSet AllTables() const {
     return tables_.empty() ? 0

@@ -48,6 +48,7 @@ namespace {
 
 constexpr int kPasses = 3;
 constexpr int kFuzzQueries = 128;
+constexpr int kEcdcQueries = 64;
 constexpr const char* kSideTable = "churn";  // No corpus query reads it.
 constexpr int64_t kSideRows = 64;
 
@@ -152,7 +153,6 @@ const Corpus& GetCorpus() {
       POPDB_DCHECK(g.catalog->AddTable(std::move(side)).ok());
       POPDB_DCHECK(g.catalog->AnalyzeTable(kSideTable).ok());
     }
-    std::vector<Entry>& dmv = c->groups[1].entries;
     for (const testing::CorpusQuery& q : c->engine.queries) {
       Entry e;
       e.label = q.label;
@@ -162,15 +162,48 @@ const Corpus& GetCorpus() {
           testing::ReferenceExecute(*q.catalog, q.query));
       c->groups[q.catalog == &c->engine.tpch ? 0 : 1].entries.push_back(e);
     }
-    // Fig. 14: ECB at every placement site, observed, never enforced.
-    for (size_t i = 0, n = dmv.size(); i < n; ++i) {
-      Entry e = dmv[i];
-      e.label += "@fig14";
-      e.pop.enable_ecb = true;
-      e.pop.observe_only = true;
-      e.pop.require_narrowed_range = false;
-      e.scatterable = false;
-      dmv.push_back(std::move(e));
+    // Every TPC-H and DMV entry again under the enforcing configurations
+    // of the golden table: ECB at every placement site, and a work bound
+    // at 1.5x the plan's estimated cost; for DMV also Fig. 14: ECB at
+    // every placement site, observed, never enforced.
+    for (Group* g : {&c->groups[0], &c->groups[1]}) {
+      const size_t n = g->entries.size();
+      const auto add = [&](const char* suffix, auto configure) {
+        for (size_t i = 0; i < n; ++i) {
+          Entry e = g->entries[i];
+          e.label += suffix;
+          configure(&e.pop);
+          e.scatterable = false;
+          g->entries.push_back(std::move(e));
+        }
+      };
+      add("@ecb", [](PopConfig* pop) { pop->enable_ecb = true; });
+      add("@workbound", [](PopConfig* pop) { pop->work_bound_factor = 1.5; });
+      if (g != &c->groups[1]) continue;
+      add("@fig14", [](PopConfig* pop) {
+        pop->enable_ecb = true;
+        pop->observe_only = true;
+        pop->require_narrowed_range = false;
+      });
+    }
+    // SPJ star queries under pipelined ECDC CHECKs, which no TPC-H or DMV
+    // query gets (they all aggregate): a CHECK firing over a hash join
+    // whose probe rows match several build rows hands the rows past the
+    // violation back through the join to its probe scan.
+    Rng ecdc_rng(0xecdc);
+    for (int i = 0; i < kEcdcQueries;) {
+      Entry e;
+      e.query = testing::RandomStarQuery(&ecdc_rng);
+      e.opt = testing::RandomOptimizerConfig(&ecdc_rng);
+      e.pop.enable_lc = ecdc_rng.Bernoulli(0.5);
+      e.pop.enable_lcem = false;
+      e.pop.enable_ecdc = true;
+      if (ecdc_rng.Bernoulli(0.3)) e.pop.work_bound_factor = 1.5;
+      if (e.query.has_aggregation()) continue;
+      e.label = "ecdc/" + std::to_string(i++);
+      e.reference = testing::Canonicalize(
+          testing::ReferenceExecute(c->star, e.query));
+      c->groups[2].entries.push_back(std::move(e));
     }
     Rng rng(0xf022);
     for (int i = 0; i < kFuzzQueries; ++i) {

@@ -180,10 +180,11 @@ TEST_F(EnumeratorTest, MatViewSeedsSingleTableAccess) {
   QuerySpec q("q");
   const int e = q.AddTable("emp");
   q.AddPred({e, 2}, PredKind::kLt, Value::Int(40));
-  const std::vector<Row> rows(10, Row{Value::Int(1), Value::Int(1),
-                                      Value::Int(30), Value::String("x")});
+  const SharedRows rows = std::make_shared<const std::vector<Row>>(
+      10, Row{Value::Int(1), Value::Int(1), Value::Int(30),
+              Value::String("x")});
   std::vector<AvailableMatView> mvs = {
-      {"mv_emp", TableBit(e), 10.0, &rows, {}}};
+      {"mv_emp", TableBit(e), 10.0, rows, {}}};
   Result<OptimizedPlan> r = Optimize(q, {}, nullptr, &mvs);
   ASSERT_TRUE(r.ok());
   // Scanning 10 materialized rows beats scanning 200 base rows.
@@ -197,11 +198,12 @@ TEST_F(EnumeratorTest, MatViewSeedsMultiTableSet) {
   const int s = q.AddTable("sale");
   q.AddJoin({e, 1}, {d, 0});
   q.AddJoin({s, 0}, {e, 0});
-  const std::vector<Row> rows(5, Row(9, Value::Int(1)));
+  const SharedRows rows =
+      std::make_shared<const std::vector<Row>>(5, Row(9, Value::Int(1)));
   FeedbackMap fb;
   fb[TableBit(d) | TableBit(e)].exact = 5.0;
   std::vector<AvailableMatView> mvs = {
-      {"mv_de", TableBit(d) | TableBit(e), 5.0, &rows, {}}};
+      {"mv_de", TableBit(d) | TableBit(e), 5.0, rows, {}}};
   Result<OptimizedPlan> r = Optimize(q, {}, &fb, &mvs);
   ASSERT_TRUE(r.ok());
   bool found_mv = false;
@@ -217,10 +219,10 @@ TEST_F(EnumeratorTest, MatViewRejectedWhenMoreExpensive) {
   QuerySpec q("q");
   const int d = q.AddTable("dept");
   // A "materialized" copy of dept that is larger than the base table.
-  const std::vector<Row> rows(5000, Row{Value::Int(1), Value::String("x"),
-                                        Value::Int(0)});
+  const SharedRows rows = std::make_shared<const std::vector<Row>>(
+      5000, Row{Value::Int(1), Value::String("x"), Value::Int(0)});
   std::vector<AvailableMatView> mvs = {
-      {"mv_dept", TableBit(d), 5000.0, &rows, {}}};
+      {"mv_dept", TableBit(d), 5000.0, rows, {}}};
   Result<OptimizedPlan> r = Optimize(q, {}, nullptr, &mvs);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(PlanOpKind::kTableScan, JoinRoot(r.value().root.get())->kind);
@@ -386,10 +388,11 @@ TEST_F(EnumeratorTest, MemoKeepsMatViewsByIdentityWhenOffersShift) {
   const int s = q.AddTable("sale");
   q.AddJoin({e, 1}, {d, 0});
   q.AddJoin({s, 0}, {e, 0});
-  const std::vector<Row> rows;  // Never read by the optimizer.
+  // Never read by the optimizer.
+  const SharedRows rows = std::make_shared<const std::vector<Row>>();
   std::vector<AvailableMatView> mvs = {
-      {"mv_emp", TableBit(e), 10.0, &rows, {}},
-      {"mv_sale", TableBit(s), 20.0, &rows, {}}};
+      {"mv_emp", TableBit(e), 10.0, rows, {}},
+      {"mv_sale", TableBit(s), 20.0, rows, {}}};
   OptimizerConfig config;
   config.methods.enable_nljn = false;
   Optimizer opt(catalog_, config);
@@ -397,7 +400,7 @@ TEST_F(EnumeratorTest, MemoKeepsMatViewsByIdentityWhenOffersShift) {
   ASSERT_TRUE(opt.Optimize(q, nullptr, &mvs, nullptr, &memo).ok());
 
   mvs.insert(mvs.begin(),
-             AvailableMatView{"mv_dept", TableBit(d), 2.0, &rows, {}});
+             AvailableMatView{"mv_dept", TableBit(d), 2.0, rows, {}});
   Result<OptimizedPlan> inc = opt.Optimize(q, nullptr, &mvs, nullptr, &memo);
   Result<OptimizedPlan> fresh = opt.Optimize(q, nullptr, &mvs);
   ASSERT_TRUE(inc.ok() && fresh.ok());
@@ -480,7 +483,8 @@ TEST(MemoIdentityTest, RandomizedPerturbationsKeepPlanIdentity) {
   // perturbed (or dropped), a matview offer toggled, or nothing changed
   // between optimizations.
   const Optimizer opt(TpchCatalog(), OptimizerConfig{});
-  const std::vector<Row> mv_rows;  // Never executed; identity only.
+  // Never executed; identity only.
+  const SharedRows mv_rows = std::make_shared<const std::vector<Row>>();
   for (const int qnum : {8, 9}) {
     const QuerySpec q = tpch::MakeQuery(qnum);
     std::vector<TableSet> bits;
@@ -516,7 +520,7 @@ TEST(MemoIdentityTest, RandomizedPerturbationsKeepPlanIdentity) {
         case 3:  // Toggle a matview offer for a random singleton.
           if (mvs.empty()) {
             mvs.push_back({"mv_fuzz", random_bit(&rng),
-                           1.0 + rng.UniformDouble() * 50.0, &mv_rows, {}});
+                           1.0 + rng.UniformDouble() * 50.0, mv_rows, {}});
           } else {
             mvs.clear();
           }
@@ -1009,12 +1013,12 @@ TEST(EnumeratorGoldenTest, PlansAndCandidateCountsArePinned) {
   }
 
   // Matview rows are never read by the optimizer; only identity matters.
-  const std::vector<Row> mv_rows;
+  const SharedRows mv_rows = std::make_shared<const std::vector<Row>>();
   // Q8 tables: part 0, lineitem 1, supplier 2, orders 3, customer 4,
   // nation 5, region 6, nation 7.
   GoldenCase mv_single{"extra/q8_mv_orders", tpch::MakeQuery(8), {},
                        CorpusConfigs()};
-  mv_single.matviews.push_back({"mv_orders", TableBit(3), 12.0, &mv_rows, {}});
+  mv_single.matviews.push_back({"mv_orders", TableBit(3), 12.0, mv_rows, {}});
   tpch_cases.push_back(mv_single);
 
   // {orders, customer} harvested with its exact cardinality and sorted on
@@ -1024,7 +1028,7 @@ TEST(EnumeratorGoldenTest, PlansAndCandidateCountsArePinned) {
   GoldenCase mv_multi{"extra/q8_mv_orders_customer", tpch::MakeQuery(8), {},
                       CorpusConfigs()};
   mv_multi.matviews.push_back(
-      {"mv_oc", TableBit(3) | TableBit(4), 2000.0, &mv_rows, {0}});
+      {"mv_oc", TableBit(3) | TableBit(4), 2000.0, mv_rows, {0}});
   mv_multi.feedback[TableBit(3) | TableBit(4)].exact = 2000.0;
   GoldenConfig mgjn_only;
   mgjn_only.name = "mgjn_only";

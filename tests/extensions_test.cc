@@ -482,7 +482,7 @@ TEST(MatViewIndexing, OptimizerIndexesViewForNljnProbes) {
   for (int64_t r = 0; r < emp->num_rows(); ++r) mv_rows.push_back(emp->row(r));
   std::vector<AvailableMatView> mvs = {
       {"mv_emp", TableBit(e), static_cast<double>(mv_rows.size()),
-       &mv_rows, {}}};
+       std::make_shared<const std::vector<Row>>(std::move(mv_rows)), {}}};
 
   Optimizer opt(catalog, OptimizerConfig{});
   Result<OptimizedPlan> planned = opt.Optimize(q, nullptr, &mvs, nullptr);
@@ -521,7 +521,7 @@ TEST(MatViewIndexing, BaseIndexStillPreferredWhenPresent) {
   for (int64_t r = 0; r < emp->num_rows(); ++r) mv_rows.push_back(emp->row(r));
   std::vector<AvailableMatView> mvs = {
       {"mv_emp", TableBit(e), static_cast<double>(mv_rows.size()),
-       &mv_rows, {}}};
+       std::make_shared<const std::vector<Row>>(std::move(mv_rows)), {}}};
   Optimizer opt(catalog, OptimizerConfig{});
   Result<OptimizedPlan> planned = opt.Optimize(q, nullptr, &mvs, nullptr);
   ASSERT_TRUE(planned.ok());

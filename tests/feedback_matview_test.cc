@@ -57,30 +57,32 @@ TEST(FeedbackCacheTest, ToStringRendersBothKinds) {
 
 // -------------------------------------------------------- MatViewRegistry.
 
-std::vector<Row> MakeRows(int n, int64_t tag) {
+SharedRows MakeRows(int n, int64_t tag) {
   std::vector<Row> rows;
   for (int i = 0; i < n; ++i) rows.push_back({Value::Int(tag + i)});
-  return rows;
+  return std::make_shared<const std::vector<Row>>(std::move(rows));
 }
 
-TEST(MatViewRegistryTest, RegisterExposesView) {
+TEST(MatViewRegistryTest, RegisterSharesTheBuffer) {
   MatViewRegistry reg;
   EXPECT_TRUE(reg.empty());
-  reg.Register(0b101, MakeRows(4, 0));
+  const SharedRows rows = MakeRows(4, 0);
+  reg.Register(0b101, rows);
   ASSERT_EQ(1u, reg.views().size());
   const AvailableMatView& v = reg.views()[0];
   EXPECT_EQ(TableSet{0b101}, v.set);
   EXPECT_DOUBLE_EQ(4.0, v.card);
-  ASSERT_NE(nullptr, v.rows);
-  EXPECT_EQ(4u, v.rows->size());
-  EXPECT_EQ(4, reg.total_rows());
+  // The view is the producer's buffer, not a copy of it.
+  EXPECT_EQ(rows.get(), v.rows.get());
 }
 
-TEST(MatViewRegistryTest, ReRegisterReplacesRows) {
+TEST(MatViewRegistryTest, ReRegisterReplacesRowsAndKeepsTheName) {
   MatViewRegistry reg;
   reg.Register(0b1, MakeRows(4, 0));
+  const std::string name = reg.views()[0].name;
   reg.Register(0b1, MakeRows(9, 100));
   ASSERT_EQ(1u, reg.views().size());
+  EXPECT_EQ(name, reg.views()[0].name);
   EXPECT_DOUBLE_EQ(9.0, reg.views()[0].card);
   EXPECT_EQ(Value::Int(100), (*reg.views()[0].rows)[0][0]);
 }
@@ -89,8 +91,9 @@ TEST(MatViewRegistryTest, DistinctSetsCoexist) {
   MatViewRegistry reg;
   reg.Register(0b1, MakeRows(2, 0));
   reg.Register(0b10, MakeRows(3, 10));
-  EXPECT_EQ(2u, reg.views().size());
-  EXPECT_EQ(5, reg.total_rows());
+  ASSERT_EQ(2u, reg.views().size());
+  EXPECT_DOUBLE_EQ(2.0, reg.views()[0].card);
+  EXPECT_DOUBLE_EQ(3.0, reg.views()[1].card);
 }
 
 TEST(MatViewRegistryTest, NamesAreUniquePerSet) {
@@ -102,25 +105,24 @@ TEST(MatViewRegistryTest, NamesAreUniquePerSet) {
 
 TEST(MatViewRegistryTest, ClearDropsEverything) {
   MatViewRegistry reg;
-  reg.Register(0b1, MakeRows(2, 0));
+  const SharedRows rows = MakeRows(2, 0);
+  reg.Register(0b1, rows);
+  EXPECT_EQ(2, rows.use_count());
   reg.Clear();
   EXPECT_TRUE(reg.empty());
-  EXPECT_EQ(0, reg.total_rows());
+  EXPECT_EQ(1, rows.use_count());  // The registry let go of the buffer.
 }
 
-TEST(MatViewRegistryTest, RowPointersStableAcrossOtherRegistrations) {
+TEST(MatViewRegistryTest, ReadersKeepReplacedAndClearedRows) {
   MatViewRegistry reg;
   reg.Register(0b1, MakeRows(2, 0));
-  const std::vector<Row>* first = reg.views()[0].rows;
+  // A plan node of an earlier attempt holds the view's rows.
+  const SharedRows reader = reg.views()[0].rows;
   reg.Register(0b10, MakeRows(2, 5));
-  // Registering a different set must not invalidate the first view's rows.
-  const AvailableMatView* v1 = nullptr;
-  for (const AvailableMatView& v : reg.views()) {
-    if (v.set == 0b1) v1 = &v;
-  }
-  ASSERT_NE(nullptr, v1);
-  EXPECT_EQ(first, v1->rows);
-  EXPECT_EQ(Value::Int(0), (*v1->rows)[0][0]);
+  reg.Register(0b1, MakeRows(3, 7));
+  reg.Clear();
+  ASSERT_EQ(2u, reader->size());
+  EXPECT_EQ(Value::Int(0), (*reader)[0][0]);
 }
 
 }  // namespace

@@ -139,7 +139,8 @@ TEST_F(OperatorTest, TableScanConjunction) {
 TEST_F(OperatorTest, MatViewScanStreamsStoredRows) {
   const std::vector<Row> stored = {{Value::Int(1)}, {Value::Int(2)}};
   ExecContext ctx;
-  MatViewScanOp scan(&stored, TableBit(0));
+  MatViewScanOp scan(std::make_shared<const std::vector<Row>>(stored),
+                     TableBit(0));
   EXPECT_EQ(Canon(stored), Canon(Drain(&scan, &ctx)));
 }
 
@@ -147,9 +148,11 @@ TEST_F(OperatorTest, MatViewScanStreamsStoredRows) {
 
 TEST_F(OperatorTest, TempPreservesRowsAndHarvests) {
   ExecContext ctx;
-  TempOp temp(ScanLeft(), TableBit(0));
+  SortOp temp(ScanLeft(), {}, TableBit(0));
+  EXPECT_STREQ("TEMP", temp.name());
   const std::vector<Row> rows = Drain(&temp, &ctx);
-  EXPECT_EQ(40u, rows.size());
+  ExecContext scan_ctx;
+  EXPECT_EQ(Drain(ScanLeft().get(), &scan_ctx), rows);  // Input order.
   HarvestedResult info;
   ASSERT_TRUE(temp.HarvestInfo(&info));
   EXPECT_TRUE(info.complete);
@@ -356,7 +359,7 @@ TEST_F(OperatorTest, NljnMatviewInner) {
   const std::vector<Row> expected = ReferenceJoin();
   ExecContext ctx;
   InnerAccess inner;
-  inner.mv_rows = &mv_rows;
+  inner.mv_rows = std::make_shared<const std::vector<Row>>(std::move(mv_rows));
   inner.table_id = 1;
   inner.join_conds = {{0, 0}};
   NljnOp join(ScanLeft(), std::move(inner), JoinMerge(),
@@ -484,7 +487,8 @@ TEST_F(OperatorTest, CheckObserveOnlyNeverFires) {
 
 TEST_F(OperatorTest, CheckMaterializedEvaluatesOnceAtOpen) {
   ExecContext ctx;
-  auto temp = std::make_unique<TempOp>(ScanLeft(), TableBit(0));
+  auto temp = std::make_unique<SortOp>(ScanLeft(), std::vector<SortKey>{},
+                                       TableBit(0));
   CheckMaterializedOp check(std::move(temp), MakeCheck(0, 10));
   EXPECT_EQ(ExecStatus::kReoptimize, check.Open(&ctx));
   EXPECT_TRUE(ctx.reopt.triggered);
@@ -494,7 +498,8 @@ TEST_F(OperatorTest, CheckMaterializedEvaluatesOnceAtOpen) {
 
 TEST_F(OperatorTest, CheckMaterializedPassesAndStreams) {
   ExecContext ctx;
-  auto temp = std::make_unique<TempOp>(ScanLeft(), TableBit(0));
+  auto temp = std::make_unique<SortOp>(ScanLeft(), std::vector<SortKey>{},
+                                       TableBit(0));
   CheckMaterializedOp check(std::move(temp), MakeCheck(0, 100));
   EXPECT_EQ(40u, Drain(&check, &ctx).size());
   EXPECT_FALSE(ctx.reopt.triggered);
@@ -686,6 +691,9 @@ TEST_F(OperatorTest, CheckOverJoinChargesTheSameWorkAtEveryBatchSize) {
   // found while probing the 2nd scan row; [0, 11.5] over an NLJN whose
   // outer is a passing CHECK over the HSJN fires at the NLJN's 12th row,
   // found while probing its 3rd outer row, which the 1st scan row made.
+  // [0, 24.5] over HSJN fires at the last match of the 5th scan row; at
+  // batch size 3 the join also probed the 6th, which matches nothing, so
+  // the CHECK hands back zero rows and the join still un-reads that one.
   const auto hsjn = [&] {
     return std::make_unique<HsjnOp>(ScanLeft(), ScanRight(),
                                     std::vector<int>{0}, std::vector<int>{0},
@@ -715,6 +723,7 @@ TEST_F(OperatorTest, CheckOverJoinChargesTheSameWorkAtEveryBatchSize) {
   };
   const std::vector<Case> cases = {
       {"hsjn", 7.5, 2, hsjn},
+      {"hsjn/trailing unmatched", 24.5, 5, hsjn},
       {"nljn", 7.5, 2, [&] { return nljn(ScanLeft(), 1); }},
       {"nljn/check/hsjn", 11.5, 1,
        [&] {
@@ -783,7 +792,8 @@ TEST_F(OperatorTest, HashJoinHandBacksComposeAcrossCalls) {
 TEST_F(OperatorTest, CheckMaterializedStreamsBatchesAfterOpenEvaluation) {
   ExecContext ctx;
   ctx.batch_rows = 8;
-  auto temp = std::make_unique<TempOp>(ScanLeft(), TableBit(0));
+  auto temp = std::make_unique<SortOp>(ScanLeft(), std::vector<SortKey>{},
+                                       TableBit(0));
   CheckMaterializedOp check(std::move(temp), MakeCheck(0, 100));
   ExecStatus s;
   const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);

@@ -172,17 +172,6 @@ TEST(PlanCacheEpochTest, StoreExternalEpochIsSeparate) {
   EXPECT_EQ(2, store.epoch());
 }
 
-TEST(PlanCacheEpochTest, MatViewRegistryBumpsOnCreateAndDrop) {
-  MatViewRegistry mv;
-  EXPECT_EQ(0, mv.epoch());
-  mv.Clear();  // Empty: nothing dropped.
-  EXPECT_EQ(0, mv.epoch());
-  mv.Register(3, {});
-  EXPECT_EQ(1, mv.epoch());
-  mv.Clear();
-  EXPECT_EQ(2, mv.epoch());
-}
-
 TEST(PlanCacheEpochTest, CatalogStatsVersionBumps) {
   Catalog catalog;
   const int64_t v0 = catalog.stats_version();

@@ -205,6 +205,39 @@ TEST_F(PopTest, EcdcCompensationProducesNoDuplicates) {
   }
 }
 
+TEST_F(PopTest, RowTrackerOnlyWhereRowsReachTheApplication) {
+  // DISTINCT and ORDER BY hold rows back: a tracker under them would
+  // record rows the application never saw, and the compensating anti-join
+  // would drop them from the re-optimized result.
+  PopConfig pop;
+  pop.enable_lc = false;
+  pop.enable_lcem = false;
+  pop.enable_ecdc = true;
+  pop.work_bound_factor = 1.5;
+  for (const int shape : {0, 1, 2}) {
+    SCOPED_TRACE("shape " + std::to_string(shape));
+    QuerySpec q("spj");
+    const int o = q.AddTable("orders");
+    const int it = q.AddTable("items");
+    q.AddJoin({o, 0}, {it, 0});
+    q.AddPred({o, 1}, PredKind::kEq, Value::Int(7));
+    q.AddPred({o, 2}, PredKind::kEq, Value::Int(77));
+    q.AddProjection({it, 1});
+    if (shape == 1) q.SetDistinct(true);
+    if (shape == 2) q.AddOrderBy(0);
+    const bool pipelined = shape == 0;
+    EXPECT_EQ(pipelined, q.pipelined());
+    ProgressiveExecutor exec(catalog_, OptimizerConfig{}, pop);
+    ExecutionStats stats;
+    Result<std::vector<Row>> rows = exec.Execute(q, &stats);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(Canonicalize(ReferenceExecute(catalog_, q)),
+              Canonicalize(rows.value()));
+    EXPECT_EQ(pipelined, stats.attempts[0].plan_text.find("INSERT(S)") !=
+                             std::string::npos);
+  }
+}
+
 TEST_F(PopTest, ForcedDummyReoptKeepsResultsAndReusesWork) {
   // Fire a check even though estimates are fine: the re-optimization sees
   // confirming actuals and reuses the materialized result (Figure 12's
