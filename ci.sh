@@ -14,8 +14,10 @@
 # optimizer's DP table (indexed by table-set bitmasks) and the
 # differential oracle's sample, over the flat join kernels (CSR index spans,
 # hash-join chain arrays, column gathers) with their storage, operator,
-# write-path and batch-size tests, and over the shared row buffers of
-# reused intermediate results (POP, matview and extension tests).
+# write-path and batch-size tests, over the shared row buffers of
+# reused intermediate results (POP, matview and extension tests), and over
+# the narrow row layouts' position arithmetic (executor builder, layout and
+# merge specs, TPC-H plans, the shard JSON round trip).
 #
 # The release ctest runs everything including tests labeled "slow"
 # (parallel_stress_test, the differential oracle's full config lattice)
@@ -249,7 +251,8 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "$(nproc)" \
       --target enumerator_test differential_test storage_test \
       operator_test txn_test observability_test net_test pop_test \
-      feedback_matview_test extensions_test
+      feedback_matview_test extensions_test executor_builder_test \
+      expr_test tpch_test dist_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/enumerator_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/differential_test \
     --gtest_filter='DifferentialSample*'
@@ -276,5 +279,14 @@ ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/net_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/pop_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/feedback_matview_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/extensions_test
+# Narrow row layouts: each query carries only the columns it reads, so
+# join keys, merge specs, view index columns and aggregate positions are
+# resolved per query; an off-by-one there reads past a row. The shard
+# subplans ship those positions through JSON and rebuild the layout from
+# the shipped QuerySpec.
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/executor_builder_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/expr_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/tpch_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/dist_test
 
 echo "=== ci.sh: all stages passed ==="

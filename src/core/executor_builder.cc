@@ -23,10 +23,10 @@ ExecutorBuilder::ExecutorBuilder(const Catalog& catalog,
       offer_hsjn_builds_(offer_hsjn_builds),
       parallel_(parallel),
       snapshots_(snapshots != nullptr ? snapshots : &owned_snapshots_),
-      widths_(QueryTableWidths(catalog, query)) {}
+      columns_(QueryTableColumns(catalog, query)) {}
 
 RowLayout ExecutorBuilder::LayoutFor(TableSet set) const {
-  return RowLayout(set, widths_);
+  return RowLayout(set, columns_);
 }
 
 std::vector<ResolvedPredicate> ExecutorBuilder::ResolveTablePreds(
@@ -35,8 +35,8 @@ std::vector<ResolvedPredicate> ExecutorBuilder::ResolveTablePreds(
   out.reserve(pred_ids.size());
   for (int pid : pred_ids) {
     const Predicate& pred = query_.local_preds()[static_cast<size_t>(pid)];
-    // Scans evaluate against the table's own row, so the position is the
-    // column index itself.
+    // Predicates read the stored row, so the position is the schema column
+    // itself.
     out.push_back(ResolvePredicate(pred, pred.col.column, query_.params()));
   }
   return out;
@@ -98,14 +98,17 @@ Result<std::unique_ptr<Operator>> ExecutorBuilder::BuildNode(
         auto shared_preds = std::make_shared<
             const std::vector<ResolvedPredicate>>(std::move(preds));
         op = std::make_unique<MorselExchangeOp>(
-            [snapshot, table_id, shared_preds](int64_t begin, int64_t end) {
-              return std::make_unique<TableScanOp>(snapshot, table_id,
-                                                   *shared_preds, begin, end);
+            [snapshot, table_id, shared_preds,
+             columns = columns_[static_cast<size_t>(table_id)]](
+                int64_t begin, int64_t end) {
+              return std::make_unique<TableScanOp>(
+                  snapshot, table_id, *shared_preds, columns, begin, end);
             },
             snapshot.num_rows(), TableBit(node.table_id), parallel_);
       } else {
-        op = std::make_unique<TableScanOp>(snapshot, node.table_id,
-                                           std::move(preds));
+        op = std::make_unique<TableScanOp>(
+            snapshot, node.table_id, std::move(preds),
+            columns_[static_cast<size_t>(node.table_id)]);
       }
       break;
     }
@@ -125,14 +128,20 @@ Result<std::unique_ptr<Operator>> ExecutorBuilder::BuildNode(
       const PlanNode& inner_node = *node.children[1];
       InnerAccess inner;
       inner.table_id = inner_node.table_id;
+      // A base-table inner is probed as its stored row, a reused view in
+      // the query's row layout.
+      RowLayout inner_layout;
       if (inner_node.kind == PlanOpKind::kMatViewScan) {
         inner.mv_rows = inner_node.mv_rows;
+        inner_layout = LayoutFor(inner_node.set);
       } else {
         inner.table = catalog_.GetTable(inner_node.table_name);
         if (inner.table == nullptr) {
           return Status::NotFound("no such table: " + inner_node.table_name);
         }
         inner.snapshot = snapshots_->Pin(*inner.table);
+        inner_layout = RowLayout::Stored(
+            inner.table_id, inner.table->schema().num_columns());
       }
       inner.local_preds = ResolveTablePreds(inner_node.pred_ids);
       const RowLayout outer_layout = LayoutFor(node.children[0]->set);
@@ -144,7 +153,7 @@ Result<std::unique_ptr<Operator>> ExecutorBuilder::BuildNode(
         const ColRef& outer_side = left_is_inner ? jp.right : jp.left;
         InnerAccess::JoinCond jc;
         jc.outer_pos = outer_layout.Resolve(outer_side);
-        jc.inner_pos = inner_side.column;
+        jc.inner_pos = inner_layout.Resolve(inner_side);
         inner.join_conds.push_back(jc);
       }
       if (node.use_index && inner.table != nullptr) {
@@ -154,12 +163,13 @@ Result<std::unique_ptr<Operator>> ExecutorBuilder::BuildNode(
         // The optimizer decided to index the materialized view before
         // reusing it (Section 2.3).
         owned_indexes_.push_back(std::make_unique<HashIndex>(
-            *inner.mv_rows, node.index_col, inner_node.mv_name));
+            *inner.mv_rows,
+            inner_layout.Resolve(ColRef{inner.table_id, node.index_col}),
+            inner_node.mv_name));
         inner.index = owned_indexes_.back().get();
       }
       const MergeSpec merge =
-          MergeSpec::Make(outer_layout, LayoutFor(inner_node.set),
-                          LayoutFor(node.set), widths_);
+          MergeSpec::Make(outer_layout, inner_layout, LayoutFor(node.set));
       op = std::make_unique<NljnOp>(std::move(outer.value()),
                                     std::move(inner), merge, node.set);
       break;
@@ -172,8 +182,7 @@ Result<std::unique_ptr<Operator>> ExecutorBuilder::BuildNode(
       const TableSet probe_set = node.children[0]->set;
       const TableSet build_set = node.children[1]->set;
       const MergeSpec merge = MergeSpec::Make(
-          LayoutFor(probe_set), LayoutFor(build_set), LayoutFor(node.set),
-          widths_);
+          LayoutFor(probe_set), LayoutFor(build_set), LayoutFor(node.set));
       op = std::make_unique<HsjnOp>(
           std::move(probe.value()), std::move(build.value()),
           ResolveKeys(node.join_pred_ids, probe_set),
@@ -189,8 +198,7 @@ Result<std::unique_ptr<Operator>> ExecutorBuilder::BuildNode(
       const TableSet left_set = node.children[0]->set;
       const TableSet right_set = node.children[1]->set;
       const MergeSpec merge = MergeSpec::Make(
-          LayoutFor(left_set), LayoutFor(right_set), LayoutFor(node.set),
-          widths_);
+          LayoutFor(left_set), LayoutFor(right_set), LayoutFor(node.set));
       op = std::make_unique<MgjnOp>(
           std::move(left.value()), std::move(right.value()),
           ResolveKeys(node.join_pred_ids, left_set),

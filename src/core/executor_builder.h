@@ -60,7 +60,7 @@ class ExecutorBuilder {
   std::vector<ResolvedPredicate> ResolveTablePreds(
       const std::vector<int>& pred_ids) const;
   /// Join key positions: for each join pred id, the position of its column
-  /// on `side_set`'s canonical layout.
+  /// in `side_set`'s row layout.
   std::vector<int> ResolveKeys(const std::vector<int>& join_pred_ids,
                                TableSet side_set) const;
 
@@ -71,7 +71,8 @@ class ExecutorBuilder {
   ParallelPolicy parallel_;
   TableSnapshotSet owned_snapshots_;
   TableSnapshotSet* snapshots_;
-  std::vector<int> widths_;
+  /// QueryTableColumns of the query: the row layout's input.
+  TableColumns columns_;
   std::vector<std::pair<TableSet, Operator*>> edges_;
   std::vector<std::unique_ptr<HashIndex>> owned_indexes_;
   /// Set once a compensation anti-join was built: counts above it are not

@@ -11,10 +11,10 @@ namespace popdb {
 /// Holds the temporary materialized views created from intermediate
 /// results when a CHECK fires (paper Section 2.3). Each view is the
 /// complete materialized output of the canonical subplan joining `set`
-/// (rows are in the engine's canonical layout, so any re-optimized plan can
-/// consume them), with its exact cardinality available as catalog
-/// statistics for the re-optimization. A view shares its producer's
-/// immutable row buffer; registering it copies no row.
+/// (rows are in the query's row layout, exec/layout.h, so any re-optimized
+/// plan of the query can consume them), with its exact cardinality
+/// available as catalog statistics for the re-optimization. A view shares
+/// its producer's immutable row buffer; registering it copies no row.
 ///
 /// Views are scoped to one progressive execution: the controller clears the
 /// registry when the query completes (the paper's "cleanup" step).

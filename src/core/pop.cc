@@ -184,7 +184,8 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
   }
 
   std::vector<Row> result;
-  std::vector<Row> returned_so_far;  // Canonical rows (ECDC compensation).
+  // Rows in the query's row layout (ECDC compensation).
+  std::vector<Row> returned_so_far;
   // One pinned-snapshot registry for the whole execution: every attempt
   // (and every operator within one) reads the same frozen table versions,
   // so re-optimization compensation and harvested feedback stay consistent

@@ -5,47 +5,57 @@
 
 namespace popdb {
 
-RowLayout::RowLayout(TableSet set, const std::vector<int>& table_widths)
-    : set_(set) {
-  for (int tid = 0; tid < static_cast<int>(table_widths.size()); ++tid) {
+std::vector<int> AllColumns(int n) {
+  std::vector<int> columns(static_cast<size_t>(n));
+  for (int c = 0; c < n; ++c) columns[static_cast<size_t>(c)] = c;
+  return columns;
+}
+
+RowLayout::RowLayout(TableSet set, const TableColumns& columns) : set_(set) {
+  for (int tid = 0; tid < static_cast<int>(columns.size()); ++tid) {
     if (!ContainsTable(set, tid)) continue;
-    table_ids_.push_back(tid);
-    offsets_.push_back(width_);
-    width_ += table_widths[static_cast<size_t>(tid)];
+    for (int c : columns[static_cast<size_t>(tid)]) {
+      columns_.push_back(ColRef{tid, c});
+    }
   }
 }
 
+RowLayout RowLayout::Stored(int table_id, int num_columns) {
+  RowLayout layout;
+  layout.set_ = TableBit(table_id);
+  layout.columns_.reserve(static_cast<size_t>(num_columns));
+  for (int c = 0; c < num_columns; ++c) {
+    layout.columns_.push_back(ColRef{table_id, c});
+  }
+  return layout;
+}
+
 int RowLayout::Resolve(const ColRef& col) const {
-  for (size_t i = 0; i < table_ids_.size(); ++i) {
-    if (table_ids_[i] == col.table_id) return offsets_[i] + col.column;
+  for (size_t pos = 0; pos < columns_.size(); ++pos) {
+    if (columns_[pos] == col) return static_cast<int>(pos);
   }
   return -1;
 }
 
 MergeSpec MergeSpec::Make(const RowLayout& left, const RowLayout& right,
-                          const RowLayout& out,
-                          const std::vector<int>& table_widths) {
+                          const RowLayout& out) {
   POPDB_DCHECK((left.table_set() & right.table_set()) == 0);
   POPDB_DCHECK(out.table_set() == (left.table_set() | right.table_set()));
   MergeSpec spec;
   spec.sources.reserve(static_cast<size_t>(out.width()));
-  for (int tid = 0; tid < static_cast<int>(table_widths.size()); ++tid) {
-    if (!ContainsTable(out.table_set(), tid)) continue;
-    const bool from_left = ContainsTable(left.table_set(), tid);
-    const RowLayout& src = from_left ? left : right;
-    const int base = src.Resolve(ColRef{tid, 0});
-    POPDB_DCHECK(base >= 0);
-    for (int c = 0; c < table_widths[static_cast<size_t>(tid)]; ++c) {
-      spec.sources.emplace_back(from_left, base + c);
-    }
+  for (const ColRef& col : out.columns()) {
+    const bool from_left = ContainsTable(left.table_set(), col.table_id);
+    const int pos = (from_left ? left : right).Resolve(col);
+    POPDB_DCHECK(pos >= 0);
+    spec.sources.emplace_back(from_left, pos);
   }
   return spec;
 }
 
-MergeSpec MergeSpec::Identity(int width) {
+MergeSpec MergeSpec::Columns(const std::vector<int>& columns) {
   MergeSpec spec;
-  spec.sources.reserve(static_cast<size_t>(width));
-  for (int c = 0; c < width; ++c) spec.sources.emplace_back(false, c);
+  spec.sources.reserve(columns.size());
+  for (int c : columns) spec.sources.emplace_back(false, c);
   return spec;
 }
 

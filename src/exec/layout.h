@@ -19,32 +19,50 @@ inline bool ContainsTable(TableSet set, int table_id) {
 }
 inline int PopCount(TableSet set) { return __builtin_popcountll(set); }
 
-/// The engine's canonical row layout rule: an operator producing rows for
-/// table set S outputs the concatenation of each member table's columns in
-/// increasing table-id order. This makes the layout a pure function of the
-/// table set, so plans, temporary materialized views and re-optimized plans
-/// all agree on column positions without tracking projections.
+/// Per query table id: the schema columns, in ascending order, that the
+/// table's rows carry above its scan (QueryTableColumns, opt/optimizer.h).
+using TableColumns = std::vector<std::vector<int>>;
+
+/// 0, 1, ..., n-1: every column of a stored row with `n` schema columns.
+std::vector<int> AllColumns(int n);
+
+/// The engine's row layout rule: an operator producing rows for table set S
+/// outputs, for each member table in increasing table-id order, the columns
+/// of that table the query reads above its scan — join keys, GROUP BY
+/// columns, aggregate arguments and projections, or every column when the
+/// query returns whole rows — in schema order. The layout is a pure
+/// function of the table set and the query, so plans, temporary
+/// materialized views, re-optimized plans and shard subplans of one query
+/// all agree on column positions without tracking projections; columns no
+/// operator reads are never copied or materialized.
+///
+/// Stored rows are not in this layout: scans evaluate local predicates and
+/// NLJN probes read base-table inners by schema column (Stored), and a scan
+/// gathers only its table's carried columns into its output.
 class RowLayout {
  public:
   RowLayout() = default;
 
-  /// Builds the layout for `set`; `table_widths[tid]` is the column count
+  /// Builds the layout for `set`; `columns[tid]` lists the carried columns
   /// of query table `tid`.
-  RowLayout(TableSet set, const std::vector<int>& table_widths);
+  RowLayout(TableSet set, const TableColumns& columns);
+
+  /// The layout of table `table_id`'s stored rows: all `num_columns`
+  /// schema columns.
+  static RowLayout Stored(int table_id, int num_columns);
 
   TableSet table_set() const { return set_; }
-  int width() const { return width_; }
+  int width() const { return static_cast<int>(columns_.size()); }
+  /// The column at each position.
+  const std::vector<ColRef>& columns() const { return columns_; }
 
-  /// Position of `col` inside a row with this layout; -1 if the table is
-  /// not part of the layout.
+  /// Position of `col` inside a row with this layout; -1 if the layout does
+  /// not carry it.
   int Resolve(const ColRef& col) const;
 
  private:
   TableSet set_ = 0;
-  int width_ = 0;
-  // offsets_[i] pairs with table_ids_[i].
-  std::vector<int> table_ids_;
-  std::vector<int> offsets_;
+  std::vector<ColRef> columns_;
 };
 
 /// Matches a join or scan collected for its current output batch, before
@@ -65,18 +83,19 @@ struct PendingMatches {
 };
 
 /// Precomputed instructions for merging a left row and a right row into a
-/// canonical row for the union of their table sets.
+/// row of the union of their table sets.
 struct MergeSpec {
   /// For each output position: (from_left, source position).
   std::vector<std::pair<bool, int>> sources;
 
+  /// Takes each column of `out` from whichever of `left` and `right` holds
+  /// its table.
   static MergeSpec Make(const RowLayout& left, const RowLayout& right,
-                        const RowLayout& out,
-                        const std::vector<int>& table_widths);
+                        const RowLayout& out);
 
-  /// Takes all `width` output columns from the right row unchanged (a
-  /// filtered scan gathering its own rows).
-  static MergeSpec Identity(int width);
+  /// Takes `columns` of the right row, in order (a scan gathering the
+  /// carried columns of its stored rows).
+  static MergeSpec Columns(const std::vector<int>& columns);
 
   Row Merge(const Row& left, const Row& right) const;
 

@@ -143,7 +143,7 @@ struct HarvestedResult {
   int64_t count = 0;
   /// The completed buffer; null while incomplete or when reuse is off.
   SharedRows rows;
-  /// Canonical-layout positions the rows are sorted on (empty if unsorted);
+  /// Row-layout positions the rows are sorted on (empty if unsorted);
   /// lets a re-optimized merge join skip re-sorting the reused view.
   std::vector<int> sorted_positions;
 };

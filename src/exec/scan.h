@@ -10,34 +10,37 @@
 
 namespace popdb {
 
-/// Sequential scan over a base table, applying resolved local predicates.
-/// Output layout is the table's own columns (canonical for a singleton
-/// table set). An optional rid range [begin_rid, end_rid) restricts the
-/// scan to one morsel of the table (exec/parallel.h); end_rid < 0 means
-/// "through the last row".
+/// Sequential scan over a base table, applying resolved local predicates
+/// to the stored rows (positions are schema columns) and gathering
+/// `columns` of each passing row: the table's carried columns in the
+/// query's row layout (exec/layout.h). An optional rid range
+/// [begin_rid, end_rid) restricts the scan to one morsel of the table
+/// (exec/parallel.h); end_rid < 0 means "through the last row".
 ///
 /// The scan reads a pinned TableSnapshot, so concurrent writes are
 /// invisible: rows tombstoned in the snapshot are skipped, rows appended
 /// after the pin don't exist in it. The builder passes the query's shared
 /// snapshot (one pin per table per query, consistent across re-opt
-/// attempts); the Table* convenience ctor pins its own.
+/// attempts); the Table* convenience ctor pins its own and gathers every
+/// column.
 class TableScanOp : public Operator {
  public:
   TableScanOp(TableSnapshot snapshot, int table_id,
-              std::vector<ResolvedPredicate> preds, int64_t begin_rid = 0,
+              std::vector<ResolvedPredicate> preds,
+              const std::vector<int>& columns, int64_t begin_rid = 0,
               int64_t end_rid = -1)
       : Operator(TableBit(table_id)),
         snapshot_(std::move(snapshot)),
         preds_(std::move(preds)),
         begin_rid_(begin_rid),
         end_rid_(end_rid),
-        gather_(MergeSpec::Identity(
-            snapshot_.table()->schema().num_columns())) {}
+        gather_(MergeSpec::Columns(columns)) {}
 
   TableScanOp(const Table* table, int table_id,
               std::vector<ResolvedPredicate> preds, int64_t begin_rid = 0,
               int64_t end_rid = -1)
-      : TableScanOp(table->Snapshot(), table_id, std::move(preds), begin_rid,
+      : TableScanOp(table->Snapshot(), table_id, std::move(preds),
+                    AllColumns(table->schema().num_columns()), begin_rid,
                     end_rid) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
@@ -57,7 +60,7 @@ class TableScanOp : public Operator {
   int64_t end_rid_ = -1;   ///< Exclusive; negative = snapshot size.
   int64_t next_rid_ = 0;
   int64_t stop_rid_ = 0;   ///< Resolved end bound (set at Open).
-  MergeSpec gather_;        ///< Identity: output columns = table columns.
+  MergeSpec gather_;        ///< Stored row -> carried columns.
   PendingMatches pending_;  ///< Batch path: passing rows (right only).
 };
 

@@ -70,7 +70,7 @@ class SortOp : public RowBufferOp {
 };
 
 /// Scan over a temporary materialized view created by a previous execution
-/// step. The rows already carry the canonical layout for `table_set`.
+/// step. The rows already carry the query's row layout for `table_set`.
 class MatViewScanOp : public RowBufferOp {
  public:
   MatViewScanOp(SharedRows rows, TableSet table_set)

@@ -155,6 +155,7 @@ void IncrementalMemo::ConvertSkeleton(int num_tables) {
 }
 
 JoinEnumerator::JoinEnumerator(const Catalog& catalog, const QuerySpec& query,
+                               const TableColumns& columns,
                                const CardinalityEstimator& estimator,
                                const CostModel& cost,
                                const JoinMethodConfig& methods,
@@ -166,14 +167,8 @@ JoinEnumerator::JoinEnumerator(const Catalog& catalog, const QuerySpec& query,
       cost_(cost),
       methods_(methods),
       matviews_(matviews),
-      memo_(memo) {
-  table_widths_.reserve(static_cast<size_t>(query.num_tables()));
-  for (int t = 0; t < query.num_tables(); ++t) {
-    const Table* table = catalog.GetTable(query.table_name(t));
-    table_widths_.push_back(table != nullptr ? table->schema().num_columns()
-                                             : 0);
-  }
-}
+      columns_(columns),
+      memo_(memo) {}
 
 std::vector<int> JoinEnumerator::CrossingJoins(TableSet left,
                                                TableSet right) const {
@@ -192,7 +187,7 @@ std::vector<int> JoinEnumerator::CrossingJoins(TableSet left,
 
 std::vector<int> JoinEnumerator::MergeKeys(TableSet set,
                                            const std::vector<int>& joins) const {
-  const RowLayout layout(set, table_widths_);
+  const RowLayout layout(set, columns_);
   std::vector<int> required;
   required.reserve(joins.size());
   for (int j : joins) {

@@ -24,7 +24,7 @@ struct AvailableMatView {
   TableSet set = 0;
   double card = 0.0;
   SharedRows rows;
-  /// Canonical positions the rows are sorted on (ascending); a merge join
+  /// Row-layout positions the rows are sorted on (ascending); a merge join
   /// over the view can skip its sort when these cover the join keys.
   std::vector<int> sorted_positions;
 };
@@ -177,7 +177,10 @@ class PruneObserver {
 /// aggregation / sort / projection on top.
 class JoinEnumerator {
  public:
+  /// `columns` is QueryTableColumns of `query` (the row layout's input);
+  /// it must outlive the enumerator.
   JoinEnumerator(const Catalog& catalog, const QuerySpec& query,
+                 const TableColumns& columns,
                  const CardinalityEstimator& estimator, const CostModel& cost,
                  const JoinMethodConfig& methods,
                  const std::vector<AvailableMatView>* matviews,
@@ -286,8 +289,8 @@ class JoinEnumerator {
                                            int set_assumptions);
   /// Index of the first singleton-set matview covering `table_id`, or -1.
   int FindMatView(int table_id) const;
-  /// Canonical positions of `set`'s layout a merge join over `joins` sorts
-  /// that input on.
+  /// Positions in `set`'s row layout a merge join over `joins` sorts that
+  /// input on.
   std::vector<int> MergeKeys(TableSet set, const std::vector<int>& joins) const;
   /// Per-probe cost of an NLJN into `inner_table`, through the hash index
   /// on `index_col` or (index_col < 0) by scanning the table.
@@ -303,7 +306,7 @@ class JoinEnumerator {
   const CostModel& cost_;
   JoinMethodConfig methods_;
   const std::vector<AvailableMatView>* matviews_;
-  std::vector<int> table_widths_;
+  const TableColumns& columns_;
 
   /// The DP table: the memo's entries, or `local_table_` without a memo.
   std::vector<DpEntry> local_table_;

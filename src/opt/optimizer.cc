@@ -18,6 +18,35 @@ std::vector<int> QueryTableWidths(const Catalog& catalog,
   return widths;
 }
 
+TableColumns QueryTableColumns(const Catalog& catalog,
+                               const QuerySpec& query) {
+  const std::vector<int> widths = QueryTableWidths(catalog, query);
+  TableColumns columns(widths.size());
+  if (!query.has_aggregation() && query.projections().empty()) {
+    for (size_t t = 0; t < widths.size(); ++t) {
+      columns[t] = AllColumns(widths[t]);
+    }
+    return columns;
+  }
+  auto read = [&columns](const ColRef& c) {
+    columns[static_cast<size_t>(c.table_id)].push_back(c.column);
+  };
+  for (const JoinPredicate& jp : query.join_preds()) {
+    read(jp.left);
+    read(jp.right);
+  }
+  for (const ColRef& c : query.group_by()) read(c);
+  for (const QuerySpec::Agg& a : query.aggs()) {
+    if (a.func != AggFunc::kCount) read(a.arg);
+  }
+  for (const ColRef& c : query.projections()) read(c);
+  for (std::vector<int>& table : columns) {
+    std::sort(table.begin(), table.end());
+    table.erase(std::unique(table.begin(), table.end()), table.end());
+  }
+  return columns;
+}
+
 Result<OptimizedPlan> Optimizer::Optimize(
     const QuerySpec& query, const FeedbackMap* feedback,
     const std::vector<AvailableMatView>* matviews, PruneObserver* observer,
@@ -37,7 +66,8 @@ Result<OptimizedPlan> Optimizer::Optimize(
   // structural-equivalence theorem, validity ranges are only needed on the
   // final plan's edges, so the sensitivity analysis runs as a cheap
   // post-pass over the chosen tree instead of on every pruned candidate.
-  JoinEnumerator enumerator(catalog_, query, estimator, cost_model,
+  const TableColumns columns = QueryTableColumns(catalog_, query);
+  JoinEnumerator enumerator(catalog_, query, columns, estimator, cost_model,
                             config_.methods, matviews, memo);
   Result<std::shared_ptr<PlanNode>> join_tree = [&] {
     TRACE_SPAN_NAMED(dp_span, "dp_enumeration", "opt");
@@ -55,8 +85,7 @@ Result<OptimizedPlan> Optimizer::Optimize(
     enumerator.NarrowPlanRanges(root.get(), observer);
   }
 
-  const std::vector<int> widths = QueryTableWidths(catalog_, query);
-  const RowLayout full_layout(query.AllTables(), widths);
+  const RowLayout full_layout(query.AllTables(), columns);
 
   if (query.has_aggregation()) {
     auto agg = std::make_shared<PlanNode>();

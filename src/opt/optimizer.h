@@ -62,10 +62,18 @@ class Optimizer {
   OptimizerConfig config_;
 };
 
-/// Column widths of the query's tables, indexed by query table id (shared
-/// helper for layout resolution).
+/// Column widths of the query's tables, indexed by query table id.
 std::vector<int> QueryTableWidths(const Catalog& catalog,
                                   const QuerySpec& query);
+
+/// The columns each query table carries above its scan, the input of the
+/// row layout rule (exec/layout.h): the columns some operator reads — join
+/// keys, GROUP BY columns, aggregate arguments and projections — or every
+/// column when the query returns whole rows (no projection, no
+/// aggregation). Every input is part of the plan-cache signature and of
+/// the QuerySpec shipped to shards, so each consumer of a plan derives the
+/// same layout.
+TableColumns QueryTableColumns(const Catalog& catalog, const QuerySpec& query);
 
 }  // namespace popdb
 

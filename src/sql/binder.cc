@@ -299,8 +299,8 @@ Result<BoundStatement> Bind(const Catalog& catalog, const AstSelect& ast,
             }
           }
         } else {
-          const std::vector<int> widths = QueryTableWidths(catalog, q);
-          pos = RowLayout(q.AllTables(), widths).Resolve(r.value());
+          pos = RowLayout(q.AllTables(), QueryTableColumns(catalog, q))
+                    .Resolve(r.value());
         }
         if (pos < 0) {
           return Status::InvalidArgument(

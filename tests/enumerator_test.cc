@@ -273,8 +273,9 @@ TEST_F(EnumeratorTest, ProjectionPositionsResolved) {
   Result<OptimizedPlan> r = Optimize(q);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(PlanOpKind::kProject, r.value().root->kind);
-  // Canonical layout: dept (3 cols) then emp (4 cols).
-  EXPECT_EQ(std::vector<int>({3 + 3, 1}), r.value().root->positions);
+  // Row layout: the columns the query reads, dept's (d.0, d.1) before
+  // emp's (e.1, e.3).
+  EXPECT_EQ(std::vector<int>({3, 1}), r.value().root->positions);
 }
 
 TEST_F(EnumeratorTest, MemoSingleTableQueryReusesItsOnlyEntry) {
@@ -629,255 +630,255 @@ struct GoldenPlan {
 // Regenerate by running this test and pasting the table it prints on a
 // mismatch, after confirming the change in plans is intended.
 constexpr GoldenPlan kGoldenPlans[] = {
-    {"tpch/q2@default", 0xde28308530982289ull, 306},
-    {"tpch/q2@no_hsjn", 0x584b856db4762365ull, 144},
-    {"tpch/q2@bias50", 0x3d552b53e3c5df51ull, 306},
-    {"tpch/q2@feedback", 0x89c515dc1798e31bull, 306},
-    {"tpch/q2m@default", 0xb64d68d5efb23dc5ull, 306},
-    {"tpch/q2m@no_hsjn", 0x21da42201cb466efull, 144},
-    {"tpch/q2m@bias50", 0x79b7be94f9150150ull, 306},
-    {"tpch/q2m@feedback", 0xf8a9c0113e294d34ull, 306},
-    {"tpch/q3@default", 0xcc101dbd2d32234bull, 29},
-    {"tpch/q3@no_hsjn", 0xc7198cf3c0426b5full, 17},
-    {"tpch/q3@bias50", 0xe61abb29d3679b42ull, 29},
-    {"tpch/q3@feedback", 0x725767753b17b95bull, 29},
-    {"tpch/q3m@default", 0x7b116109dfb3a15dull, 29},
-    {"tpch/q3m@no_hsjn", 0x4377004353d44f8bull, 17},
-    {"tpch/q3m@bias50", 0x6788dbca6c5531b5ull, 29},
-    {"tpch/q3m@feedback", 0xae71f8d605c3a62dull, 29},
-    {"tpch/q4@default", 0xc44e9283279cb278ull, 7},
-    {"tpch/q4@no_hsjn", 0x6541007ab6d0fd49ull, 5},
-    {"tpch/q4@bias50", 0x27e99efbb2888293ull, 7},
-    {"tpch/q4@feedback", 0x03714444f2e18b1dull, 7},
-    {"tpch/q4m@default", 0xf6591d0290aef8a6ull, 7},
-    {"tpch/q4m@no_hsjn", 0x6c4e6d15f444ea81ull, 5},
-    {"tpch/q4m@bias50", 0x012e481caa7ab8a0ull, 7},
-    {"tpch/q4m@feedback", 0x511d01158273c431ull, 7},
-    {"tpch/q5@default", 0xd64bcc56bb6f15dfull, 989},
-    {"tpch/q5@no_hsjn", 0xe6bbecbb06a77944ull, 433},
-    {"tpch/q5@bias50", 0x6961ac8e35d4389aull, 989},
-    {"tpch/q5@feedback", 0x4609097d63a90813ull, 989},
-    {"tpch/q5m@default", 0xa49cdab5b1b31dfbull, 989},
-    {"tpch/q5m@no_hsjn", 0xe0851a39cc2ce826ull, 433},
-    {"tpch/q5m@bias50", 0x7b92a6826b2471a0ull, 989},
-    {"tpch/q5m@feedback", 0x805903ea68e20360ull, 989},
-    {"tpch/q7@default", 0xbe4ae8e11f00a749ull, 945},
-    {"tpch/q7@no_hsjn", 0xf4613861e586d053ull, 411},
-    {"tpch/q7@bias50", 0xd9aea4bb225e631full, 945},
-    {"tpch/q7@feedback", 0x1f46e602e37537c8ull, 945},
-    {"tpch/q7m@default", 0xe5dba16f22de7a7full, 945},
-    {"tpch/q7m@no_hsjn", 0x7791204547c0a331ull, 411},
-    {"tpch/q7m@bias50", 0x8213771786c205a1ull, 945},
-    {"tpch/q7m@feedback", 0xc6c8ecca43d5ffaaull, 945},
-    {"tpch/q8@default", 0xa8c6c7c593e4e1b9ull, 8775},
-    {"tpch/q8@no_hsjn", 0xb68ba6e2803033f4ull, 3389},
-    {"tpch/q8@bias50", 0x23d17e62f8bc2453ull, 8775},
-    {"tpch/q8@feedback", 0xed79a6cdb4013a61ull, 8775},
-    {"tpch/q8m@default", 0x26ecad4e93d12449ull, 8775},
-    {"tpch/q8m@no_hsjn", 0x4955d161f2be5d44ull, 3389},
-    {"tpch/q8m@bias50", 0xc8d54d988879ff02ull, 8775},
-    {"tpch/q8m@feedback", 0x188ba5d08271636full, 8775},
-    {"tpch/q9@default", 0xe8c4cb49db6514deull, 953},
-    {"tpch/q9@no_hsjn", 0x36007102788b21ddull, 403},
-    {"tpch/q9@bias50", 0xe7789a6c339e6562ull, 953},
-    {"tpch/q9@feedback", 0xc6974f05ce98a047ull, 953},
-    {"tpch/q9m@default", 0xe8c4cb49db6514deull, 953},
-    {"tpch/q9m@no_hsjn", 0x36007102788b21ddull, 403},
-    {"tpch/q9m@bias50", 0xe7789a6c339e6562ull, 953},
-    {"tpch/q9m@feedback", 0xc6974f05ce98a047ull, 953},
-    {"tpch/q10@default", 0xb4bc06341596b950ull, 96},
-    {"tpch/q10@no_hsjn", 0xc344ad2bf40b10deull, 50},
-    {"tpch/q10@bias50", 0x2d672fce9ab76dfdull, 96},
-    {"tpch/q10@feedback", 0xecad5350cac89066ull, 96},
-    {"tpch/q10m@default", 0x951a970baa710ae7ull, 96},
-    {"tpch/q10m@no_hsjn", 0x9ce3192f7e0963afull, 50},
-    {"tpch/q10m@bias50", 0x2537e778b0d23980ull, 96},
-    {"tpch/q10m@feedback", 0x49220d5f68d8787eull, 96},
+    {"tpch/q2@default", 0x1c75e983c79a250aull, 306},
+    {"tpch/q2@no_hsjn", 0x27e225c1c49b1926ull, 144},
+    {"tpch/q2@bias50", 0x26a825c7e680d1d1ull, 306},
+    {"tpch/q2@feedback", 0xc7cdeb8064111898ull, 306},
+    {"tpch/q2m@default", 0xd404be12c11bf96aull, 306},
+    {"tpch/q2m@no_hsjn", 0x9575435cbc498334ull, 144},
+    {"tpch/q2m@bias50", 0x8a14c2cdd8e79470ull, 306},
+    {"tpch/q2m@feedback", 0x8b5c0a2f246cbd27ull, 306},
+    {"tpch/q3@default", 0xc2934395eb096f87ull, 29},
+    {"tpch/q3@no_hsjn", 0x4ebf5d7cbf45245bull, 17},
+    {"tpch/q3@bias50", 0x9f9a9227b3a7596aull, 29},
+    {"tpch/q3@feedback", 0xbc58519f30ec76bfull, 29},
+    {"tpch/q3m@default", 0x037a61aeab58ac39ull, 29},
+    {"tpch/q3m@no_hsjn", 0x4563452aa9a7e48full, 17},
+    {"tpch/q3m@bias50", 0x088744595e28748dull, 29},
+    {"tpch/q3m@feedback", 0xd996c938c17bcab1ull, 29},
+    {"tpch/q4@default", 0xed2cbe29ca8ddc2dull, 7},
+    {"tpch/q4@no_hsjn", 0x8e9d3b13144c26a8ull, 5},
+    {"tpch/q4@bias50", 0x5735baa50391d1beull, 7},
+    {"tpch/q4@feedback", 0x9e857f22dabeed1cull, 7},
+    {"tpch/q4m@default", 0xe144aa68565bcc1full, 7},
+    {"tpch/q4m@no_hsjn", 0xf79fc7c2d0bce878ull, 5},
+    {"tpch/q4m@bias50", 0xa802d2a9870693e5ull, 7},
+    {"tpch/q4m@feedback", 0xadb646b58b39e9d0ull, 7},
+    {"tpch/q5@default", 0xe1753b47ae9f2d5full, 989},
+    {"tpch/q5@no_hsjn", 0x262b9285a58fcec4ull, 433},
+    {"tpch/q5@bias50", 0xb3625575647df4dcull, 989},
+    {"tpch/q5@feedback", 0x4bf5b276e2c4b893ull, 989},
+    {"tpch/q5m@default", 0x4ac398b71625597bull, 989},
+    {"tpch/q5m@no_hsjn", 0x8db6c58e8fe89da6ull, 433},
+    {"tpch/q5m@bias50", 0x2b0737381018f422ull, 989},
+    {"tpch/q5m@feedback", 0xc763077d4d1e33e0ull, 989},
+    {"tpch/q7@default", 0xa6c60073844a9a4cull, 945},
+    {"tpch/q7@no_hsjn", 0x6f5aee82109480aaull, 411},
+    {"tpch/q7@bias50", 0x4dcbf0624e8c2d56ull, 945},
+    {"tpch/q7@feedback", 0x34bc641af26452ddull, 945},
+    {"tpch/q7m@default", 0x43a5fb83e7af44aaull, 945},
+    {"tpch/q7m@no_hsjn", 0x584443a071635758ull, 411},
+    {"tpch/q7m@bias50", 0xd8e606ffc4f0cec0ull, 945},
+    {"tpch/q7m@feedback", 0xe01872bc4c67a4c7ull, 945},
+    {"tpch/q8@default", 0x2206491b3af1536aull, 8775},
+    {"tpch/q8@no_hsjn", 0xf082e274c65e5c4bull, 3389},
+    {"tpch/q8@bias50", 0xa64fa402d927a5a4ull, 8775},
+    {"tpch/q8@feedback", 0x29eeb8410e463912ull, 8775},
+    {"tpch/q8m@default", 0x7d63103d0fbd5dcaull, 8775},
+    {"tpch/q8m@no_hsjn", 0x36684727ea4b7b6bull, 3389},
+    {"tpch/q8m@bias50", 0xc661ccb78cc854fdull, 8775},
+    {"tpch/q8m@feedback", 0xbbd17d45bf5e9128ull, 8775},
+    {"tpch/q9@default", 0x702af3c136cd11c9ull, 953},
+    {"tpch/q9@no_hsjn", 0xb1fe8832c8223f97ull, 403},
+    {"tpch/q9@bias50", 0x45d26c8bc40266fdull, 953},
+    {"tpch/q9@feedback", 0xfc60559a61df9db0ull, 953},
+    {"tpch/q9m@default", 0x702af3c136cd11c9ull, 953},
+    {"tpch/q9m@no_hsjn", 0xb1fe8832c8223f97ull, 403},
+    {"tpch/q9m@bias50", 0x45d26c8bc40266fdull, 953},
+    {"tpch/q9m@feedback", 0xfc60559a61df9db0ull, 953},
+    {"tpch/q10@default", 0x93162391d3d15260ull, 96},
+    {"tpch/q10@no_hsjn", 0x7112f8467de8732eull, 50},
+    {"tpch/q10@bias50", 0x5ce29c8b2640639full, 96},
+    {"tpch/q10@feedback", 0xa7c6541174735cd6ull, 96},
+    {"tpch/q10m@default", 0xda545797b0390057ull, 96},
+    {"tpch/q10m@no_hsjn", 0x46eae4254173507full, 50},
+    {"tpch/q10m@bias50", 0xeaf7599de6ed5ff0ull, 96},
+    {"tpch/q10m@feedback", 0xa07e2483bc5d5daeull, 96},
     {"tpch/q11@default", 0x680e65956e76415dull, 29},
     {"tpch/q11@no_hsjn", 0x4cc76eaa99cf6c8aull, 17},
-    {"tpch/q11@bias50", 0x199e2be32aefccc0ull, 29},
+    {"tpch/q11@bias50", 0xb7f530147b1d2823ull, 29},
     {"tpch/q11@feedback", 0xe90c072d11620b47ull, 29},
     {"tpch/q11m@default", 0x6b69173317bf252aull, 29},
     {"tpch/q11m@no_hsjn", 0xa0010d77d9adf25dull, 17},
-    {"tpch/q11m@bias50", 0xdd498ff3612127b0ull, 29},
+    {"tpch/q11m@bias50", 0x44f5a22c52cb90cbull, 29},
     {"tpch/q11m@feedback", 0xda09611e6eb463bfull, 29},
-    {"tpch/q18@default", 0x44bb596ab5941205ull, 29},
-    {"tpch/q18@no_hsjn", 0xc8f597b5b4f983e7ull, 17},
-    {"tpch/q18@bias50", 0xd4cc32262641db66ull, 29},
-    {"tpch/q18@feedback", 0x606b5315253d2507ull, 29},
-    {"tpch/q18m@default", 0xa68e8731061d9af9ull, 29},
-    {"tpch/q18m@no_hsjn", 0x2759dd364173acfcull, 17},
-    {"tpch/q18m@bias50", 0xddde1dba21f06053ull, 29},
-    {"tpch/q18m@feedback", 0x1ebfc761c4dd8d88ull, 29},
-    {"extra/q8_mv_orders@default", 0xa361bea86a2c401cull, 8889},
-    {"extra/q8_mv_orders@no_hsjn", 0xb3917f8f15c4cf1dull, 3503},
-    {"extra/q8_mv_orders@bias50", 0xcb7663464a9821bdull, 8889},
-    {"extra/q8_mv_orders@feedback", 0x46ae4420807bee5full, 8889},
-    {"extra/q8_mv_orders_customer@default", 0x4f36a928e97d4d66ull, 8775},
-    {"extra/q8_mv_orders_customer@no_hsjn", 0xe8c8b049a72dcd6bull, 3389},
-    {"extra/q8_mv_orders_customer@bias50", 0x2363d1bdaa5cbb10ull, 8775},
-    {"extra/q8_mv_orders_customer@feedback", 0xed79a6cdb4013a61ull, 8775},
-    {"extra/q8_mv_orders_customer@mgjn_only", 0x2600f53f1899a1f9ull, 124},
+    {"tpch/q18@default", 0xec9d830fcd1a30b6ull, 29},
+    {"tpch/q18@no_hsjn", 0xabeff0f28ea80568ull, 17},
+    {"tpch/q18@bias50", 0x3da3376804ba37adull, 29},
+    {"tpch/q18@feedback", 0x043957b836e7ada0ull, 29},
+    {"tpch/q18m@default", 0x8046ff3a4237aa62ull, 29},
+    {"tpch/q18m@no_hsjn", 0xb5c38e113fb3ca43ull, 17},
+    {"tpch/q18m@bias50", 0x5b7cdb7bd3deeebfull, 29},
+    {"tpch/q18m@feedback", 0x94534bdb0e662d83ull, 29},
+    {"extra/q8_mv_orders@default", 0x364f7378f9f4d8ddull, 8889},
+    {"extra/q8_mv_orders@no_hsjn", 0xa3d77ca2fc88ec90ull, 3503},
+    {"extra/q8_mv_orders@bias50", 0xa1a90857e30a6df2ull, 8889},
+    {"extra/q8_mv_orders@feedback", 0xb552edd6fce9981eull, 8889},
+    {"extra/q8_mv_orders_customer@default", 0x4dc94ce0166a15e5ull, 8775},
+    {"extra/q8_mv_orders_customer@no_hsjn", 0xbb28e29c8c6adb24ull, 3389},
+    {"extra/q8_mv_orders_customer@bias50", 0x7ccae4750e47a627ull, 8775},
+    {"extra/q8_mv_orders_customer@feedback", 0x29eeb8410e463912ull, 8775},
+    {"extra/q8_mv_orders_customer@mgjn_only", 0xfb6a1de6829dbc97ull, 124},
     {"extra/disconnected@default", 0x8a93e508b569816eull, 88},
     {"extra/disconnected@no_hsjn", 0x3854aeb98a9a5180ull, 44},
     {"extra/disconnected@bias50", 0x8e10cbce2c382d43ull, 88},
     {"extra/disconnected@feedback", 0x932b4aa546bdf299ull, 88},
-    {"dmv/dmv_q01@default", 0xa9a365cd72e504b0ull, 9133},
-    {"dmv/dmv_q01@no_hsjn", 0x3245a960119360deull, 3083},
-    {"dmv/dmv_q01@bias50", 0x71eddbaff3befeeeull, 9133},
-    {"dmv/dmv_q01@feedback", 0x33b0d38eae0f5334ull, 9133},
-    {"dmv/dmv_q02@default", 0x73ee36da50596852ull, 29},
-    {"dmv/dmv_q02@no_hsjn", 0x100b84a6b80838e7ull, 17},
-    {"dmv/dmv_q02@bias50", 0x209e7d926aa64bedull, 29},
-    {"dmv/dmv_q02@feedback", 0x59cfad955dfa174aull, 29},
-    {"dmv/dmv_q03@default", 0xdfbfd55068927520ull, 1005},
-    {"dmv/dmv_q03@no_hsjn", 0xbc03ea05e08b7c4dull, 403},
-    {"dmv/dmv_q03@bias50", 0x71d3bac95ffcb83aull, 1005},
-    {"dmv/dmv_q03@feedback", 0x1c8646f4c94b11ebull, 1005},
-    {"dmv/dmv_q04@default", 0x1608c849c209b52aull, 101},
-    {"dmv/dmv_q04@no_hsjn", 0xd7997496ef76330full, 51},
-    {"dmv/dmv_q04@bias50", 0x9e120bab3d324b9bull, 101},
-    {"dmv/dmv_q04@feedback", 0xb742492e44188b7full, 101},
-    {"dmv/dmv_q05@default", 0xe2a3687cee487dacull, 101},
-    {"dmv/dmv_q05@no_hsjn", 0x0ab1b3e2bace8f5cull, 51},
-    {"dmv/dmv_q05@bias50", 0xcdc9f2c81630c765ull, 101},
-    {"dmv/dmv_q05@feedback", 0x02b67d74a6b67efdull, 101},
-    {"dmv/dmv_q06@default", 0x316e67622f6302c1ull, 9133},
-    {"dmv/dmv_q06@no_hsjn", 0xc874983536837bd6ull, 3083},
-    {"dmv/dmv_q06@bias50", 0xf3a331390cdd6dedull, 9133},
-    {"dmv/dmv_q06@feedback", 0x9a8989359263f192ull, 9133},
-    {"dmv/dmv_q07@default", 0xff6e590279c3052full, 101},
-    {"dmv/dmv_q07@no_hsjn", 0x103b224ba2ade3aaull, 51},
-    {"dmv/dmv_q07@bias50", 0x6b83929b3fc8e533ull, 101},
-    {"dmv/dmv_q07@feedback", 0xaf20d1e175e9f886ull, 101},
-    {"dmv/dmv_q08@default", 0xd94a99a3f2e16d2dull, 2903},
-    {"dmv/dmv_q08@no_hsjn", 0xac1da1850278a661ull, 1131},
-    {"dmv/dmv_q08@bias50", 0x31f19f16d4e9b5ecull, 2903},
-    {"dmv/dmv_q08@feedback", 0xf5fc37e89684ff31ull, 2903},
-    {"dmv/dmv_q09@default", 0xcb9a02690e3be2ddull, 946},
-    {"dmv/dmv_q09@no_hsjn", 0x9314e761129ec8c0ull, 404},
-    {"dmv/dmv_q09@bias50", 0x36b55f316ffca288ull, 946},
-    {"dmv/dmv_q09@feedback", 0xf2a2a123148b90b0ull, 946},
-    {"dmv/dmv_q10@default", 0x4ec571f3339485edull, 1005},
-    {"dmv/dmv_q10@no_hsjn", 0x0e107069239ea875ull, 403},
-    {"dmv/dmv_q10@bias50", 0xf0f8ae8d3a9a9397ull, 1005},
-    {"dmv/dmv_q10@feedback", 0x173dead42253f30dull, 1005},
-    {"dmv/dmv_q11@default", 0xd82fde49f82f7263ull, 3045},
-    {"dmv/dmv_q11@no_hsjn", 0xaf8795c566bba897ull, 1113},
-    {"dmv/dmv_q11@bias50", 0x129b63ac943428b6ull, 3045},
-    {"dmv/dmv_q11@feedback", 0x1ea210c06a17c753ull, 3045},
-    {"dmv/dmv_q12@default", 0x9cc4a3e1fb8a0648ull, 29},
-    {"dmv/dmv_q12@no_hsjn", 0x68510acab4c9d77aull, 17},
-    {"dmv/dmv_q12@bias50", 0x31b3f3de43d06c1eull, 29},
-    {"dmv/dmv_q12@feedback", 0xe6a08d98341df056ull, 29},
-    {"dmv/dmv_q13@default", 0x722cba8f5be0c643ull, 29},
-    {"dmv/dmv_q13@no_hsjn", 0x5a524cb9b9c3b5a9ull, 17},
-    {"dmv/dmv_q13@bias50", 0x1db1dd269d156253ull, 29},
-    {"dmv/dmv_q13@feedback", 0x73727e2f3276a49full, 29},
-    {"dmv/dmv_q14@default", 0xd3611c8d985f8f5dull, 101},
-    {"dmv/dmv_q14@no_hsjn", 0x993dbc0c55cca8acull, 51},
-    {"dmv/dmv_q14@bias50", 0x86cc9c9bef5505a3ull, 101},
-    {"dmv/dmv_q14@feedback", 0xd883c30344142efdull, 101},
-    {"dmv/dmv_q15@default", 0x55ddd422eaa60586ull, 1005},
-    {"dmv/dmv_q15@no_hsjn", 0x7e19815d1e2bfd29ull, 403},
-    {"dmv/dmv_q15@bias50", 0x522587a97fa76994ull, 1005},
-    {"dmv/dmv_q15@feedback", 0x0b61ee6ee626e27aull, 1005},
-    {"dmv/dmv_q16@default", 0x834c72651e272b9dull, 2903},
-    {"dmv/dmv_q16@no_hsjn", 0xea33cfa5a353d3f4ull, 1131},
-    {"dmv/dmv_q16@bias50", 0x4281a598c4c2dae4ull, 2903},
-    {"dmv/dmv_q16@feedback", 0xf74251ee5e629f0bull, 2903},
-    {"dmv/dmv_q17@default", 0x9640ea526a97a561ull, 3045},
-    {"dmv/dmv_q17@no_hsjn", 0xf7af2061e05cd8bfull, 1113},
-    {"dmv/dmv_q17@bias50", 0x6721964b652c7725ull, 3045},
-    {"dmv/dmv_q17@feedback", 0x04cfd960bd788473ull, 3045},
-    {"dmv/dmv_q18@default", 0x76bec1debaad9fe7ull, 953},
-    {"dmv/dmv_q18@no_hsjn", 0x8bb71e5e826435fdull, 403},
-    {"dmv/dmv_q18@bias50", 0xa816b9b6ad7a1619ull, 953},
-    {"dmv/dmv_q18@feedback", 0xc6b052b1f1a69e8cull, 953},
-    {"dmv/dmv_q19@default", 0x7299887990dfbe30ull, 325},
-    {"dmv/dmv_q19@no_hsjn", 0xb67de3d040d0056aull, 145},
-    {"dmv/dmv_q19@bias50", 0xf366a0d734167eeeull, 325},
-    {"dmv/dmv_q19@feedback", 0x2d38beffcd07f190ull, 325},
-    {"dmv/dmv_q20@default", 0x4e553bbe01042f8eull, 29},
-    {"dmv/dmv_q20@no_hsjn", 0x3d39e99344deb614ull, 17},
-    {"dmv/dmv_q20@bias50", 0x9ab55ef04aa7c819ull, 29},
-    {"dmv/dmv_q20@feedback", 0x41af6b33002c2efcull, 29},
-    {"dmv/dmv_q21@default", 0x844032c801a3bbefull, 29},
-    {"dmv/dmv_q21@no_hsjn", 0x8d86e406fb2270e5ull, 17},
-    {"dmv/dmv_q21@bias50", 0x228f77695542a16cull, 29},
-    {"dmv/dmv_q21@feedback", 0x3c1b9f97cd1d0910ull, 29},
-    {"dmv/dmv_q22@default", 0x2994788c72255265ull, 29},
-    {"dmv/dmv_q22@no_hsjn", 0x74870c2e259508bbull, 17},
-    {"dmv/dmv_q22@bias50", 0x5825d5fe13348bcbull, 29},
-    {"dmv/dmv_q22@feedback", 0x654e65c44ce6b83eull, 29},
-    {"dmv/dmv_q23@default", 0x5b0ca7efc2a8caa3ull, 953},
-    {"dmv/dmv_q23@no_hsjn", 0x95b0e0d13ebf0003ull, 403},
-    {"dmv/dmv_q23@bias50", 0xbf8c568170c0bd56ull, 953},
-    {"dmv/dmv_q23@feedback", 0x8d82c2f4f379bd58ull, 953},
-    {"dmv/dmv_q24@default", 0x2479b988c8819bfeull, 9133},
-    {"dmv/dmv_q24@no_hsjn", 0xaa6dfcaebe4358b5ull, 3083},
-    {"dmv/dmv_q24@bias50", 0xc95e335ddc9d4078ull, 9133},
-    {"dmv/dmv_q24@feedback", 0xed9419f1447d9073ull, 9133},
-    {"dmv/dmv_q25@default", 0x2ff3309d0dee6f76ull, 29},
-    {"dmv/dmv_q25@no_hsjn", 0x91ce4498d902747cull, 17},
-    {"dmv/dmv_q25@bias50", 0xe2aa85dd7a261ea2ull, 29},
-    {"dmv/dmv_q25@feedback", 0x559b7ed8bfd808cfull, 29},
-    {"dmv/dmv_q26@default", 0xab4450b6bf186425ull, 3045},
-    {"dmv/dmv_q26@no_hsjn", 0x77eabb4688a5e128ull, 1113},
-    {"dmv/dmv_q26@bias50", 0x0f67c7fe789e663dull, 3045},
-    {"dmv/dmv_q26@feedback", 0x79fe9625f6c4ee99ull, 3045},
-    {"dmv/dmv_q27@default", 0x6af03462ed6e4a6eull, 101},
-    {"dmv/dmv_q27@no_hsjn", 0x25a0451c1f58942aull, 51},
-    {"dmv/dmv_q27@bias50", 0xa962e8d9886f7586ull, 101},
-    {"dmv/dmv_q27@feedback", 0x5150f82901dbefadull, 101},
-    {"dmv/dmv_q28@default", 0xb9dc677a9907d003ull, 101},
-    {"dmv/dmv_q28@no_hsjn", 0xd16ab366571e1265ull, 51},
-    {"dmv/dmv_q28@bias50", 0x75537af1916da596ull, 101},
-    {"dmv/dmv_q28@feedback", 0x19d21708e25150c9ull, 101},
-    {"dmv/dmv_q29@default", 0x01cb997c8a151a7aull, 307},
-    {"dmv/dmv_q29@no_hsjn", 0x5117cbc6633f9f49ull, 143},
-    {"dmv/dmv_q29@bias50", 0x0a1d032b61cb6713ull, 307},
-    {"dmv/dmv_q29@feedback", 0x7c049620cea5c74eull, 307},
-    {"dmv/dmv_q30@default", 0x2ecd875deaabf6f2ull, 9133},
-    {"dmv/dmv_q30@no_hsjn", 0x226fdeaf5c3b8fc6ull, 3083},
-    {"dmv/dmv_q30@bias50", 0xe9802bde245e7144ull, 9133},
-    {"dmv/dmv_q30@feedback", 0x7d4493ce90ff7865ull, 9133},
-    {"dmv/dmv_q31@default", 0x9b6d9784a07c9015ull, 29},
-    {"dmv/dmv_q31@no_hsjn", 0xb646ceb286b74bb4ull, 17},
-    {"dmv/dmv_q31@bias50", 0xba14a90bea554319ull, 29},
-    {"dmv/dmv_q31@feedback", 0x8f50470d18238469ull, 29},
-    {"dmv/dmv_q32@default", 0x506ce44716208ae3ull, 3045},
-    {"dmv/dmv_q32@no_hsjn", 0x30be05d6f4672c23ull, 1113},
-    {"dmv/dmv_q32@bias50", 0x401621f85af779f7ull, 3045},
-    {"dmv/dmv_q32@feedback", 0xe8d7b1f5bbbe923aull, 3045},
-    {"dmv/dmv_q33@default", 0x0143aad8d80638edull, 953},
-    {"dmv/dmv_q33@no_hsjn", 0xa05e4c901eafb0a1ull, 403},
-    {"dmv/dmv_q33@bias50", 0x3891f2f16fb29557ull, 953},
-    {"dmv/dmv_q33@feedback", 0x20c67e9b39394b50ull, 953},
-    {"dmv/dmv_q34@default", 0x165a768f026f95d3ull, 3045},
-    {"dmv/dmv_q34@no_hsjn", 0xf090fd2cf38fdaacull, 1113},
-    {"dmv/dmv_q34@bias50", 0xb74b7d4a6929ace4ull, 3045},
-    {"dmv/dmv_q34@feedback", 0x08d925482a41baa5ull, 3045},
-    {"dmv/dmv_q35@default", 0xc4ce33312aafd358ull, 29},
-    {"dmv/dmv_q35@no_hsjn", 0x6b61a5f154c8676full, 17},
-    {"dmv/dmv_q35@bias50", 0x5e06ce504d4913caull, 29},
-    {"dmv/dmv_q35@feedback", 0xd2b9dafb2b132624ull, 29},
-    {"dmv/dmv_q36@default", 0xca389d4bfeac13dbull, 8749},
-    {"dmv/dmv_q36@no_hsjn", 0xe218a7e951496d07ull, 3183},
-    {"dmv/dmv_q36@bias50", 0x292ebbbb8982cbafull, 8749},
-    {"dmv/dmv_q36@feedback", 0xe365317233adadceull, 8749},
-    {"dmv/dmv_q37@default", 0x0581776fee48c24full, 29},
-    {"dmv/dmv_q37@no_hsjn", 0x401c8f576dc2af47ull, 17},
-    {"dmv/dmv_q37@bias50", 0x10351e7e2f60cc54ull, 29},
-    {"dmv/dmv_q37@feedback", 0xe6816150807d996aull, 29},
-    {"dmv/dmv_q38@default", 0xe593e52cb6eda46full, 2892},
-    {"dmv/dmv_q38@no_hsjn", 0x78e4daa162e47f88ull, 1144},
-    {"dmv/dmv_q38@bias50", 0x96a4db0717bdb7e6ull, 2892},
-    {"dmv/dmv_q38@feedback", 0x6d35a80345db5e8dull, 2892},
-    {"dmv/dmv_q39@default", 0x6d27435ad91a0ec2ull, 9133},
-    {"dmv/dmv_q39@no_hsjn", 0xd8bf2ad6a34cc578ull, 3083},
-    {"dmv/dmv_q39@bias50", 0xe3554d5609308894ull, 9133},
-    {"dmv/dmv_q39@feedback", 0x7c3e41a6762c87c0ull, 9133},
+    {"dmv/dmv_q01@default", 0xd7041e5c72271108ull, 9133},
+    {"dmv/dmv_q01@no_hsjn", 0x9df0cb28872d1486ull, 3083},
+    {"dmv/dmv_q01@bias50", 0x39bf136f7fb1da15ull, 9133},
+    {"dmv/dmv_q01@feedback", 0xbab46997207a2c7cull, 9133},
+    {"dmv/dmv_q02@default", 0x2508339f0c8cc752ull, 29},
+    {"dmv/dmv_q02@no_hsjn", 0xc125816b743b97e7ull, 17},
+    {"dmv/dmv_q02@bias50", 0xa11868f79b356bb8ull, 29},
+    {"dmv/dmv_q02@feedback", 0x0ae9aa5a1a2d764aull, 29},
+    {"dmv/dmv_q03@default", 0x27db8c23087dce20ull, 1005},
+    {"dmv/dmv_q03@no_hsjn", 0x041fa0d88076d54dull, 403},
+    {"dmv/dmv_q03@bias50", 0xac0b7911feaa62cbull, 1005},
+    {"dmv/dmv_q03@feedback", 0xd46a9022295fb8ebull, 1005},
+    {"dmv/dmv_q04@default", 0x202ab6f6a65d3140ull, 101},
+    {"dmv/dmv_q04@no_hsjn", 0x2b684652e6f88929ull, 51},
+    {"dmv/dmv_q04@bias50", 0xc8e99c767c86fcc5ull, 101},
+    {"dmv/dmv_q04@feedback", 0x498885018098e6e1ull, 101},
+    {"dmv/dmv_q05@default", 0x5d5dab8ede91f10eull, 101},
+    {"dmv/dmv_q05@no_hsjn", 0x3d4e3d6df5c610aaull, 51},
+    {"dmv/dmv_q05@bias50", 0x65a7d9ae8deb37dbull, 101},
+    {"dmv/dmv_q05@feedback", 0xec5f0be92339c2ebull, 101},
+    {"dmv/dmv_q06@default", 0x339d7d334c5d9a92ull, 9133},
+    {"dmv/dmv_q06@no_hsjn", 0x3538f563331a6edaull, 3083},
+    {"dmv/dmv_q06@bias50", 0x7c1fe1bcc2832248ull, 9133},
+    {"dmv/dmv_q06@feedback", 0xca7ffc795e081761ull, 9133},
+    {"dmv/dmv_q07@default", 0xb84dca1ef6027efdull, 101},
+    {"dmv/dmv_q07@no_hsjn", 0x5117b92420b874acull, 51},
+    {"dmv/dmv_q07@bias50", 0x7659662f49c19669ull, 101},
+    {"dmv/dmv_q07@feedback", 0x769bc41dda48e230ull, 101},
+    {"dmv/dmv_q08@default", 0x68929eca18b63c75ull, 2903},
+    {"dmv/dmv_q08@no_hsjn", 0x0f21603fee87fd79ull, 1131},
+    {"dmv/dmv_q08@bias50", 0xbfb775318168e591ull, 2903},
+    {"dmv/dmv_q08@feedback", 0x55df9c8f690a9299ull, 2903},
+    {"dmv/dmv_q09@default", 0xcb712768cd55fde7ull, 946},
+    {"dmv/dmv_q09@no_hsjn", 0xf70a376b30e039c2ull, 404},
+    {"dmv/dmv_q09@bias50", 0x95f3720744168f00ull, 946},
+    {"dmv/dmv_q09@feedback", 0x7dfd57946c5c76deull, 946},
+    {"dmv/dmv_q10@default", 0x337245dee0f0803full, 1005},
+    {"dmv/dmv_q10@no_hsjn", 0x0357be48eb3e1bbfull, 403},
+    {"dmv/dmv_q10@bias50", 0x8d8adab8c00d83f8ull, 1005},
+    {"dmv/dmv_q10@feedback", 0x98c531084b27e797ull, 1005},
+    {"dmv/dmv_q11@default", 0xbc127c990ecedb63ull, 3045},
+    {"dmv/dmv_q11@no_hsjn", 0x936a34147d5b1197ull, 1113},
+    {"dmv/dmv_q11@bias50", 0x169cb40b47064712ull, 3045},
+    {"dmv/dmv_q11@feedback", 0x3abf727153785e53ull, 3045},
+    {"dmv/dmv_q12@default", 0xe25e9cc90ae04990ull, 29},
+    {"dmv/dmv_q12@no_hsjn", 0x7ffe051a869c8622ull, 17},
+    {"dmv/dmv_q12@bias50", 0x8d732e2bd7427c19ull, 29},
+    {"dmv/dmv_q12@feedback", 0x680f28b4a571d75eull, 29},
+    {"dmv/dmv_q13@default", 0x2bb88630bee72143ull, 29},
+    {"dmv/dmv_q13@no_hsjn", 0xc250d6c591278a8cull, 17},
+    {"dmv/dmv_q13@bias50", 0xce2adf8e28424041ull, 29},
+    {"dmv/dmv_q13@feedback", 0xb9e6b28dcf70499full, 29},
+    {"dmv/dmv_q14@default", 0xe36dbb56e794dc5dull, 101},
+    {"dmv/dmv_q14@no_hsjn", 0xe1d711b9569f6efdull, 51},
+    {"dmv/dmv_q14@bias50", 0x3004e6b2ebea7dfcull, 101},
+    {"dmv/dmv_q14@feedback", 0xc448d3f6eb5059fdull, 101},
+    {"dmv/dmv_q15@default", 0x2098164439d03e86ull, 1005},
+    {"dmv/dmv_q15@no_hsjn", 0x48d3c37e6d563629ull, 403},
+    {"dmv/dmv_q15@bias50", 0xb528d46b5259ba25ull, 1005},
+    {"dmv/dmv_q15@feedback", 0xeb616d4fc223d17aull, 1005},
+    {"dmv/dmv_q16@default", 0x74d9fbdd3be493e5ull, 2903},
+    {"dmv/dmv_q16@no_hsjn", 0x95a4d67f76bf93e9ull, 1131},
+    {"dmv/dmv_q16@bias50", 0x23a1813496e70df1ull, 2903},
+    {"dmv/dmv_q16@feedback", 0x8a2c9f181ffe8473ull, 2903},
+    {"dmv/dmv_q17@default", 0xa00cf50c13c8244full, 3045},
+    {"dmv/dmv_q17@no_hsjn", 0x93945e1817cbb465ull, 1113},
+    {"dmv/dmv_q17@bias50", 0x99efa21f57bf5628ull, 3045},
+    {"dmv/dmv_q17@feedback", 0x7fff98eeb203aa89ull, 3045},
+    {"dmv/dmv_q18@default", 0x5f4f8276cb762655ull, 953},
+    {"dmv/dmv_q18@no_hsjn", 0x31666cbe61edb15bull, 403},
+    {"dmv/dmv_q18@bias50", 0x3128900276cc7c7aull, 953},
+    {"dmv/dmv_q18@feedback", 0x1585d1746d6fe84eull, 953},
+    {"dmv/dmv_q19@default", 0x9a4c1675d40125beull, 325},
+    {"dmv/dmv_q19@no_hsjn", 0x840738d4b700ca74ull, 145},
+    {"dmv/dmv_q19@bias50", 0xe664489213e0c5ddull, 325},
+    {"dmv/dmv_q19@feedback", 0x74f3c084b8cb4b82ull, 325},
+    {"dmv/dmv_q20@default", 0x82374506d4703888ull, 29},
+    {"dmv/dmv_q20@no_hsjn", 0xedcfe5af6ea70eeaull, 17},
+    {"dmv/dmv_q20@bias50", 0x82d3377aeb5228deull, 29},
+    {"dmv/dmv_q20@feedback", 0x827ccc3802f9b65eull, 29},
+    {"dmv/dmv_q21@default", 0xa36f5e15fd144587ull, 29},
+    {"dmv/dmv_q21@no_hsjn", 0x1b7dc0e0b9f333bdull, 17},
+    {"dmv/dmv_q21@bias50", 0xa91e27b562eaafc9ull, 29},
+    {"dmv/dmv_q21@feedback", 0x86401ddbac15fbf8ull, 29},
+    {"dmv/dmv_q22@default", 0xe4aea062d0c7f463ull, 29},
+    {"dmv/dmv_q22@no_hsjn", 0x5f919b6d96921255ull, 17},
+    {"dmv/dmv_q22@bias50", 0xada2f25086c880b0ull, 29},
+    {"dmv/dmv_q22@feedback", 0x9141c417cc51b1d0ull, 29},
+    {"dmv/dmv_q23@default", 0xd254b5cc0d22c3f7ull, 953},
+    {"dmv/dmv_q23@no_hsjn", 0x9e29e37fb48f269full, 403},
+    {"dmv/dmv_q23@bias50", 0xa605dd5dbc4dc842ull, 953},
+    {"dmv/dmv_q23@feedback", 0xf5600054eef73d6cull, 953},
+    {"dmv/dmv_q24@default", 0xf980c43d656f2728ull, 9133},
+    {"dmv/dmv_q24@no_hsjn", 0x7f7cc4af3b563ec7ull, 3083},
+    {"dmv/dmv_q24@bias50", 0x54cc1f6773b62a67ull, 9133},
+    {"dmv/dmv_q24@feedback", 0xb12babc9bb3577b9ull, 9133},
+    {"dmv/dmv_q25@default", 0xb531da0631b46084ull, 29},
+    {"dmv/dmv_q25@no_hsjn", 0x952fff6d6dd673d6ull, 17},
+    {"dmv/dmv_q25@bias50", 0x89b8c67b79f1ed63ull, 29},
+    {"dmv/dmv_q25@feedback", 0x17af3fcca1722415ull, 29},
+    {"dmv/dmv_q26@default", 0x6a2d558d8534db37ull, 3045},
+    {"dmv/dmv_q26@no_hsjn", 0x3b38c437b8de0c42ull, 1113},
+    {"dmv/dmv_q26@bias50", 0x47b77c1abd08c233ull, 3045},
+    {"dmv/dmv_q26@feedback", 0x1b82da09eca5d5b7ull, 3045},
+    {"dmv/dmv_q27@default", 0xe4cd539e3678d820ull, 101},
+    {"dmv/dmv_q27@no_hsjn", 0x94de7e62991d4084ull, 51},
+    {"dmv/dmv_q27@bias50", 0x2cec4e115f4bfe84ull, 101},
+    {"dmv/dmv_q27@feedback", 0x73dbd7d6132c726bull, 101},
+    {"dmv/dmv_q28@default", 0xa7e9f1aa780d4259ull, 101},
+    {"dmv/dmv_q28@no_hsjn", 0x89e0066ffb205d97ull, 51},
+    {"dmv/dmv_q28@bias50", 0xfc7ba8b21dc55249ull, 101},
+    {"dmv/dmv_q28@feedback", 0xf54525fbba2fb9d7ull, 101},
+    {"dmv/dmv_q29@default", 0xadcc12bcd969e2a2ull, 307},
+    {"dmv/dmv_q29@no_hsjn", 0x980d197e9eb3e831ull, 143},
+    {"dmv/dmv_q29@bias50", 0x81a11ed132ee68fcull, 307},
+    {"dmv/dmv_q29@feedback", 0x765fe4502cba30f6ull, 307},
+    {"dmv/dmv_q30@default", 0x4e9cd98e3f0d0ddeull, 9133},
+    {"dmv/dmv_q30@no_hsjn", 0x5029f9babc080e92ull, 3083},
+    {"dmv/dmv_q30@bias50", 0xcd0636276a45a26aull, 9133},
+    {"dmv/dmv_q30@feedback", 0x61618818ae8ed021ull, 9133},
+    {"dmv/dmv_q31@default", 0x537049dbda27d133ull, 29},
+    {"dmv/dmv_q31@no_hsjn", 0xe33f08df6f832c6dull, 17},
+    {"dmv/dmv_q31@bias50", 0xd6e85cf953dc3f88ull, 29},
+    {"dmv/dmv_q31@feedback", 0x9c37d2356b2a71cfull, 29},
+    {"dmv/dmv_q32@default", 0xfab405b4b4bc2046ull, 3045},
+    {"dmv/dmv_q32@no_hsjn", 0x4dff50edaaa7f7e2ull, 1113},
+    {"dmv/dmv_q32@bias50", 0x06d54e641ef36d7eull, 3045},
+    {"dmv/dmv_q32@feedback", 0xc51d88e235b67883ull, 3045},
+    {"dmv/dmv_q33@default", 0x6af626e55fda9bd0ull, 953},
+    {"dmv/dmv_q33@no_hsjn", 0xb51d068fa7d9a71dull, 403},
+    {"dmv/dmv_q33@bias50", 0xb4b4d8a4dcebc15full, 953},
+    {"dmv/dmv_q33@feedback", 0x46fdcbe7221cecf1ull, 953},
+    {"dmv/dmv_q34@default", 0x7d279971308fc5c9ull, 3045},
+    {"dmv/dmv_q34@no_hsjn", 0x2b11c2dc784e3272ull, 1113},
+    {"dmv/dmv_q34@bias50", 0x8b8d823bcde67b74ull, 3045},
+    {"dmv/dmv_q34@feedback", 0x0ce954a40428c6bfull, 3045},
+    {"dmv/dmv_q35@default", 0xab4a353b18e45550ull, 29},
+    {"dmv/dmv_q35@no_hsjn", 0xcf6fdbf1f411b837ull, 17},
+    {"dmv/dmv_q35@bias50", 0xc2b3d75674146d0full, 29},
+    {"dmv/dmv_q35@feedback", 0x4bf0039544a3843cull, 29},
+    {"dmv/dmv_q36@default", 0xde386365cdfa9eefull, 8749},
+    {"dmv/dmv_q36@no_hsjn", 0x7f23f8fa9ae44a63ull, 3183},
+    {"dmv/dmv_q36@bias50", 0x89c4dbedd4978e94ull, 8749},
+    {"dmv/dmv_q36@feedback", 0xb57506259aae1a1aull, 8749},
+    {"dmv/dmv_q37@default", 0xa8aed44fa11f5adcull, 29},
+    {"dmv/dmv_q37@no_hsjn", 0x89139af8720c5bccull, 17},
+    {"dmv/dmv_q37@bias50", 0x11700aba1ad7fcd0ull, 29},
+    {"dmv/dmv_q37@feedback", 0xb9c8289391bb1d9dull, 29},
+    {"dmv/dmv_q38@default", 0x2138a64e72064874ull, 2892},
+    {"dmv/dmv_q38@no_hsjn", 0xd2a740b17e947dabull, 1144},
+    {"dmv/dmv_q38@bias50", 0xfb130399a4c1fab2ull, 2892},
+    {"dmv/dmv_q38@feedback", 0xcc303b791647442aull, 2892},
+    {"dmv/dmv_q39@default", 0xfb7fe079353e4d33ull, 9133},
+    {"dmv/dmv_q39@no_hsjn", 0x5bdfca8d7636748aull, 3083},
+    {"dmv/dmv_q39@bias50", 0xd625c12327e759c9ull, 9133},
+    {"dmv/dmv_q39@feedback", 0x8a900b118ece8225ull, 9133},
 };
 
 struct GoldenConfig {
@@ -1022,7 +1023,7 @@ TEST(EnumeratorGoldenTest, PlansAndCandidateCountsArePinned) {
   tpch_cases.push_back(mv_single);
 
   // {orders, customer} harvested with its exact cardinality and sorted on
-  // o_orderkey (position 0 of the canonical layout), the key of the
+  // o_orderkey (position 0 of the row layout), the key of the
   // lineitem join. At this size the skipped sort decides the join order
   // under bias50 and mgjn_only, so the sorted-view costing is pinned too.
   GoldenCase mv_multi{"extra/q8_mv_orders_customer", tpch::MakeQuery(8), {},

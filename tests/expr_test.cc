@@ -112,17 +112,17 @@ TEST(PredicateToStringTest, Renders) {
 // ------------------------------------------------------------- RowLayout.
 
 TEST(RowLayoutTest, SingleTable) {
-  const std::vector<int> widths = {3, 2, 4};
-  RowLayout layout(TableBit(1), widths);
+  const TableColumns columns = {AllColumns(3), AllColumns(2), AllColumns(4)};
+  RowLayout layout(TableBit(1), columns);
   EXPECT_EQ(2, layout.width());
   EXPECT_EQ(0, layout.Resolve({1, 0}));
   EXPECT_EQ(1, layout.Resolve({1, 1}));
   EXPECT_EQ(-1, layout.Resolve({0, 0}));
 }
 
-TEST(RowLayoutTest, CanonicalOrderIsTableIdOrder) {
-  const std::vector<int> widths = {3, 2, 4};
-  RowLayout layout(TableBit(0) | TableBit(2), widths);
+TEST(RowLayoutTest, TablesAppearInTableIdOrder) {
+  const TableColumns columns = {AllColumns(3), AllColumns(2), AllColumns(4)};
+  RowLayout layout(TableBit(0) | TableBit(2), columns);
   EXPECT_EQ(7, layout.width());
   EXPECT_EQ(0, layout.Resolve({0, 0}));
   EXPECT_EQ(2, layout.Resolve({0, 2}));
@@ -131,41 +131,91 @@ TEST(RowLayoutTest, CanonicalOrderIsTableIdOrder) {
 }
 
 TEST(RowLayoutTest, LayoutIsFunctionOfSetNotJoinOrder) {
-  const std::vector<int> widths = {1, 1, 1, 1};
+  const TableColumns columns(4, AllColumns(1));
   // Any join order over {0,1,3} must agree on positions.
-  RowLayout layout(TableBit(0) | TableBit(1) | TableBit(3), widths);
+  RowLayout layout(TableBit(0) | TableBit(1) | TableBit(3), columns);
   EXPECT_EQ(0, layout.Resolve({0, 0}));
   EXPECT_EQ(1, layout.Resolve({1, 0}));
   EXPECT_EQ(2, layout.Resolve({3, 0}));
 }
 
+TEST(RowLayoutTest, CarriesOnlyListedColumns) {
+  // Table 0 carries columns 1 and 3, table 1 none, table 2 column 0.
+  const TableColumns columns = {{1, 3}, {}, {0}};
+  RowLayout layout(TableBit(0) | TableBit(1) | TableBit(2), columns);
+  EXPECT_EQ(3, layout.width());
+  EXPECT_EQ(0, layout.Resolve({0, 1}));
+  EXPECT_EQ(1, layout.Resolve({0, 3}));
+  EXPECT_EQ(2, layout.Resolve({2, 0}));
+  EXPECT_EQ(-1, layout.Resolve({0, 0}));
+  EXPECT_EQ(-1, layout.Resolve({1, 0}));
+  EXPECT_EQ(0, RowLayout(TableBit(1), columns).width());
+}
+
+TEST(RowLayoutTest, StoredLayoutIsEverySchemaColumn) {
+  const RowLayout stored = RowLayout::Stored(2, 4);
+  EXPECT_EQ(TableBit(2), stored.table_set());
+  EXPECT_EQ(4, stored.width());
+  EXPECT_EQ(3, stored.Resolve({2, 3}));
+  EXPECT_EQ(-1, stored.Resolve({1, 0}));
+}
+
 // ------------------------------------------------------------- MergeSpec.
 
-TEST(MergeSpecTest, MergesIntoCanonicalOrder) {
-  const std::vector<int> widths = {2, 1, 2};
-  RowLayout left(TableBit(2), widths);   // Table 2 first on the left side!
-  RowLayout right(TableBit(0), widths);  // Table 0 on the right side.
-  RowLayout out(TableBit(0) | TableBit(2), widths);
-  const MergeSpec spec = MergeSpec::Make(left, right, out, widths);
+TEST(MergeSpecTest, MergesIntoTableIdOrder) {
+  const TableColumns columns = {AllColumns(2), AllColumns(1), AllColumns(2)};
+  RowLayout left(TableBit(2), columns);   // Table 2 first on the left side!
+  RowLayout right(TableBit(0), columns);  // Table 0 on the right side.
+  RowLayout out(TableBit(0) | TableBit(2), columns);
+  const MergeSpec spec = MergeSpec::Make(left, right, out);
 
   const Row lrow = {Value::Int(20), Value::Int(21)};  // Table 2 columns.
   const Row rrow = {Value::Int(0), Value::Int(1)};    // Table 0 columns.
   const Row merged = spec.Merge(lrow, rrow);
   ASSERT_EQ(4u, merged.size());
-  // Canonical order: table 0 columns first, then table 2.
+  // Table 0 columns first, then table 2.
   EXPECT_EQ(Value::Int(0), merged[0]);
   EXPECT_EQ(Value::Int(1), merged[1]);
   EXPECT_EQ(Value::Int(20), merged[2]);
   EXPECT_EQ(Value::Int(21), merged[3]);
 }
 
-// Property: for any disjoint pair of table sets, merging then resolving a
-// column gives the same value as reading it from its source row.
+TEST(MergeSpecTest, NarrowsAStoredRightRow) {
+  // An NLJN over a base-table inner: the inner is its stored row, the
+  // output carries only columns 1 and 3 of it.
+  const TableColumns columns = {{0}, {1, 3}};
+  const MergeSpec spec =
+      MergeSpec::Make(RowLayout(TableBit(0), columns), RowLayout::Stored(1, 4),
+                      RowLayout(TableBit(0) | TableBit(1), columns));
+  const Row merged =
+      spec.Merge({Value::Int(7)}, {Value::Int(10), Value::Int(11),
+                                   Value::Int(12), Value::Int(13)});
+  EXPECT_EQ(Row({Value::Int(7), Value::Int(11), Value::Int(13)}), merged);
+}
+
+TEST(MergeSpecTest, ColumnsGathersListedColumnsInOrder) {
+  const Row stored = {Value::Int(0), Value::Int(1), Value::Int(2)};
+  EXPECT_EQ(Row({Value::Int(0), Value::Int(2)}),
+            MergeSpec::Columns({0, 2}).Merge({}, stored));
+  EXPECT_TRUE(MergeSpec::Columns({}).Merge({}, stored).empty());
+}
+
+// Property: for any disjoint pair of table sets and any carried column
+// subsets (empty ones included), merging then resolving a carried column
+// gives the same value as reading it from its source row.
 class MergeSpecPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MergeSpecPropertyTest, ResolveAfterMergeMatchesSource) {
   const int seed = GetParam();
   const std::vector<int> widths = {2, 3, 1, 2, 1};
+  TableColumns columns(widths.size());
+  for (int t = 0; t < 5; ++t) {
+    for (int c = 0; c < widths[static_cast<size_t>(t)]; ++c) {
+      if ((seed + 3 * t + c) % 3 != 0) {
+        columns[static_cast<size_t>(t)].push_back(c);
+      }
+    }
+  }
   const TableSet left_set =
       (static_cast<TableSet>(seed) * 7 + 1) % 31 == 0
           ? 1
@@ -175,27 +225,25 @@ TEST_P(MergeSpecPropertyTest, ResolveAfterMergeMatchesSource) {
   if (right_set == 0) right_set = (~left_set) & 0x10;
   if (right_set == 0) return;  // Degenerate draw; other seeds cover it.
 
-  RowLayout left(left_set, widths);
-  RowLayout right(right_set, widths);
-  RowLayout out(left_set | right_set, widths);
-  const MergeSpec spec = MergeSpec::Make(left, right, out, widths);
+  RowLayout left(left_set, columns);
+  RowLayout right(right_set, columns);
+  RowLayout out(left_set | right_set, columns);
+  const MergeSpec spec = MergeSpec::Make(left, right, out);
+  ASSERT_EQ(static_cast<size_t>(out.width()), spec.sources.size());
 
   // Fill rows with values encoding (table, column).
-  auto fill = [&](const RowLayout& layout, TableSet set) {
+  auto fill = [&](const RowLayout& layout) {
     Row row(static_cast<size_t>(layout.width()));
-    for (int t = 0; t < 5; ++t) {
-      if (!ContainsTable(set, t)) continue;
-      for (int c = 0; c < widths[static_cast<size_t>(t)]; ++c) {
-        row[static_cast<size_t>(layout.Resolve({t, c}))] =
-            Value::Int(t * 100 + c);
-      }
+    for (const ColRef& col : layout.columns()) {
+      row[static_cast<size_t>(layout.Resolve(col))] =
+          Value::Int(col.table_id * 100 + col.column);
     }
     return row;
   };
-  const Row merged = spec.Merge(fill(left, left_set), fill(right, right_set));
+  const Row merged = spec.Merge(fill(left), fill(right));
   for (int t = 0; t < 5; ++t) {
     if (!ContainsTable(left_set | right_set, t)) continue;
-    for (int c = 0; c < widths[static_cast<size_t>(t)]; ++c) {
+    for (int c : columns[static_cast<size_t>(t)]) {
       EXPECT_EQ(Value::Int(t * 100 + c),
                 merged[static_cast<size_t>(out.Resolve({t, c}))])
           << "table " << t << " col " << c;

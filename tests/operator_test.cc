@@ -70,7 +70,6 @@ struct JoinFixture {
     for (int64_t i = 0; i < 25; ++i) {
       right_.AppendRow({Value::Int(i % 5), Value::Int(100 + i)});
     }
-    widths_ = {2, 2};
   }
 
   std::unique_ptr<TableScanOp> ScanLeft(
@@ -82,10 +81,9 @@ struct JoinFixture {
     return std::make_unique<TableScanOp>(&right_, 1, std::move(preds));
   }
   MergeSpec JoinMerge() {
-    return MergeSpec::Make(RowLayout(TableBit(0), widths_),
-                           RowLayout(TableBit(1), widths_),
-                           RowLayout(TableBit(0) | TableBit(1), widths_),
-                           widths_);
+    return MergeSpec::Make(RowLayout(TableBit(0), columns_),
+                           RowLayout(TableBit(1), columns_),
+                           RowLayout(TableBit(0) | TableBit(1), columns_));
   }
   /// Reference join result via HSJN in plentiful memory.
   std::vector<Row> ReferenceJoin() {
@@ -97,7 +95,7 @@ struct JoinFixture {
 
   Table left_;
   Table right_;
-  std::vector<int> widths_;
+  TableColumns columns_ = {AllColumns(2), AllColumns(2)};
 };
 
 class OperatorTest : public ::testing::Test, protected JoinFixture {};
@@ -701,7 +699,7 @@ TEST_F(OperatorTest, CheckOverJoinChargesTheSameWorkAtEveryBatchSize) {
                                     CheckSpec{}, false);
   };
   const auto nljn = [&](std::unique_ptr<Operator> outer, int inner_id) {
-    const std::vector<int> widths = {2, 2, 2};
+    const TableColumns columns(3, AllColumns(2));
     const TableSet outer_set = outer->table_set();
     InnerAccess inner;
     inner.table = &right_;
@@ -709,10 +707,9 @@ TEST_F(OperatorTest, CheckOverJoinChargesTheSameWorkAtEveryBatchSize) {
     inner.join_conds = {{0, 0}};
     return std::make_unique<NljnOp>(
         std::move(outer), std::move(inner),
-        MergeSpec::Make(RowLayout(outer_set, widths),
-                        RowLayout(TableBit(inner_id), widths),
-                        RowLayout(outer_set | TableBit(inner_id), widths),
-                        widths),
+        MergeSpec::Make(RowLayout(outer_set, columns),
+                        RowLayout(TableBit(inner_id), columns),
+                        RowLayout(outer_set | TableBit(inner_id), columns)),
         outer_set | TableBit(inner_id));
   };
   struct Case {
@@ -1017,10 +1014,10 @@ std::vector<std::string> InOrder(const std::vector<Row>& rows) {
 }
 
 MergeSpec LeftRightMerge() {
-  const std::vector<int> widths = {2, 3};
-  return MergeSpec::Make(RowLayout(TableBit(0), widths),
-                         RowLayout(TableBit(1), widths),
-                         RowLayout(TableBit(0) | TableBit(1), widths), widths);
+  const TableColumns columns = {AllColumns(2), AllColumns(3)};
+  return MergeSpec::Make(RowLayout(TableBit(0), columns),
+                         RowLayout(TableBit(1), columns),
+                         RowLayout(TableBit(0) | TableBit(1), columns));
 }
 
 std::unique_ptr<Operator> MakeHsjn(const Table& left, const Table& right,

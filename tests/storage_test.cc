@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -321,6 +323,69 @@ TEST(StatisticsTest, EmptyTable) {
   EXPECT_EQ(0, s.row_count);
   EXPECT_FALSE(s.column(0).min.has_value());
   EXPECT_TRUE(s.column(0).histogram.empty());
+}
+
+TEST(StatisticsTest, TypedSortsKeepValueSemantics) {
+  // Each column's cells are sorted once as typed values; the stats must be
+  // what Value comparison and hashing give. Distinct int64 values beyond
+  // 2^53 stay distinct although they share a double, -0.0 and 0.0 are one
+  // value whose first-seen representative is the extreme, and an int and a
+  // double column holding equal numbers get equal stats. A table rejects a
+  // cell of another type than its column's, so no column mixes int and
+  // double cells; a NaN, which Value comparison finds equal to every
+  // number, takes the generic path.
+  const int64_t big = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table t("t", Schema({{"big", ValueType::kInt},
+                       {"zeros", ValueType::kDouble},
+                       {"ints", ValueType::kInt},
+                       {"doubles", ValueType::kDouble},
+                       {"nan", ValueType::kDouble}}));
+  t.AppendRow({Value::Int(big), Value::Double(-1.0), Value::Int(3),
+               Value::Double(3.0), Value::Double(nan)});
+  t.AppendRow({Value::Int(big + 1), Value::Double(0.0), Value::Int(1),
+               Value::Double(1.0), Value::Double(1.0)});
+  t.AppendRow({Value::Null(), Value::Null(), Value::Null(), Value::Null(),
+               Value::Null()});
+  t.AppendRow({Value::Int(big + 1), Value::Double(-0.0), Value::Int(2),
+               Value::Double(2.0), Value::Double(2.0)});
+  t.AppendRow({Value::Int(-3), Value::Double(-1.0), Value::Int(1),
+               Value::Double(1.0), Value::Double(1.0)});
+  t.AppendRow({Value::Int(big + 2), Value::Double(-0.0), Value::Int(3),
+               Value::Double(3.0), Value::Null()});
+  // A sample of fraction 1 keeps every row and runs the GEE path.
+  for (const TableStats& s :
+       {CollectTableStats(t), CollectTableStatsSampled(t, 1.0, 9)}) {
+    const ColumnStats& b = s.column(0);
+    EXPECT_EQ(1, b.null_count);
+    EXPECT_EQ(4, b.num_distinct);
+    EXPECT_EQ(-3, b.min->AsInt());
+    EXPECT_EQ(big + 2, b.max->AsInt());
+    const double d53 = static_cast<double>(big);
+    EXPECT_EQ(std::vector<double>({-3.0, d53, d53, d53, d53 + 2, d53 + 2}),
+              b.histogram.bounds);
+    EXPECT_EQ(std::vector<int64_t>({1, 1, 1, 1, 1}), b.histogram.counts);
+
+    const ColumnStats& z = s.column(1);
+    EXPECT_EQ(2, z.num_distinct);  // -1.0 and the zeros.
+    EXPECT_EQ(-1.0, z.min->AsDouble());
+    EXPECT_EQ(0.0, z.max->AsDouble());
+    EXPECT_FALSE(std::signbit(z.max->AsDouble()));  // 0.0 came first.
+
+    const ColumnStats& i = s.column(2);
+    const ColumnStats& d = s.column(3);
+    EXPECT_EQ(3, i.num_distinct);
+    EXPECT_EQ(i.num_distinct, d.num_distinct);
+    EXPECT_EQ(*i.min, *d.min);
+    EXPECT_EQ(*i.max, *d.max);
+    EXPECT_EQ(i.histogram.bounds, d.histogram.bounds);
+    EXPECT_EQ(i.histogram.counts, d.histogram.counts);
+
+    const ColumnStats& n = s.column(4);
+    EXPECT_EQ(2, n.null_count);
+    EXPECT_TRUE(std::isnan(n.min->AsDouble()));  // Nothing compares below.
+    EXPECT_EQ(4, n.histogram.total_rows);
+  }
 }
 
 TEST(HistogramTest, UniformFractionLeq) {

@@ -407,7 +407,12 @@ void PlanReference(const Catalog& catalog, const QuerySpec& query,
 std::vector<Row> ReferenceExecute(const Catalog& catalog,
                                   const QuerySpec& query) {
   RefContext ctx;
-  ctx.layout = RowLayout(query.AllTables(), QueryTableWidths(catalog, query));
+  // Whole rows: the reference carries every column of every table.
+  TableColumns every;
+  for (int width : QueryTableWidths(catalog, query)) {
+    every.push_back(AllColumns(width));
+  }
+  ctx.layout = RowLayout(query.AllTables(), every);
   PlanReference(catalog, query, &ctx);
   Row partial(static_cast<size_t>(ctx.layout.width()));
   Enumerate(&ctx, 0, &partial);
