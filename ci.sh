@@ -7,22 +7,22 @@
 # stitched-cluster-trace / federated-metrics / query-log check and a
 # kill -9 of one shard mid-query), then a ThreadSanitizer build that
 # hammers the concurrent pieces (runtime query service, network front
-# end, morsel parallelism, shared feedback stores, parallel executors,
-# write-path snapshot consistency, metrics registry, span tracer), then a
-# UBSan build over the tracing/metrics/runtime/parallel/network/write/
-# storage/optimizer suites, then an AddressSanitizer build over the
-# optimizer's DP table (indexed by table-set bitmasks) and the
-# differential oracle's sample, over the flat join kernels (CSR index spans,
-# hash-join chain arrays, column gathers) with their storage, operator,
+# end, shared feedback stores, concurrent executors, write-path snapshot
+# consistency, metrics registry, span tracer), then a UBSan build over
+# the tracing/metrics/runtime/network/write/storage/optimizer suites,
+# then an AddressSanitizer build over the optimizer's DP table (indexed
+# by table-set bitmasks) and the differential oracle's sample, over the
+# flat join kernels (CSR index spans, hash-join chain arrays, column
+# gathers) with their storage, operator,
 # write-path and batch-size tests, over the shared row buffers of
 # reused intermediate results (POP, matview and extension tests), and over
 # the narrow row layouts' position arithmetic (executor builder, layout and
 # merge specs, TPC-H plans, the shard JSON round trip).
 #
 # The release ctest runs everything including tests labeled "slow"
-# (parallel_stress_test, the differential oracle's full config lattice)
-# and "paper" (the figure/table binaries asserting the paper's claims on
-# work units); use `ctest -L fast` locally for the quick loop.
+# (the differential oracle's full config lattice) and "paper" (the
+# figure/table binaries asserting the paper's claims on work units); use
+# `ctest -L fast` locally for the quick loop.
 # bench_reopt_latency, the one wall-time gate, runs serially after it.
 # The sanitizer stages run the differential oracle's pairwise-covering
 # sample (--gtest_filter=DifferentialSample*), and TSan the golden
@@ -181,24 +181,22 @@ else
         -DPOPDB_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" \
         --target runtime_test concurrency_test observability_test \
-        morsel_test plan_cache_test differential_test engine_golden_test \
-        txn_test parallel_stress_test net_test dist_test
+        plan_cache_test differential_test engine_golden_test txn_test \
+        net_test dist_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/runtime_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/observability_test
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/morsel_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/plan_cache_test
-  # The differential oracle's sample: morsel dispatchers, shared plan
-  # caches, loopback clusters and a concurrent writer in one world.
+  # The differential oracle's sample: shared plan caches, loopback
+  # clusters and a concurrent writer in one world.
   TSAN_OPTIONS="halt_on_error=1" \
       ./build-tsan/tests/differential_test \
       --gtest_filter='DifferentialSample*'
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_golden_test \
       --gtest_filter='*/rows3:*/rows1024'
   # Write path (ctest label "txn"): copy-on-write snapshot hammer with
-  # concurrent writers/readers plus the dop-1-vs-4 differential leg.
+  # concurrent writers/readers and a service reading under writes.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/txn_test
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_stress_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dist_test
 fi
@@ -211,13 +209,12 @@ else
         -DPOPDB_SANITIZE=undefined
   cmake --build build-ubsan -j "$(nproc)" \
         --target runtime_test observability_test operator_test pop_test \
-        morsel_test plan_cache_test differential_test txn_test net_test \
-        dist_test enumerator_test storage_test
+        plan_cache_test differential_test txn_test net_test dist_test \
+        enumerator_test storage_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/observability_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/runtime_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/operator_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/pop_test
-  UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/morsel_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/plan_cache_test
   # Batch-boundary CHECK math (floor/truncation) is exactly what UBSan
   # watches for; the differential oracle's sample crosses batch sizes with

@@ -15,13 +15,11 @@ ExecutorBuilder::ExecutorBuilder(const Catalog& catalog,
                                  const QuerySpec& query,
                                  const std::vector<Row>* already_returned,
                                  bool offer_hsjn_builds,
-                                 ParallelPolicy parallel,
                                  TableSnapshotSet* snapshots)
     : catalog_(catalog),
       query_(query),
       already_returned_(already_returned),
       offer_hsjn_builds_(offer_hsjn_builds),
-      parallel_(parallel),
       snapshots_(snapshots != nullptr ? snapshots : &owned_snapshots_),
       columns_(QueryTableColumns(catalog, query)) {}
 
@@ -79,37 +77,10 @@ Result<std::unique_ptr<Operator>> ExecutorBuilder::BuildNode(
         return Status::NotFound("no such table: " + node.table_name);
       }
       std::vector<ResolvedPredicate> preds = ResolveTablePreds(node.pred_ids);
-      // All reads go through the query's pinned snapshot; the morsel range
-      // is sized from it too, so morsels cover exactly the pinned rid
-      // space regardless of concurrent appends.
-      const TableSnapshot& snapshot = snapshots_->Pin(*table);
-      // With a modeled per-morsel I/O stall, even dop=1 goes through the
-      // morsel loop (a serial engine reads the same pages one at a time),
-      // so scaling benchmarks compare against an honest serial baseline.
-      const bool morselize =
-          parallel_.enabled() || parallel_.morsel_stall_ms > 0;
-      if (morselize && snapshot.num_rows() >= parallel_.min_parallel_rows) {
-        // Morsel-parallel fragment: the scan (with its pushed-down
-        // predicates) runs once per rid-range morsel; the exchange merges
-        // in rid order, so consumers see the serial row stream. The factory
-        // captures the snapshot by value: morsel scans constructed on
-        // worker threads read the same pinned version.
-        const int table_id = node.table_id;
-        auto shared_preds = std::make_shared<
-            const std::vector<ResolvedPredicate>>(std::move(preds));
-        op = std::make_unique<MorselExchangeOp>(
-            [snapshot, table_id, shared_preds,
-             columns = columns_[static_cast<size_t>(table_id)]](
-                int64_t begin, int64_t end) {
-              return std::make_unique<TableScanOp>(
-                  snapshot, table_id, *shared_preds, columns, begin, end);
-            },
-            snapshot.num_rows(), TableBit(node.table_id), parallel_);
-      } else {
-        op = std::make_unique<TableScanOp>(
-            snapshot, node.table_id, std::move(preds),
-            columns_[static_cast<size_t>(node.table_id)]);
-      }
+      // All reads go through the query's pinned snapshot.
+      op = std::make_unique<TableScanOp>(
+          snapshots_->Pin(*table), node.table_id, std::move(preds),
+          columns_[static_cast<size_t>(node.table_id)]);
       break;
     }
     case PlanOpKind::kMatViewScan: {

@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "exec/operator.h"
-#include "exec/parallel.h"
 #include "opt/plan.h"
 #include "opt/query.h"
 #include "storage/catalog.h"
@@ -34,19 +33,14 @@ class ExecutorBuilder {
  public:
   /// `already_returned` backs kAntiComp nodes (may be null when the plan
   /// has none). `offer_hsjn_builds` lets hash joins expose their build
-  /// sides for reuse. `parallel` (default: serial) makes the builder wrap
-  /// eligible base-table scans — at least `min_parallel_rows` rows — in a
-  /// MorselExchangeOp so they fan out over morsel tasks; every other
-  /// operator stays in the serial tail above the exchange, which is what
-  /// keeps CHECK thresholds and harvested feedback identical to serial
-  /// execution. `snapshots` is the query's pinned-version registry: base
-  /// tables are read through it so all operators — and all re-optimization
-  /// attempts of one execution — see the same frozen data under concurrent
-  /// writes; when null the builder owns a private set (one Build is still
-  /// internally consistent).
+  /// sides for reuse. `snapshots` is the query's pinned-version registry:
+  /// base tables are read through it so all operators — and all
+  /// re-optimization attempts of one execution — see the same frozen data
+  /// under concurrent writes; when null the builder owns a private set (one
+  /// Build is still internally consistent).
   ExecutorBuilder(const Catalog& catalog, const QuerySpec& query,
                   const std::vector<Row>* already_returned,
-                  bool offer_hsjn_builds, ParallelPolicy parallel = {},
+                  bool offer_hsjn_builds,
                   TableSnapshotSet* snapshots = nullptr);
 
   Result<BuiltPlan> Build(const PlanNode& plan);
@@ -68,7 +62,6 @@ class ExecutorBuilder {
   const QuerySpec& query_;
   const std::vector<Row>* already_returned_;
   bool offer_hsjn_builds_;
-  ParallelPolicy parallel_;
   TableSnapshotSet owned_snapshots_;
   TableSnapshotSet* snapshots_;
   /// QueryTableColumns of the query: the row layout's input.

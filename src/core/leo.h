@@ -83,7 +83,7 @@ class QueryFeedbackStore {
 
   /// Point-in-time copy of everything learned, keyed by subplan
   /// signature. Differential tests compare stores across execution modes
-  /// (e.g. serial vs morsel-parallel) entry by entry.
+  /// (e.g. batch sizes, sharded vs local) entry by entry.
   std::map<std::string, CardFeedback> Dump() const {
     std::lock_guard<std::mutex> lock(mu_);
     return store_;

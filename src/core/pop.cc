@@ -124,7 +124,6 @@ std::vector<EdgeObservation> CollectEdgeObservations(const ExecContext& ctx,
 
 void ProgressiveExecutor::Harvest(const ExecContext& ctx,
                                   const BuiltPlan& built,
-                                  bool compensation_present,
                                   ExecutionStats* stats) {
   TRACE_SPAN("harvest_feedback", "pop");
   // Materialized intermediate rows become temporary MVs when complete and
@@ -144,7 +143,6 @@ void ProgressiveExecutor::Harvest(const ExecContext& ctx,
   // edges, and the failing check. With compensation in the plan, counts
   // above the anti-join are not true subplan cardinalities, so the builder
   // excluded those edges.
-  (void)compensation_present;
   for (const EdgeObservation& obs : CollectEdgeObservations(ctx, built)) {
     if (obs.exact) {
       feedback_.RecordExact(obs.set, obs.rows);
@@ -318,11 +316,8 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
     if (stats != nullptr) info.plan_text = root->ToString();
     info.optimize_ms = NowMs() - t_opt;
 
-    const ParallelPolicy parallel =
-        task_runner_ != nullptr ? parallel_ : ParallelPolicy{};
     ExecutorBuilder builder(catalog_, query, &returned_so_far,
-                            pop_config_.reuse_hsjn_builds, parallel,
-                            &snapshots);
+                            pop_config_.reuse_hsjn_builds, &snapshots);
     Result<BuiltPlan> built = [&] {
       TRACE_SPAN("build_executor", "pop");
       return builder.Build(*root);
@@ -333,14 +328,7 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
     ctx.params = query.params();
     ctx.mem_rows = static_cast<int64_t>(optimizer_.config().cost.mem_rows);
     ctx.cancel = cancel_token_;
-    // The batch size is independent of the task runner: it comes from the
-    // stored policy (parallel_), not the runner-gated copy, so serial
-    // executions use the configured size too.
-    ctx.batch_rows = parallel_.batch_rows;
-    if (parallel.enabled()) {
-      ctx.tasks = task_runner_;
-      ctx.dop = parallel.dop;
-    }
+    ctx.batch_rows = batch_rows_;
 
     const double t_exec = NowMs();
     std::vector<Row> attempt_rows;
@@ -360,8 +348,6 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
 
     if (stats != nullptr) {
       stats->total_work += ctx.work;
-      stats->morsels_dispatched += ctx.morsels_dispatched;
-      stats->parallel_work += ctx.parallel_work;
       stats->check_events.insert(stats->check_events.end(),
                                  ctx.check_events.begin(),
                                  ctx.check_events.end());
@@ -390,7 +376,7 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
                         ctx.reopt.observed_rows);
       info.reoptimized = true;
       info.signal = ctx.reopt;
-      Harvest(ctx, built.value(), !returned_so_far.empty(), stats);
+      Harvest(ctx, built.value(), stats);
       if (stats != nullptr) {
         ++stats->reopts;
         stats->attempts.push_back(std::move(info));

@@ -58,11 +58,6 @@ struct ExecutionStats {
   int64_t result_rows = 0;
   int reopts = 0;
   int64_t mv_rows_harvested = 0;
-  /// Morsel-parallel execution (set_parallel): morsels run across all
-  /// attempts and the work units spent inside morsel tasks.
-  /// parallel_work / total_work is the query's parallel fraction.
-  int64_t morsels_dispatched = 0;
-  int64_t parallel_work = 0;
   std::vector<CheckEvent> check_events;  ///< Accumulated over attempts.
   /// Plan-cache decision for the first attempt (kNone when no cache is
   /// attached or the run is non-progressive) and, on a hit, the age of the
@@ -164,17 +159,9 @@ class ProgressiveExecutor {
   /// the token's reason. Not owned; may be null.
   void set_cancel_token(CancelToken* token) { cancel_token_ = token; }
 
-  /// Morsel-driven intra-query parallelism: eligible base-table scans fan
-  /// out over `runner` with at most `policy.dop` workers including the
-  /// query's own thread (exec/parallel.h). Execution results, CHECK
-  /// decisions, and harvested feedback are identical to serial execution;
-  /// every task group joins inside the attempt, so re-optimization never
-  /// overlaps in-flight morsel tasks. `runner` is not owned and may be
-  /// null (serial).
-  void set_parallel(TaskRunner* runner, ParallelPolicy policy) {
-    task_runner_ = runner;
-    parallel_ = policy;
-  }
+  /// Target rows per execution batch (ExecContext::batch_rows). Results,
+  /// CHECK decisions, work and harvested feedback do not depend on it.
+  void set_batch_rows(int64_t rows) { batch_rows_ = rows; }
 
   const PopConfig& pop_config() const { return pop_config_; }
   const OptimizerConfig& optimizer_config() const {
@@ -191,7 +178,7 @@ class ProgressiveExecutor {
   /// Harvests feedback and reusable intermediate results after a CHECK
   /// fired.
   void Harvest(const ExecContext& ctx, const BuiltPlan& built,
-               bool compensation_present, ExecutionStats* stats);
+               ExecutionStats* stats);
 
   const Catalog& catalog_;
   Optimizer optimizer_;
@@ -206,8 +193,7 @@ class ProgressiveExecutor {
   QueryFeedbackStore* cross_query_store_ = nullptr;
   PlanCache* plan_cache_ = nullptr;
   CancelToken* cancel_token_ = nullptr;
-  TaskRunner* task_runner_ = nullptr;
-  ParallelPolicy parallel_;
+  int64_t batch_rows_ = kDefaultBatchRows;
 };
 
 /// Monotonic wall-clock milliseconds (benchmark helper).

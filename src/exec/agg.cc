@@ -1,9 +1,5 @@
 #include "exec/agg.h"
 
-#include <algorithm>
-
-#include "exec/parallel.h"
-
 namespace popdb {
 
 const char* AggFuncName(AggFunc func) {
@@ -54,17 +50,6 @@ void HashAggOp::AccumulateFromBatch(const RowBatch& batch,
   }
 }
 
-void HashAggOp::MergeState(const AggState& from, AggState* into) {
-  into->count += from.count;
-  into->sum += from.sum;
-  if (!from.min.is_null() && (into->min.is_null() || from.min < into->min)) {
-    into->min = from.min;
-  }
-  if (!from.max.is_null() && (into->max.is_null() || from.max > into->max)) {
-    into->max = from.max;
-  }
-}
-
 void HashAggOp::EmitResults(GroupMap* groups) {
   results_.reserve(groups->size());
   for (auto& [key, states] : *groups) {
@@ -95,56 +80,9 @@ void HashAggOp::EmitResults(GroupMap* groups) {
   next_ = 0;
 }
 
-ExecStatus HashAggOp::OpenPreAggregated(ExecContext* ctx,
-                                        MorselExchangeOp* exchange) {
-  const int workers = std::max(1, ctx->dop);
-  // One partial table per worker index; a worker never runs two morsels
-  // concurrently, so each partial is single-threaded. The exchange charges
-  // the per-row work the serial drain loop would have.
-  std::vector<GroupMap> partial(static_cast<size_t>(workers));
-  exchange->SetBatchSink([this, &partial](int worker, const RowBatch& batch) {
-    AccumulateFromBatch(batch, &partial[static_cast<size_t>(worker)]);
-  });
-  ExecStatus s = child_->Open(ctx);
-  exchange->SetBatchSink(nullptr);
-  if (s != ExecStatus::kOk) return s;
-  // Drain the (now empty) stream so the exchange records a normal
-  // pull-to-EOF and feedback harvesting sees the exact cardinality.
-  RowBatch none;
-  s = child_->NextBatch(ctx, &none);
-  if (s != ExecStatus::kEof) {
-    return s == ExecStatus::kRow ? ExecStatus::kError : s;
-  }
-  child_->Close(ctx);
-
-  // Merge in worker order; which rows each worker saw depends on morsel
-  // claiming, so the output *order* is unspecified (the multiset is not).
-  GroupMap groups;
-  for (GroupMap& p : partial) {
-    for (auto& [key, states] : p) {
-      std::vector<AggState>& into = groups[key];
-      if (into.empty()) {
-        into = std::move(states);
-      } else {
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          MergeState(states[a], &into[a]);
-        }
-      }
-    }
-  }
-  EmitResults(&groups);
-  return ExecStatus::kOk;
-}
-
 ExecStatus HashAggOp::OpenImpl(ExecContext* ctx) {
   results_.clear();
   next_ = 0;
-  auto* exchange = dynamic_cast<MorselExchangeOp*>(child_.get());
-  if (exchange != nullptr && exchange->policy().preaggregate &&
-      ctx->tasks != nullptr && ctx->dop > 1) {
-    return OpenPreAggregated(ctx, exchange);
-  }
-
   ExecStatus s = child_->Open(ctx);
   if (s != ExecStatus::kOk) return s;
   GroupMap groups;

@@ -20,19 +20,9 @@ struct ResolvedAgg {
   int pos = -1;
 };
 
-class MorselExchangeOp;
-
 /// Hash group-by aggregation. Output rows are `group positions` values
 /// followed by one value per aggregate; the output is no longer a
 /// canonical table-set row (table_set() == 0). Materializes at Open.
-///
-/// When the child is a MorselExchangeOp whose policy enables
-/// `preaggregate`, batches are accumulated into per-task partial hash tables
-/// inside the morsel workers and merged in worker order afterwards —
-/// the classic parallel pre-aggregation. The merged row *multiset* equals
-/// serial execution for COUNT/MIN/MAX and integer SUM; float SUM/AVG may
-/// differ in the last bits because addition is reordered, which is why the
-/// policy flag defaults to off.
 class HashAggOp : public Operator {
  public:
   HashAggOp(std::unique_ptr<Operator> child, std::vector<int> group_pos,
@@ -54,14 +44,11 @@ class HashAggOp : public Operator {
   };
   using GroupMap = std::unordered_map<Row, std::vector<AggState>, RowHash>;
 
-  /// Folds every active row of `batch` into a (possibly per-task partial)
-  /// group table, reading the rows in place.
+  /// Folds every active row of `batch` into the group table, reading the
+  /// rows in place.
   void AccumulateFromBatch(const RowBatch& batch, GroupMap* groups) const;
-  static void MergeState(const AggState& from, AggState* into);
   /// Renders the final group table into results_.
   void EmitResults(GroupMap* groups);
-  /// Pre-aggregating open path over a parallel exchange child.
-  ExecStatus OpenPreAggregated(ExecContext* ctx, MorselExchangeOp* exchange);
 
   std::unique_ptr<Operator> child_;
   std::vector<int> group_pos_;

@@ -10,7 +10,7 @@
 namespace popdb {
 
 /// Target rows per RowBatch unless a caller sets another: the default of
-/// ExecContext, ParallelPolicy, ServiceConfig and the shard executor.
+/// ExecContext, ProgressiveExecutor, ServiceConfig and the shard executor.
 inline constexpr int64_t kDefaultBatchRows = 1024;
 
 /// Caps a per-batch row count so the payload (`width` columns of Value)

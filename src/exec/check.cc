@@ -47,12 +47,18 @@ ExecStatus CheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // produces past the violating row, so a violation lands on the final row
   // of the pulled batch and no consumed-but-unemitted rows exist.
   // Observation mode and pure lower bounds never truncate, so they pass
-  // full batches through unclamped.
+  // full batches through unclamped. The pull that brings the first row
+  // asks for one row, so `work_first_` is the work at the first row
+  // whatever the batch size.
   const bool enforced_hi =
       spec_.enabled && !spec_.observe_only &&
       spec_.hi != std::numeric_limits<double>::infinity();
   const int64_t full_target = ctx->batch_rows;
-  if (enforced_hi) ctx->batch_rows = spec_.ClampTarget(count_, full_target);
+  if (count_ == 0) {
+    ctx->batch_rows = 1;
+  } else if (enforced_hi) {
+    ctx->batch_rows = spec_.ClampTarget(count_, full_target);
+  }
   const ExecStatus s = child_->NextBatch(ctx, out);
   ctx->batch_rows = full_target;
   if (s == ExecStatus::kRow) {
@@ -100,6 +106,7 @@ ExecStatus BufCheckOp::OpenImpl(ExecContext* ctx) {
   buffer_.clear();
   buffer_pos_ = 0;
   charged_end_ = 0;
+  served_buffer_ = false;
   decided_ = false;
   child_eof_ = false;
   event_recorded_ = false;
@@ -118,12 +125,14 @@ ExecStatus BufCheckOp::OpenImpl(ExecContext* ctx) {
   // The child's batch target is clamped to the rows remaining before the
   // next decision point — the violation threshold for a finite upper
   // bound, the release count for a [lo, inf) valve — so the decision
-  // falls on the last row of a pulled batch.
+  // falls on the last row of a pulled batch. The first pull asks for one
+  // row, so `work_first_` is the work at the first row.
   const bool finite_hi = spec_.hi != std::numeric_limits<double>::infinity();
   const int64_t full_target = ctx->batch_rows;
   RowBatch b;
   while (!decided_) {
-    ctx->batch_rows = spec_.ClampTarget(count_, full_target);
+    ctx->batch_rows =
+        count_ == 0 ? 1 : spec_.ClampTarget(count_, full_target);
     const ExecStatus cs = child_->NextBatch(ctx, &b);
     ctx->batch_rows = full_target;
     if (cs == ExecStatus::kEof) {
@@ -171,13 +180,14 @@ ExecStatus BufCheckOp::OpenImpl(ExecContext* ctx) {
 }
 
 ExecStatus BufCheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  if (buffer_pos_ < buffer_.size()) {
+  served_buffer_ = buffer_pos_ < buffer_.size();
+  if (served_buffer_) {
     const int64_t target = BatchTarget(
         ctx, static_cast<int>(buffer_[buffer_pos_].size()));
     out->Clear();
     while (buffer_pos_ < buffer_.size() && out->num_rows < target) {
       if (buffer_pos_ < charged_end_) ++ctx->work;
-      out->AppendRowMove(std::move(buffer_[buffer_pos_++]));
+      out->AppendRow(buffer_[buffer_pos_++]);
     }
     return ExecStatus::kRow;
   }
@@ -189,6 +199,21 @@ ExecStatus BufCheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   const ExecStatus s = child_->NextBatch(ctx, out);
   if (s == ExecStatus::kRow) count_ += out->ActiveRows();
   return s;
+}
+
+void BufCheckOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
+  Operator::ReturnUnconsumed(ctx, unconsumed);
+  if (!served_buffer_) {
+    count_ -= unconsumed;
+    child_->ReturnUnconsumed(ctx, unconsumed);
+    return;
+  }
+  const size_t from = buffer_pos_ - static_cast<size_t>(unconsumed);
+  if (from < charged_end_) {
+    ctx->work -= static_cast<int64_t>(std::min(buffer_pos_, charged_end_) -
+                                      from);
+  }
+  buffer_pos_ = from;
 }
 
 bool BufCheckOp::HarvestInfo(HarvestedResult* out) const {

@@ -79,6 +79,10 @@ class BufCheckOp : public Operator {
   std::vector<const Operator*> children() const override {
     return {child_.get()};
   }
+  /// Buffered rows are un-read: the charged ones are un-charged and the
+  /// buffer rewinds. Pass-through rows leave the count and go back to the
+  /// child.
+  void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
 
   int64_t count() const { return count_; }
 
@@ -94,6 +98,8 @@ class BufCheckOp : public Operator {
   /// Buffered rows before this index cost one work unit when served; the
   /// rest came past the decision row and pass through.
   size_t charged_end_ = 0;
+  /// The last batch served came from the buffer (not pass-through).
+  bool served_buffer_ = false;
   int64_t count_ = 0;
   bool decided_ = false;
   bool child_eof_ = false;

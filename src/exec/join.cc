@@ -1,11 +1,9 @@
 #include "exec/join.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "common/status.h"
-#include "exec/parallel.h"
 
 namespace popdb {
 
@@ -218,26 +216,12 @@ size_t HashRowKey(const Row& row, const std::vector<int>& positions) {
 
 }  // namespace
 
-void HsjnOp::BuildTable(ExecContext* ctx, const std::vector<Row>& rows,
-                        int workers, HashTable* table) const {
-  const size_t n = rows.size();
-  table->hashes.resize(n);
-  // Workers claim fixed slices of rows and hash them into disjoint slots;
-  // claiming (not slicing by worker index) covers the slices of workers a
-  // busy runner never started. Linking stays serial.
-  constexpr size_t kSlice = kMinParallelBuildRows;
-  std::atomic<size_t> next_slice{0};
-  TaskGroup::Run(ctx->tasks, workers, [&](int) {
-    while (true) {
-      const size_t lo =
-          next_slice.fetch_add(1, std::memory_order_relaxed) * kSlice;
-      if (lo >= n) break;
-      const size_t hi = std::min(n, lo + kSlice);
-      for (size_t i = lo; i < hi; ++i) {
-        table->hashes[i] = HashRowKey(rows[i], build_keys_);
-      }
-    }
-  });
+void HsjnOp::BuildTable(const std::vector<Row>& rows,
+                        HashTable* table) const {
+  table->hashes.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    table->hashes[i] = HashRowKey(rows[i], build_keys_);
+  }
   table->Link();
 }
 
@@ -283,9 +267,7 @@ ExecStatus HsjnOp::OpenImpl(ExecContext* ctx) {
   if (build_count_ <= ctx->mem_rows) {
     // Streaming in-memory mode.
     in_memory_mode_ = true;
-    const bool parallel = build_count_ >= kMinParallelBuildRows;
-    BuildTable(ctx, *build_rows_, parallel ? std::max(1, ctx->dop) : 1,
-               &table_);
+    BuildTable(*build_rows_, &table_);
     return probe_->Open(ctx);
   }
 
@@ -308,7 +290,7 @@ ExecStatus HsjnOp::Join(ExecContext* ctx, std::vector<Row>* build,
   if (static_cast<int64_t>(build->size()) <= ctx->mem_rows || depth > 8) {
     if (depth > 0) ++mutable_stats().partitions;
     HashTable table;
-    BuildTable(ctx, *build, 1, &table);
+    BuildTable(*build, &table);
     for (const Row& prow : *probe) {
       if (ctx->CancelPending()) return ExecStatus::kCancelled;
       ++ctx->work;

@@ -108,11 +108,6 @@ class NljnOp : public Operator {
 class HsjnOp : public Operator {
  public:
   static constexpr int kFanOut = 16;
-  /// Minimum build size whose key hashes are computed in parallel slices
-  /// of this many rows (exec/parallel.h) when the execution has a task
-  /// runner and dop > 1. The rows are linked serially either way, so the
-  /// table — and the probe output — is bit-identical to a serial build.
-  static constexpr int64_t kMinParallelBuildRows = 1024;
 
   HsjnOp(std::unique_ptr<Operator> probe, std::unique_ptr<Operator> build,
          std::vector<int> probe_keys, std::vector<int> build_keys,
@@ -138,7 +133,7 @@ class HsjnOp : public Operator {
   /// row. Rows are linked from last to first, so every chain — and
   /// therefore every probe's match list — runs in ascending build-row
   /// order. Keys are compared as Values and hashed as HashRow of the key
-  /// values. The serial, parallel and spill paths all use it.
+  /// values. The in-memory and spill paths both use it.
   struct HashTable {
     static constexpr uint32_t kEnd = UINT32_MAX;
 
@@ -156,9 +151,7 @@ class HsjnOp : public Operator {
   };
 
   /// Fills `table` with the build-key hashes of `rows` and links it.
-  /// `workers` > 1 hashes slices in parallel on `ctx`'s task runner.
-  void BuildTable(ExecContext* ctx, const std::vector<Row>& rows,
-                  int workers, HashTable* table) const;
+  void BuildTable(const std::vector<Row>& rows, HashTable* table) const;
   /// Next row at or after chain position `*cursor` whose build key equals
   /// the probe key (hash `hash`, values `probe_at(k)`); advances `*cursor`
   /// past it. Returns HashTable::kEnd when the chain is exhausted.

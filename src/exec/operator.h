@@ -149,7 +149,6 @@ struct HarvestedResult {
 };
 
 class Operator;
-class TaskRunner;
 
 /// Shared mutable state for one plan execution.
 struct ExecContext {
@@ -186,19 +185,6 @@ struct ExecContext {
   /// Cooperative cancellation token, polled by operators in their row loops
   /// (scans, NLJN inner loops, spill passes). Not owned; may be null.
   CancelToken* cancel = nullptr;
-
-  /// Intra-query parallelism: morsel tasks fan out through this runner
-  /// (exec/parallel.h). Not owned; null = serial execution. `dop` bounds
-  /// the workers one parallel fragment may occupy, including the query's
-  /// own thread. Exchange operators give their tasks private contexts —
-  /// only `cancel` (thread safe) is shared — and fold the task totals back
-  /// in at join, so everything else in this struct stays single-threaded.
-  TaskRunner* tasks = nullptr;
-  int dop = 1;
-
-  /// Morsel accounting, aggregated when a fragment's task group joins.
-  int64_t morsels_dispatched = 0;
-  int64_t parallel_work = 0;  ///< Work units spent inside morsel tasks.
 
   /// Target rows per RowBatch exchanged between operators. A batch of one
   /// row gives row granularity; CHECKs and work bounds clamp the target of
@@ -306,13 +292,14 @@ class Operator {
   /// (RowBufferOp) that un-charges the served rows and rewinds; TBSCAN
   /// rewinds by rid, un-charging every row it read after the last kept
   /// one; HSJN un-charges the probe rows it never needed and hands them
-  /// back to its probe child; CHECK (until it fires) and CHECKM pass the
-  /// rows on to their child. Hand-backs compose: two calls take back what
-  /// one call with their sum takes back. A consumer that stops early calls
-  /// it even when it kept every row it pulled: the producer may have read
-  /// past the last row it handed over (a hash join's probe rows without a
-  /// match, a scan's trailing rows failing its predicates), which batch
-  /// size 1 never reads.
+  /// back to its probe child; BUFCHECK un-charges the buffered rows it
+  /// served and rewinds; CHECK (until it fires), CHECKM and BUFCHECK's
+  /// pass-through rows go on to the child. Hand-backs compose: two calls
+  /// take back what one call with their sum takes back. A consumer that
+  /// stops early calls it even when it kept every row it pulled: the
+  /// producer may have read past the last row it handed over (a hash
+  /// join's probe rows without a match, a scan's trailing rows failing its
+  /// predicates), which batch size 1 never reads.
   virtual void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
     (void)ctx;
     rows_produced_ -= unconsumed;
@@ -413,12 +400,6 @@ class Operator {
   /// Mutable counters for subclass-specific detail (loops/partitions/
   /// spills).
   OperatorStats& mutable_stats() { return stats_; }
-
-  /// For exchange-style operators whose rows are consumed inside worker
-  /// tasks (hash-agg pre-aggregation) instead of being pulled through
-  /// NextBatch: folds the externally consumed count into rows_produced so
-  /// feedback harvesting sees the true fragment cardinality.
-  void CreditExternalRows(int64_t n) { rows_produced_ += n; }
 
   static int64_t ClockNs() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(

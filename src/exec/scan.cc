@@ -1,14 +1,10 @@
 #include "exec/scan.h"
 
-#include <algorithm>
-
 namespace popdb {
 
 ExecStatus TableScanOp::OpenImpl(ExecContext* ctx) {
   (void)ctx;
-  next_rid_ = begin_rid_;
-  stop_rid_ = end_rid_ < 0 ? snapshot_.num_rows()
-                           : std::min(end_rid_, snapshot_.num_rows());
+  next_rid_ = 0;
   return ExecStatus::kOk;
 }
 
@@ -17,8 +13,9 @@ ExecStatus TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // live in the pinned snapshot, so the pointers stay valid).
   const int width = static_cast<int>(gather_.sources.size());
   const int64_t target = BatchTarget(ctx, width);
+  const int64_t end_rid = snapshot_.num_rows();
   out->Reset(width);
-  while (next_rid_ < stop_rid_ &&
+  while (next_rid_ < end_rid &&
          static_cast<int64_t>(pending_.size()) < target) {
     if (ctx->CancelPending()) {
       gather_.Gather(nullptr, &pending_, out);
@@ -52,7 +49,7 @@ void TableScanOp::ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) {
   // Walk back over the rows read since the last kept passing row: batch
   // size 1 stops reading right after the row its consumer takes last.
   int64_t returned = 0;
-  while (next_rid_ > begin_rid_) {
+  while (next_rid_ > 0) {
     const int64_t rid = next_rid_ - 1;
     if (snapshot_.alive(rid)) {
       if (Passes(snapshot_.row(rid))) {

@@ -13,9 +13,7 @@ namespace popdb {
 /// Sequential scan over a base table, applying resolved local predicates
 /// to the stored rows (positions are schema columns) and gathering
 /// `columns` of each passing row: the table's carried columns in the
-/// query's row layout (exec/layout.h). An optional rid range
-/// [begin_rid, end_rid) restricts the scan to one morsel of the table
-/// (exec/parallel.h); end_rid < 0 means "through the last row".
+/// query's row layout (exec/layout.h).
 ///
 /// The scan reads a pinned TableSnapshot, so concurrent writes are
 /// invisible: rows tombstoned in the snapshot are skipped, rows appended
@@ -27,21 +25,16 @@ class TableScanOp : public Operator {
  public:
   TableScanOp(TableSnapshot snapshot, int table_id,
               std::vector<ResolvedPredicate> preds,
-              const std::vector<int>& columns, int64_t begin_rid = 0,
-              int64_t end_rid = -1)
+              const std::vector<int>& columns)
       : Operator(TableBit(table_id)),
         snapshot_(std::move(snapshot)),
         preds_(std::move(preds)),
-        begin_rid_(begin_rid),
-        end_rid_(end_rid),
         gather_(MergeSpec::Columns(columns)) {}
 
   TableScanOp(const Table* table, int table_id,
-              std::vector<ResolvedPredicate> preds, int64_t begin_rid = 0,
-              int64_t end_rid = -1)
+              std::vector<ResolvedPredicate> preds)
       : TableScanOp(table->Snapshot(), table_id, std::move(preds),
-                    AllColumns(table->schema().num_columns()), begin_rid,
-                    end_rid) {}
+                    AllColumns(table->schema().num_columns())) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
@@ -56,10 +49,7 @@ class TableScanOp : public Operator {
 
   TableSnapshot snapshot_;
   std::vector<ResolvedPredicate> preds_;
-  int64_t begin_rid_ = 0;
-  int64_t end_rid_ = -1;   ///< Exclusive; negative = snapshot size.
   int64_t next_rid_ = 0;
-  int64_t stop_rid_ = 0;   ///< Resolved end bound (set at Open).
   MergeSpec gather_;        ///< Stored row -> carried columns.
   PendingMatches pending_;  ///< Batch path: passing rows (right only).
 };

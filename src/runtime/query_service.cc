@@ -93,18 +93,16 @@ QueryService::QueryService(const Catalog& catalog, ServiceConfig config)
       "Catalog stats-version bumps caused by write-path statistics folds "
       "(accumulated churn crossed the drift threshold).");
 
-  if (config_.use_pop) {
-    reopt_incremental_hits_ = registry.GetCounter(
-        "popdb_reopt_incremental_hits",
-        "DP memo entries reused by incremental re-optimizations instead of "
-        "being re-enumerated.");
-    reopt_incremental_invalidated_ = registry.GetCounter(
-        "popdb_reopt_incremental_invalidated_entries",
-        "DP memo entries invalidated because their table set contained an "
-        "edge whose observed cardinality changed.");
-  }
+  reopt_incremental_hits_ = registry.GetCounter(
+      "popdb_reopt_incremental_hits",
+      "DP memo entries reused by incremental re-optimizations instead of "
+      "being re-enumerated.");
+  reopt_incremental_invalidated_ = registry.GetCounter(
+      "popdb_reopt_incremental_invalidated_entries",
+      "DP memo entries invalidated because their table set contained an "
+      "edge whose observed cardinality changed.");
 
-  if (config_.use_pop && config_.plan_cache_entries > 0) {
+  if (config_.plan_cache_entries > 0) {
     PlanCacheConfig cache_config;
     cache_config.max_entries = config_.plan_cache_entries;
     plan_cache_ = std::make_unique<PlanCache>(cache_config);
@@ -142,49 +140,6 @@ QueryService::QueryService(const Catalog& catalog, ServiceConfig config)
         "popdb_plan_cache_hit_age_ms",
         "Age of plan-cache entries at the moment they were served.",
         Histogram::LogBuckets(0.5, 2.0, 20));
-  }
-
-  if (config_.intra_query_dop > 1) {
-    // External-worker mode: the service's own workers drain the morsel
-    // queue whenever they are not running a query, so intra-query
-    // parallelism never over-subscribes the pool.
-    morsel_pool_ = std::make_unique<MorselDispatcher>(
-        MorselDispatcher::ExternalWorkersTag{},
-        /*queue_capacity=*/config_.num_workers * 8 + 64);
-    morsel_pool_->set_notify([this] { cv_.notify_all(); });
-
-    morsels_total_ = registry.GetCounter(
-        "popdb_morsels_dispatched_total",
-        "Morsels executed by parallel plan fragments.");
-    parallel_work_total_ = registry.GetCounter(
-        "popdb_parallel_work_units_total",
-        "Work units performed inside morsel-parallel fragments.");
-    work_total_ = registry.GetCounter(
-        "popdb_work_units_total",
-        "Work units performed by all queries (parallel-fraction "
-        "denominator).");
-    // Fraction in [0, 1]; eighth-wide linear buckets.
-    parallel_fraction_ = registry.GetHistogram(
-        "popdb_query_parallel_fraction",
-        "Per-query share of execution work done in parallel fragments.",
-        {0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0});
-    morsel_submitted_ = registry.GetGauge(
-        "popdb_morsel_tasks_submitted",
-        "Morsel tasks accepted by the dispatcher queue.");
-    morsel_rejected_ = registry.GetGauge(
-        "popdb_morsel_tasks_rejected",
-        "Morsel tasks refused on backpressure (ran inline instead).");
-    morsel_ran_ = registry.GetGauge(
-        "popdb_morsel_tasks_ran",
-        "Morsel tasks claimed and run by helper workers.");
-    morsel_stale_ = registry.GetGauge(
-        "popdb_morsel_tasks_stale",
-        "Morsel tasks stolen back by their owner before a helper got "
-        "there.");
-    morsel_active_ = registry.GetGauge(
-        "popdb_morsel_workers_active",
-        "Workers currently inside a helper-claimed morsel task "
-        "(per-pipeline thread occupancy).");
   }
 
   workers_.reserve(static_cast<size_t>(config_.num_workers));
@@ -274,9 +229,6 @@ void QueryService::Shutdown(bool drain) {
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
-  // All queries are done; stop accepting morsel tasks. Anything still
-  // queued is stolen back and run inline by its owning TaskGroup.
-  if (morsel_pool_ != nullptr) morsel_pool_->Shutdown();
 }
 
 void QueryService::WorkerLoop() {
@@ -285,17 +237,8 @@ void QueryService::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] {
-        return shutdown_ || !lanes_[0].empty() || !lanes_[1].empty() ||
-               (morsel_pool_ != nullptr && morsel_pool_->HasQueued());
+        return shutdown_ || !lanes_[0].empty() || !lanes_[1].empty();
       });
-      // Morsel tasks first: finishing in-flight queries beats admitting
-      // new ones, and every queued morsel has a worker blocked on it.
-      if (morsel_pool_ != nullptr && morsel_pool_->HasQueued()) {
-        lock.unlock();
-        while (morsel_pool_->TryRunOne()) {
-        }
-        continue;
-      }
       // High lane first; FIFO within a lane.
       if (!lanes_[1].empty()) {
         ticket = std::move(lanes_[1].front());
@@ -358,11 +301,8 @@ void QueryService::RunOne(const std::shared_ptr<QueryTicket>& ticket) {
          stats.plan_cache == PlanCacheOutcome::kValidityHit)) {
       plan_cache_hit_age_->Observe(stats.plan_cache_age_ms);
     }
-    if (reopt_incremental_hits_ != nullptr) {
-      reopt_incremental_hits_->Increment(stats.memo_entries_reused);
-      reopt_incremental_invalidated_->Increment(
-          stats.memo_entries_invalidated);
-    }
+    reopt_incremental_hits_->Increment(stats.memo_entries_reused);
+    reopt_incremental_invalidated_->Increment(stats.memo_entries_invalidated);
     // Engine diagnostics shared by both execution paths read the record:
     // the distributed coordinator reports CHECK firings and per-shard
     // profiles through the same ExecutionStats shape the local executor
@@ -406,29 +346,8 @@ Result<std::vector<Row>> QueryService::ExecuteQuery(QueryTicket* ticket,
   exec.set_cross_query_store(FeedbackFor(ticket->session_id_));
   exec.set_plan_cache(plan_cache_.get());
   exec.set_cancel_token(&ticket->cancel_);
-  ParallelPolicy parallel;
-  parallel.batch_rows = config_.exec_batch_rows;
-  if (morsel_pool_ != nullptr) {
-    parallel.dop = config_.intra_query_dop;
-    parallel.morsel_rows = config_.morsel_rows;
-    parallel.min_parallel_rows = config_.min_parallel_rows;
-  }
-  // A null pool leaves execution serial; the policy still carries the
-  // execution batch size.
-  exec.set_parallel(morsel_pool_.get(), parallel);
-  Result<std::vector<Row>> rows =
-      config_.use_pop ? exec.Execute(ticket->query_, stats)
-                      : exec.ExecuteStatic(ticket->query_, stats);
-  if (morsel_pool_ != nullptr) {
-    morsels_total_->Increment(stats->morsels_dispatched);
-    parallel_work_total_->Increment(stats->parallel_work);
-    work_total_->Increment(stats->total_work);
-    if (stats->total_work > 0) {
-      parallel_fraction_->Observe(static_cast<double>(stats->parallel_work) /
-                                  static_cast<double>(stats->total_work));
-    }
-  }
-  return rows;
+  exec.set_batch_rows(config_.exec_batch_rows);
+  return exec.Execute(ticket->query_, stats);
 }
 
 void QueryService::FinishTicket(const std::shared_ptr<QueryTicket>& ticket,
@@ -492,14 +411,6 @@ std::string QueryService::MetricsText() {
     plan_cache_installs_->Set(ps.installs);
     plan_cache_size_->Set(plan_cache_->size());
     plan_cache_near_misses_->Set(ps.near_misses);
-  }
-  if (morsel_pool_ != nullptr) {
-    const MorselDispatcher::Stats ms = morsel_pool_->stats();
-    morsel_submitted_->Set(ms.submitted);
-    morsel_rejected_->Set(ms.rejected);
-    morsel_ran_->Set(ms.ran);
-    morsel_stale_->Set(ms.stale);
-    morsel_active_->Set(morsel_pool_->active());
   }
   return metrics_.registry().RenderPrometheus();
 }

@@ -1,6 +1,7 @@
 #ifndef POPDB_RUNTIME_QUERY_SERVICE_H_
 #define POPDB_RUNTIME_QUERY_SERVICE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -14,7 +15,6 @@
 #include "common/status.h"
 #include "core/pop.h"
 #include "runtime/metrics.h"
-#include "runtime/morsel_dispatcher.h"
 #include "runtime/trace.h"
 #include "storage/catalog.h"
 #include "txn/write.h"
@@ -78,9 +78,6 @@ struct ServiceConfig {
   /// lanes; Submit rejects with ResourceExhausted when the bound is hit.
   int queue_capacity = 64;
 
-  /// Progressive (POP) execution; false = classic optimize-once execution.
-  bool use_pop = true;
-
   /// One process-wide feedback store shared by all sessions: cardinalities
   /// learned by any query's re-optimization seed the planning of
   /// concurrent and subsequent queries (LEO-style, across threads). When
@@ -91,30 +88,19 @@ struct ServiceConfig {
   /// clock starts at submission, so queue wait counts against it.
   double default_deadline_ms = 0.0;
 
-  /// Intra-query (morsel) degree of parallelism. When > 1, parallelizable
-  /// plan fragments fan out over the service's own worker pool: idle
-  /// workers double as morsel helpers, so intra-query parallelism uses
-  /// exactly the capacity inter-query scheduling leaves free and degrades
-  /// to serial execution under full load. 1 = serial (default).
-  int intra_query_dop = 1;
+  /// CPUs one query occupies: every query runs on its worker's thread.
+  /// Workers and shards own parallelism.
+  static constexpr int intra_query_dop = 1;
 
-  /// Rows per morsel when intra_query_dop > 1.
-  int64_t morsel_rows = 2048;
-
-  /// Tables below this size are never morsel-parallelized (fan-out
-  /// overhead would dominate).
-  int64_t min_parallel_rows = 4096;
-
-  /// Rows per execution batch (ParallelPolicy::batch_rows). Results and
-  /// re-optimization behavior do not depend on it.
+  /// Rows per execution batch (ProgressiveExecutor::set_batch_rows).
+  /// Results and re-optimization behavior do not depend on it.
   int64_t exec_batch_rows = kDefaultBatchRows;
 
   /// Shared plan-cache capacity in entries; <= 0 disables plan caching.
   /// The cache is keyed by canonical query signature and gated by the
   /// feedback epoch/digest, so repeat submissions (prepared statements
   /// with different bindings included) skip DP enumeration while hits
-  /// remain provably identical to fresh optimizations. Only effective
-  /// when use_pop is true (static runs never consult the cache).
+  /// remain provably identical to fresh optimizations.
   int64_t plan_cache_entries = 256;
 
   OptimizerConfig optimizer;
@@ -326,22 +312,9 @@ class QueryService {
   Gauge* feedback_hits_ = nullptr;      ///< ... that found cardinalities.
   Gauge* feedback_seeded_ = nullptr;    ///< Cardinalities handed out.
 
-  // Incremental re-optimization counters (registered when use_pop).
+  // Incremental re-optimization counters.
   Counter* reopt_incremental_hits_ = nullptr;  ///< Memo entries reused.
   Counter* reopt_incremental_invalidated_ = nullptr;  ///< Entries dropped.
-
-  // Morsel-parallelism metrics (registered only when intra_query_dop > 1).
-  Counter* morsels_total_ = nullptr;        ///< Morsels executed.
-  Counter* parallel_work_total_ = nullptr;  ///< Work units done in parallel
-                                            ///< fragments.
-  Counter* work_total_ = nullptr;           ///< All work units (parallel
-                                            ///< fraction denominator).
-  Histogram* parallel_fraction_ = nullptr;  ///< Per-query parallel share.
-  Gauge* morsel_submitted_ = nullptr;       ///< Dispatcher: accepted tasks.
-  Gauge* morsel_rejected_ = nullptr;        ///< Dispatcher: backpressure.
-  Gauge* morsel_ran_ = nullptr;             ///< Tasks run by helpers.
-  Gauge* morsel_stale_ = nullptr;           ///< Stolen back before helper.
-  Gauge* morsel_active_ = nullptr;          ///< Workers inside a morsel.
 
   // Write-path metrics (always registered; the write path may attach
   // after construction).
@@ -370,10 +343,6 @@ class QueryService {
   std::deque<std::shared_ptr<QueryTicket>> lanes_[2];
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
-
-  /// Shared fan-out point for intra-query parallelism; null when
-  /// intra_query_dop <= 1. External-worker mode: WorkerLoop drains it.
-  std::unique_ptr<MorselDispatcher> morsel_pool_;
 
   /// Shared across all workers and sessions; null when disabled. Each
   /// executor gates lookups on the external epoch of *its* feedback store

@@ -29,8 +29,6 @@ void ShardsToJson(const std::vector<ShardAttemptInfo>& shards,
 void FillTraceFromStats(ExecutionStats* stats, QueryTrace* trace) {
   trace->signature = std::move(stats->signature);
   trace->work = stats->total_work;
-  trace->morsels = stats->morsels_dispatched;
-  trace->parallel_work = stats->parallel_work;
   trace->result_rows = stats->result_rows;
   trace->reopts = stats->reopts;
   trace->check_events = static_cast<int64_t>(stats->check_events.size());
@@ -84,8 +82,6 @@ std::string QueryTrace::ToJson() const {
       .Double(total_ms)
       .EndObject();
   w.Key("work").Int(work);
-  w.Key("morsels").Int(morsels);
-  w.Key("parallel_work").Int(parallel_work);
   w.Key("result_rows").Int(result_rows);
   w.Key("reopts").Int(reopts);
   w.Key("check_events").Int(check_events);

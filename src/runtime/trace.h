@@ -45,8 +45,6 @@ struct QueryTrace {
   double total_ms = 0.0;     ///< Submission to completion.
 
   int64_t work = 0;  ///< Deterministic work units across attempts.
-  int64_t morsels = 0;        ///< Morsels dispatched by parallel fragments.
-  int64_t parallel_work = 0;  ///< Work units done inside those fragments.
   int64_t result_rows = 0;
   /// Rows inserted/updated/deleted by a write; -1 otherwise.
   int64_t affected_rows = -1;

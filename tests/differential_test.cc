@@ -1,27 +1,27 @@
-// One differential oracle over a crossed configuration lattice: dop
-// {1, 4} x batch_rows {1, 3, 1024, seeded random} x plan cache x
-// incremental memo x shards {0, 2} x writer. Each configuration is one
-// persistent world (feedback stores, plan caches, a morsel dispatcher with
-// a seeded morsel size, loopback clusters) that replays the corpus for
-// kPasses passes: the TPC-H paper queries plain and with markers, the
+// One differential oracle over a crossed configuration lattice:
+// batch_rows {1, 3, 1024, seeded random} x plan cache x incremental memo x
+// shards {0, 2} x writer. Each configuration is one persistent world
+// (feedback stores, plan caches, loopback clusters) that replays the corpus
+// for kPasses passes: the TPC-H paper queries plain and with markers, the
 // marker Q10 sweep, the DMV workload (scale 0.2) plain and under the
 // Fig. 14 observe-only ECB configuration, and random star queries under
 // random optimizer and POP configurations.
 //
-// Run i of a world must equal run i of the baseline world (dop 1, batch 1,
+// Run i of a world must equal run i of the baseline world (batch 1,
 // everything else off) in status, canonical rows, re-opts, plan texts per
-// attempt, checkpoint placements, CHECK events and learned feedback, and
-// in work units between dop-1 unsharded worlds. A sharded world scatters
-// what its coordinator accepts (default configurations over the TPC-H and
-// DMV partition specs), so it compares rows with the baseline and the rest
-// with the sharded baseline. The baseline's rows equal the brute-force
+// attempt, checkpoint placements, CHECK events (with the work at which each
+// checkpoint saw its first row) and learned feedback, and in work units
+// between unsharded worlds. A sharded world scatters what its coordinator
+// accepts (default configurations over the TPC-H and DMV partition specs),
+// so it compares rows with the baseline and the rest with the sharded
+// baseline. The baseline's rows equal the brute-force
 // reference. With the writer on, a thread churns a side table no query
 // reads past the stats-fold threshold during the second pass, moving the
 // stats versions and evicting cached plans while queries run. Every world
 // also asserts that it exercised its axes.
 //
 // DifferentialSample runs eight configurations covering every pair of
-// axis values (the fast entry); DifferentialLattice runs all 128 (slow).
+// axis values (the fast entry); DifferentialLattice runs all 64 (slow).
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,6 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/pop.h"
-#include "runtime/morsel_dispatcher.h"
 #include "tests/test_util.h"
 #include "txn/write_manager.h"
 
@@ -52,8 +51,8 @@ constexpr int kEcdcQueries = 64;
 constexpr const char* kSideTable = "churn";  // No corpus query reads it.
 constexpr int64_t kSideRows = 64;
 
-enum Axis { kDop, kBatch, kCache, kMemo, kShards, kWriter, kAxes };
-constexpr int kAxisValues[kAxes] = {2, 4, 2, 2, 2, 2};
+enum Axis { kBatch, kCache, kMemo, kShards, kWriter, kAxes };
+constexpr int kAxisValues[kAxes] = {4, 2, 2, 2, 2};
 const int64_t kBatchRows[4] = {1, 3, kDefaultBatchRows,
                                testing::kRandomBatchRows};
 
@@ -61,49 +60,35 @@ const int64_t kBatchRows[4] = {1, 3, kDefaultBatchRows,
 struct Config {
   std::array<int, kAxes> v{};
   bool on(Axis a) const { return v[a] != 0; }
-  int dop() const { return on(kDop) ? 4 : 1; }
   int64_t batch_rows() const { return kBatchRows[v[kBatch]]; }
-  /// Rows per morsel at dop 4, drawn from [16, 400] with the axis values
-  /// hashed into the seed, so the dop-4 worlds split tables at different
-  /// sizes (the sample's: 229, 341, 219 and 16).
-  int64_t morsel_rows() const {
-    uint64_t seed = 0x9e3779b9;
-    for (const int x : v) seed = Rng(seed + static_cast<uint64_t>(x)).NextU64();
-    return Rng(seed).UniformInt(16, 400);
-  }
   bool operator==(const Config&) const = default;
 };
 
 std::string Name(const Config& c) {
   const auto onoff = [&](Axis a) { return c.on(a) ? "on" : "off"; };
-  const std::string dop =
-      c.on(kDop) ? StrFormat("dop=%d morsel_rows=%lld", c.dop(),
-                             static_cast<long long>(c.morsel_rows()))
-                 : "dop=1";
-  return StrFormat("%s batch_rows=%lld cache=%s memo=%s shards=%d writer=%s",
-                   dop.c_str(), static_cast<long long>(c.batch_rows()),
-                   onoff(kCache), onoff(kMemo), c.on(kShards) ? 2 : 0,
-                   onoff(kWriter));
+  return StrFormat("batch_rows=%lld cache=%s memo=%s shards=%d writer=%s",
+                   static_cast<long long>(c.batch_rows()), onoff(kCache),
+                   onoff(kMemo), c.on(kShards) ? 2 : 0, onoff(kWriter));
 }
 
 const Config kBaseline{};
-const Config kShardedBaseline{{0, 0, 0, 0, 1, 0}};
+const Config kShardedBaseline{{0, 0, 0, 1, 0}};
 
-/// For each batch size a configuration and its complement on the five
+/// For each batch size a configuration and its complement on the four
 /// binary axes, chosen so no two binary axes are always equal or always
-/// opposite: that covers all 80 pairs of axis values. The first is the
+/// opposite: that covers all 56 pairs of axis values. The first is the
 /// baseline.
 const std::vector<Config> kSample = {
-    {{0, 0, 0, 0, 0, 0}}, {{1, 0, 1, 1, 1, 1}}, {{0, 1, 1, 1, 0, 1}},
-    {{1, 1, 0, 0, 1, 0}}, {{1, 2, 0, 1, 0, 1}}, {{0, 2, 1, 0, 1, 0}},
-    {{1, 3, 1, 0, 1, 1}}, {{0, 3, 0, 1, 0, 0}},
+    {{0, 0, 0, 0, 0}}, {{0, 1, 1, 1, 1}}, {{1, 1, 1, 0, 1}},
+    {{1, 0, 0, 1, 0}}, {{2, 0, 1, 0, 1}}, {{2, 1, 0, 1, 0}},
+    {{3, 1, 0, 1, 1}}, {{3, 0, 1, 0, 0}},
 };
 
 std::vector<Config> Lattice() {
-  std::vector<Config> all(128);
-  for (int i = 0; i < 128; ++i) {
-    all[i].v = {i & 1, (i >> 1) & 3, (i >> 3) & 1, (i >> 4) & 1, (i >> 5) & 1,
-                (i >> 6) & 1};
+  std::vector<Config> all(64);
+  for (int i = 0; i < 64; ++i) {
+    all[i].v = {i & 3, (i >> 2) & 1, (i >> 3) & 1, (i >> 4) & 1,
+                (i >> 5) & 1};
   }
   return all;
 }
@@ -230,8 +215,9 @@ struct Outcome {
   std::vector<std::string> plans;  // Per attempt.
   /// Per attempt: (lc, lcem, ecb, ecwc, ecdc, work bound) placed.
   std::vector<std::tuple<int, int, int, int, int, int>> placements;
-  /// Per evaluation: (edge set, flavor, site, count, fired).
-  std::vector<std::tuple<TableSet, int, int, int64_t, bool>> checks;
+  /// Per evaluation: (edge set, flavor, site, work at the first row,
+  /// count, fired).
+  std::vector<std::tuple<TableSet, int, int, int64_t, int64_t, bool>> checks;
   /// The world's learned feedback after the run: (exact, lower bound).
   std::map<std::string, std::pair<double, double>> learned;
   int64_t work = 0;
@@ -288,9 +274,6 @@ class World {
  public:
   explicit World(const Config& config)
       : config_(config), groups_(GetCorpus().groups.size()) {
-    if (config.dop() > 1) {
-      dispatcher_ = std::make_unique<MorselDispatcher>(config.dop() - 1);
-    }
     for (size_t g = 0; g < groups_.size(); ++g) {
       const Group& group = GetCorpus().groups[g];
       if (config.on(kCache)) groups_[g].cache = std::make_unique<PlanCache>();
@@ -353,9 +336,6 @@ class World {
     if (config_.on(kMemo) && reopts_ > 0) {
       EXPECT_GT(memo_reused_, 0) << name << ": the memo was never reused";
     }
-    if (config_.on(kDop)) {
-      EXPECT_GT(morsels_, 0) << name << ": no morsel was dispatched";
-    }
     if (config_.on(kShards)) {
       EXPECT_GT(scattered_, 0) << name << ": no query was scattered";
       EXPECT_GT(cluster_reopts_, 0) << name << ": no cluster re-opt";
@@ -417,18 +397,12 @@ class World {
       ProgressiveExecutor exec(*GetCorpus().groups[g].catalog, e.opt, pop);
       exec.set_cross_query_store(&state.store);
       exec.set_plan_cache(state.cache.get());
-      ParallelPolicy policy;
-      policy.batch_rows = config_.batch_rows();
-      policy.dop = config_.dop();
-      policy.morsel_rows = config_.morsel_rows();
-      policy.min_parallel_rows = 1;
-      exec.set_parallel(dispatcher_.get(), policy);
+      exec.set_batch_rows(config_.batch_rows());
       rows = exec.Execute(e.query, &stats);
     }
     reopts_ += stats.reopts;
     memo_reused_ += stats.memo_entries_reused;
     warm_starts_ += stats.memo_warm_starts;
-    morsels_ += stats.morsels_dispatched;
 
     Outcome o;
     o.status = rows.ok() ? "OK" : rows.status().ToString();
@@ -442,7 +416,8 @@ class World {
     }
     for (const CheckEvent& ev : stats.check_events) {
       o.checks.emplace_back(ev.edge_set, static_cast<int>(ev.flavor),
-                            static_cast<int>(ev.site), ev.count, ev.fired);
+                            static_cast<int>(ev.site), ev.work_first,
+                            ev.count, ev.fired);
     }
     for (const auto& [sig, fb] : state.store.Dump()) {
       o.learned.emplace(sig, std::make_pair(fb.exact, fb.lower_bound));
@@ -453,8 +428,7 @@ class World {
 
   Config config_;
   std::vector<GroupState> groups_;
-  std::unique_ptr<MorselDispatcher> dispatcher_;
-  int64_t reopts_ = 0, memo_reused_ = 0, warm_starts_ = 0, morsels_ = 0;
+  int64_t reopts_ = 0, memo_reused_ = 0, warm_starts_ = 0;
   int64_t scattered_ = 0, cluster_reopts_ = 0, version_moves_ = 0;
   int64_t hits_ = 0, near_misses_ = 0, stale_stats_evictions_ = 0;
 };
@@ -496,7 +470,7 @@ void ExpectMatchesBaselines(const std::vector<Config>& configs) {
       const std::string diff =
           c.on(kShards) ? Diff(base[r], runs[r], true, false) +
                               Diff((*sharded)[r], runs[r], false, false)
-                        : Diff(base[r], runs[r], false, !c.on(kDop));
+                        : Diff(base[r], runs[r], false, true);
       if (diff.empty()) continue;
       ++reported;
       ADD_FAILURE() << Name(c) << " " << labels[r] << ":" << diff;
@@ -517,9 +491,9 @@ TEST(DifferentialSample, CoversEveryPairOfAxisValues) {
       }
     }
   }
-  EXPECT_EQ(80u, all_value_pairs);
+  EXPECT_EQ(56u, all_value_pairs);
   EXPECT_EQ(all_value_pairs, value_pairs.size());
-  EXPECT_EQ(15u, axis_pairs.size());
+  EXPECT_EQ(10u, axis_pairs.size());
   EXPECT_EQ(kBaseline, kSample.front());
 }
 
@@ -530,25 +504,21 @@ TEST(DifferentialLattice, MatchesBaselines) {
 }
 
 // The lattice's single-axis slices, one ctest entry each under the name of
-// the suite the oracle replaced: dop 4 at every batch size; the cache at
-// dop 1 and 4; every batch size and the cached-plan path at 1024; the memo
-// alone and with the cache's near-miss warm starts.
-TEST(DifferentialSlice, Dop) {
-  ExpectMatchesBaselines({{{1, 0, 0, 0, 0, 0}}, {{1, 1, 0, 0, 0, 0}},
-                          {{1, 2, 0, 0, 0, 0}}, {{1, 3, 0, 0, 0, 0}}});
-}
-
+// the suite the oracle replaced: the cache alone; every batch size and the
+// cached-plan path at 1024; the memo alone and with the cache's near-miss
+// warm starts.
 TEST(DifferentialSlice, PlanCache) {
-  ExpectMatchesBaselines({{{0, 0, 1, 0, 0, 0}}, {{1, 0, 1, 0, 0, 0}}});
+  ExpectMatchesBaselines({{{0, 1, 0, 0, 0}}});
 }
 
 TEST(DifferentialSlice, BatchRows) {
-  ExpectMatchesBaselines({{{0, 1, 0, 0, 0, 0}}, {{0, 2, 0, 0, 0, 0}},
-                          {{0, 3, 0, 0, 0, 0}}, {{0, 2, 1, 0, 0, 0}}});
+  ExpectMatchesBaselines(
+      {{{1, 0, 0, 0, 0}}, {{2, 0, 0, 0, 0}}, {{3, 0, 0, 0, 0}},
+       {{2, 1, 0, 0, 0}}});
 }
 
 TEST(DifferentialSlice, Memo) {
-  ExpectMatchesBaselines({{{0, 0, 0, 1, 0, 0}}, {{0, 0, 1, 1, 0, 0}}});
+  ExpectMatchesBaselines({{{0, 0, 1, 0, 0}}, {{0, 1, 1, 0, 0}}});
 }
 
 }  // namespace

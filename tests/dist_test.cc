@@ -772,7 +772,7 @@ TEST_F(DistTest, RecordViewsKeepTheirKeys) {
   EXPECT_EQ(
       "query_id,query,session,priority,outcome,shared_feedback,latency_ms,"
       "latency_ms.queue,latency_ms.optimize,latency_ms.execute,"
-      "latency_ms.total,work,morsels,parallel_work,result_rows,reopts,"
+      "latency_ms.total,work,result_rows,reopts,"
       "check_events,checks_fired,plan_cache,attempts,attempts[].plan,"
       "attempts[].optimize_ms,attempts[].execute_ms,attempts[].work,"
       "attempts[].rows_returned,attempts[].reoptimized,attempts[].profile",
@@ -813,7 +813,7 @@ TEST_F(DistTest, RecordViewsKeepTheirKeys) {
   EXPECT_EQ(
       "query_id,query,session,priority,outcome,shared_feedback,latency_ms,"
       "latency_ms.queue,latency_ms.optimize,latency_ms.execute,"
-      "latency_ms.total,work,morsels,parallel_work,result_rows,reopts,"
+      "latency_ms.total,work,result_rows,reopts,"
       "check_events,checks_fired,plan_cache,attempts,attempts[].plan,"
       "attempts[].optimize_ms,attempts[].execute_ms,attempts[].work,"
       "attempts[].rows_returned,attempts[].reoptimized,attempts[].profile,"

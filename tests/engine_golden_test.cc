@@ -409,9 +409,7 @@ Actual RunOnce(const Catalog& catalog, const QuerySpec& query,
   ProgressiveExecutor exec(catalog, config.opt, config.pop);
   QueryFeedbackStore store;
   exec.set_cross_query_store(&store);
-  ParallelPolicy policy;
-  policy.batch_rows = batch_rows;
-  exec.set_parallel(nullptr, policy);
+  exec.set_batch_rows(batch_rows);
   ExecutionStats stats;
   Result<std::vector<Row>> rows = exec.Execute(query, &stats);
 

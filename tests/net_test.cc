@@ -402,7 +402,7 @@ TEST_F(NetTest, RecordViewsKeepTheirKeys) {
   const std::string read_trace =
       "query_id,query,session,priority,outcome,shared_feedback,latency_ms,"
       "latency_ms.queue,latency_ms.optimize,latency_ms.execute,"
-      "latency_ms.total,work,morsels,parallel_work,result_rows,reopts,"
+      "latency_ms.total,work,result_rows,reopts,"
       "check_events,checks_fired,plan_cache";
   const std::string attempt =
       "attempts[].plan,attempts[].optimize_ms,attempts[].execute_ms,"

@@ -12,7 +12,6 @@
 #include "exec/agg.h"
 #include "exec/check.h"
 #include "exec/join.h"
-#include "exec/parallel.h"
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
@@ -692,6 +691,9 @@ TEST_F(OperatorTest, CheckOverJoinChargesTheSameWorkAtEveryBatchSize) {
   // [0, 24.5] over HSJN fires at the last match of the 5th scan row; at
   // batch size 3 the join also probed the 6th, which matches nothing, so
   // the CHECK hands back zero rows and the join still un-reads that one.
+  // An NLJN whose outer is a passing BUFCHECK, which buffered the whole
+  // scan, hands the outer rows it never probed back to the BUFCHECK, which
+  // un-charges serving them.
   const auto hsjn = [&] {
     return std::make_unique<HsjnOp>(ScanLeft(), ScanRight(),
                                     std::vector<int>{0}, std::vector<int>{0},
@@ -717,6 +719,7 @@ TEST_F(OperatorTest, CheckOverJoinChargesTheSameWorkAtEveryBatchSize) {
     double hi;
     int64_t scan_rows;
     std::function<std::unique_ptr<Operator>()> make;
+    size_t check_events = 1;  ///< The BUFCHECK decides at Open as well.
   };
   const std::vector<Case> cases = {
       {"hsjn", 7.5, 2, hsjn},
@@ -727,6 +730,13 @@ TEST_F(OperatorTest, CheckOverJoinChargesTheSameWorkAtEveryBatchSize) {
          return nljn(std::make_unique<CheckOp>(hsjn(), MakeCheck(0, 1000)),
                      2);
        }},
+      {"nljn/bufcheck", 7.5, 40,
+       [&] {
+         return nljn(std::make_unique<BufCheckOp>(ScanLeft(),
+                                                  MakeCheck(0, 1000)),
+                     1);
+       },
+       2},
   };
   for (const Case& c : cases) {
     int64_t work_at_one = -1;
@@ -741,8 +751,9 @@ TEST_F(OperatorTest, CheckOverJoinChargesTheSameWorkAtEveryBatchSize) {
       EXPECT_EQ(static_cast<size_t>(c.hi),
                 DrainBatches(&check, &ctx, &s).size());
       EXPECT_EQ(ExecStatus::kReoptimize, s);
-      ASSERT_EQ(1u, ctx.check_events.size());
-      EXPECT_EQ(static_cast<int64_t>(c.hi) + 1, ctx.check_events[0].count);
+      ASSERT_EQ(c.check_events, ctx.check_events.size());
+      EXPECT_EQ(static_cast<int64_t>(c.hi) + 1,
+                ctx.check_events.back().count);
       const Operator* scan = &check;
       while (std::string(scan->name()) != "TBSCAN") {
         scan = scan->children()[0];
@@ -1201,54 +1212,6 @@ TEST(JoinKernelTest, FilteredScanMatchesLoopInOrder) {
     }
     ExpectRowsInOrder(
         [&] { return std::make_unique<TableScanOp>(&t, 0, preds); }, expected);
-  }
-}
-
-/// Task runners for the parallel HSJN build: one runs every offered task
-/// at once on the submitting thread, the other rejects every offer
-/// (backpressure), leaving all slices to the calling worker.
-class InlineRunner : public TaskRunner {
- public:
-  bool TrySubmit(std::shared_ptr<ParallelTask> task) override {
-    task->RunIfUnclaimed();
-    return true;
-  }
-};
-
-class RejectingRunner : public TaskRunner {
- public:
-  bool TrySubmit(std::shared_ptr<ParallelTask>) override { return false; }
-};
-
-TEST(JoinKernelTest, ParallelBuildMatchesNestedLoopInOrder) {
-  // Above kMinParallelBuildRows, so dop 4 hashes the build in slices.
-  KernelCase c{"parallel build", {}, {}, {{0, 0}}};
-  for (int64_t i = 0; i < 500; ++i) {
-    c.left.push_back({Value::Int(i % 40), Value::Int(i)});
-  }
-  for (int64_t i = 0; i < 3 * HsjnOp::kMinParallelBuildRows + 17; ++i) {
-    c.right.push_back({Value::Int(i % 97), Value::Int(i), Value::Double(0)});
-  }
-  const Table left = LeftTable(c.left);
-  const Table right = RightTable(c.right);
-  const std::vector<Row> expected = NestedLoopJoin(c.left, c.right, c.keys);
-  InlineRunner inline_runner;
-  RejectingRunner rejecting_runner;
-  for (TaskRunner* runner :
-       std::vector<TaskRunner*>{&inline_runner, &rejecting_runner}) {
-    for (const int64_t batch_rows : {int64_t{1}, int64_t{256}}) {
-      ExecContext ctx;
-      ctx.tasks = runner;
-      ctx.dop = 4;
-      ctx.batch_rows = batch_rows;
-      std::unique_ptr<Operator> op = MakeHsjn(left, right, c.keys);
-      ExecStatus s = ExecStatus::kOk;
-      const std::vector<Row> got = DrainBatches(op.get(), &ctx, &s);
-      EXPECT_EQ(ExecStatus::kEof, s);
-      EXPECT_EQ(InOrder(expected), InOrder(got))
-          << (runner == &inline_runner ? "inline" : "rejecting")
-          << " runner, batch_rows " << batch_rows;
-    }
   }
 }
 

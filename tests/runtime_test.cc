@@ -475,6 +475,90 @@ TEST(QueryServiceTest, MixedEightThreadSoak) {
   EXPECT_EQ(kSubmitters * kPerThread, sink.count());
 }
 
+TEST(QueryServiceTest, ConcurrentClientsSurviveCancelsAndDeadlines) {
+  // Concurrent clients with random priorities, deadlines and mid-flight
+  // cancels: every admitted query reaches exactly one terminal state, and
+  // every one that completes returns the reference rows.
+  Catalog catalog;
+  BuildToyCatalog(&catalog, /*emp_rows=*/500, /*sale_rows=*/6000);
+  QuerySpec join("stress_join");
+  {
+    const int e = join.AddTable("emp");
+    const int s = join.AddTable("sale");
+    join.AddJoin({e, 0}, {s, 0});
+    join.AddPred({s, 2}, PredKind::kGe, Value::Int(2001));
+    join.AddGroupBy({e, 1});
+    join.AddAgg(AggFunc::kCount);
+    join.AddAgg(AggFunc::kMax, {s, 2});
+  }
+  QuerySpec scan("stress_scan");
+  {
+    const int s = scan.AddTable("sale");
+    scan.AddPred({s, 1}, PredKind::kGe, Value::Double(250.0));
+    scan.AddGroupBy({s, 2});
+    scan.AddAgg(AggFunc::kCount);
+    scan.AddAgg(AggFunc::kMin, {s, 0});
+  }
+  const std::vector<std::string> join_rows =
+      Canonicalize(ReferenceExecute(catalog, join));
+  const std::vector<std::string> scan_rows =
+      Canonicalize(ReferenceExecute(catalog, scan));
+
+  ServiceConfig config;
+  config.num_workers = 4;
+  config.queue_capacity = 256;
+  QueryService service(catalog, config);
+
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 24;
+  std::atomic<int> wrong_results{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Rng rng(1000 + static_cast<uint64_t>(c));
+      for (int i = 0; i < kPerClient; ++i) {
+        const bool is_join = rng.Bernoulli(0.5);
+        SubmitOptions opts;
+        if (rng.Bernoulli(0.25)) opts.priority = QueryPriority::kHigh;
+        const int fate = static_cast<int>(rng.UniformInt(0, 3));
+        if (fate == 1) opts.deadline_ms = rng.UniformDouble() * 4.0;
+        Result<std::shared_ptr<QueryTicket>> ticket =
+            service.Submit(is_join ? join : scan, opts);
+        if (!ticket.ok()) continue;  // Admission bounce is acceptable.
+        if (fate == 2) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(rng.UniformInt(0, 2000)));
+          ticket.value()->Cancel();
+        }
+        const QueryResult& result = ticket.value()->Wait();
+        switch (result.status.code()) {
+          case StatusCode::kOk:
+            if (Canonicalize(result.rows) !=
+                (is_join ? join_rows : scan_rows)) {
+              wrong_results.fetch_add(1);
+            }
+            break;
+          case StatusCode::kCancelled:
+          case StatusCode::kDeadlineExceeded:
+            break;
+          default:
+            wrong_results.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  service.Shutdown();
+
+  EXPECT_EQ(0, wrong_results.load());
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.admitted, stats.completed + stats.cancelled +
+                                stats.deadline_expired + stats.failed);
+  EXPECT_EQ(0, stats.failed);
+  EXPECT_EQ(0, stats.queries_in_flight);
+  EXPECT_GT(stats.completed, 0);
+}
+
 // ------------------------------------------------------------ plan cache.
 
 TEST(QueryServiceTest, PlanCacheServesRepeatsAndReportsInTrace) {

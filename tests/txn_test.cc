@@ -538,12 +538,11 @@ TEST(SnapshotConsistencyTest, IndexFindsNewestRowOfEverySnapshot) {
   EXPECT_EQ(0, misses.load()) << "of " << probes.load() << " probes";
 }
 
-/// Differential leg: the same scalar aggregate runs through a serial
-/// (dop 1) and a morsel-parallel (dop 4) QueryService while a writer
-/// churns the scanned table with zero-sum pairs. Every result — at either
-/// dop — must see a snapshot-consistent state: SUM == 0 and an even
-/// COUNT. Torn rows or double-counted morsels break it immediately.
-TEST(SnapshotConsistencyTest, DifferentialDopConsistencyUnderWrites) {
+/// A scalar aggregate runs through a QueryService while a writer churns
+/// the scanned table with zero-sum pairs. Every result must see a
+/// snapshot-consistent state: SUM == 0 and an even COUNT. A torn pair
+/// breaks it immediately.
+TEST(SnapshotConsistencyTest, ServiceSumUnderWritesSeesWholePairs) {
   Catalog catalog;
   Table big("big", Schema({{"g", ValueType::kInt}, {"v", ValueType::kInt}}));
   for (int i = 0; i < 3000; ++i) {
@@ -553,16 +552,9 @@ TEST(SnapshotConsistencyTest, DifferentialDopConsistencyUnderWrites) {
   ASSERT_TRUE(catalog.AddTable(std::move(big)).ok());
   catalog.AnalyzeAll();
 
-  ServiceConfig serial_config;
-  serial_config.num_workers = 1;
-  serial_config.intra_query_dop = 1;
-  ServiceConfig parallel_config;
-  parallel_config.num_workers = 4;
-  parallel_config.intra_query_dop = 4;
-  parallel_config.min_parallel_rows = 256;
-  parallel_config.morsel_rows = 512;
-  QueryService serial(catalog, serial_config);
-  QueryService parallel(catalog, parallel_config);
+  ServiceConfig config;
+  config.num_workers = 1;
+  QueryService service(catalog, config);
 
   txn::WriteManager wm(&catalog);
   std::atomic<bool> stop{false};
@@ -585,23 +577,20 @@ TEST(SnapshotConsistencyTest, DifferentialDopConsistencyUnderWrites) {
     q.AddAgg(AggFunc::kCount);
     return q;
   };
-  for (int round = 0; round < 25; ++round) {
-    for (QueryService* svc : {&serial, &parallel}) {
-      const QueryResult r = svc->ExecuteSync(sum_query());
-      ASSERT_TRUE(r.status.ok()) << r.status.message();
-      ASSERT_EQ(1u, r.rows.size());
-      ASSERT_EQ(2u, r.rows[0].size());
-      EXPECT_DOUBLE_EQ(0.0, r.rows[0][0].AsDouble())
-          << "torn snapshot: non-zero SUM at round " << round;
-      EXPECT_EQ(0, r.rows[0][1].AsInt() % 2)
-          << "torn snapshot: odd COUNT at round " << round;
-    }
+  for (int round = 0; round < 50; ++round) {
+    const QueryResult r = service.ExecuteSync(sum_query());
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    ASSERT_EQ(1u, r.rows.size());
+    ASSERT_EQ(2u, r.rows[0].size());
+    EXPECT_DOUBLE_EQ(0.0, r.rows[0][0].AsDouble())
+        << "torn snapshot: non-zero SUM at round " << round;
+    EXPECT_EQ(0, r.rows[0][1].AsInt() % 2)
+        << "torn snapshot: odd COUNT at round " << round;
   }
 
   stop.store(true);
   writer.join();
-  serial.Shutdown();
-  parallel.Shutdown();
+  service.Shutdown();
   EXPECT_EQ(0, failures.load());
 }
 

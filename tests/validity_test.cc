@@ -307,9 +307,7 @@ TEST(ValidityBatchTest, BatchSizesAgreeOnValidityRangeOutcomes) {
     const QuerySpec q = tpch::MakeQ10Selectivity(sel, /*use_marker=*/true);
     const auto run = [&](int64_t batch_rows, ExecutionStats* stats) {
       ProgressiveExecutor exec(catalog, OptimizerConfig{}, PopConfig{});
-      ParallelPolicy policy;
-      policy.batch_rows = batch_rows;
-      exec.set_parallel(nullptr, policy);
+      exec.set_batch_rows(batch_rows);
       return exec.Execute(q, stats);
     };
     ExecutionStats row_stats;
