@@ -5,10 +5,13 @@
 // reports at which fraction of total query work it was evaluated. ECB
 // checkpoints report a [first-row .. decision] window (the dashed ranges
 // in the paper's scatter plot). Asserted: LC checkpoints above hash-join
-// builds occur, and most evaluations come before 15% of the work.
+// builds occur, most evaluations come before 15% of the work, and every
+// query's checkpoint evaluations (site, flavor, edge, first-row and
+// decision work, rows seen) are the same at batch sizes 1, 3 and 1024.
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/table_printer.h"
@@ -18,6 +21,17 @@
 
 namespace popdb {
 namespace {
+
+/// What Fig. 14 reads of one checkpoint evaluation.
+std::string EventKey(const CheckEvent& ev) {
+  return StrFormat("site %d flavor %d edge %llu first %lld eval %lld "
+                   "count %lld",
+                   static_cast<int>(ev.site), static_cast<int>(ev.flavor),
+                   static_cast<unsigned long long>(ev.edge_set),
+                   static_cast<long long>(ev.work_first),
+                   static_cast<long long>(ev.work_eval),
+                   static_cast<long long>(ev.count));
+}
 
 const char* SiteName(const CheckEvent& ev) {
   switch (ev.site) {
@@ -43,6 +57,7 @@ int Run() {
                    "rows_seen"});
   int evaluations = 0, early = 0;
   std::string hj_build_queries;
+  std::string batch_dependent;
 
   for (int qnum : {2, 3, 4, 5, 7, 8, 11, 18}) {
     const QuerySpec query = tpch::MakeQuery(qnum);
@@ -54,10 +69,28 @@ int Run() {
     pop.observe_only = true;
     pop.require_narrowed_range = false;  // Observe every placement site.
 
-    ProgressiveExecutor exec(catalog, opt, pop);
+    // The windows must not depend on the batch size: batch size 1 is row
+    // granularity, and the table shows its run.
     ExecutionStats stats;
-    Result<std::vector<Row>> rows = exec.Execute(query, &stats);
-    POPDB_DCHECK(rows.ok());
+    std::vector<std::string> batch1_events;
+    for (int64_t batch_rows : {1, 3, 1024}) {
+      ProgressiveExecutor exec(catalog, opt, pop);
+      exec.set_batch_rows(batch_rows);
+      ExecutionStats run;
+      Result<std::vector<Row>> rows = exec.Execute(query, &run);
+      POPDB_DCHECK(rows.ok());
+      std::vector<std::string> events;
+      for (const CheckEvent& ev : run.check_events) {
+        events.push_back(EventKey(ev));
+      }
+      if (batch_rows == 1) {
+        stats = run;
+        batch1_events = events;
+      } else if (events != batch1_events) {
+        batch_dependent += StrFormat(" Q%d@%lld", qnum,
+                                     static_cast<long long>(batch_rows));
+      }
+    }
 
     const double total = static_cast<double>(stats.total_work);
     for (const CheckEvent& ev : stats.check_events) {
@@ -91,6 +124,11 @@ int Run() {
                 StrFormat("most evaluations come before 15%% of the work "
                           "(%d of %d)",
                           early, evaluations));
+  claims.Expect(batch_dependent.empty(),
+                StrFormat("every checkpoint evaluation is the same at batch "
+                          "sizes 1, 3 and 1024 (differs:%s)",
+                          batch_dependent.empty() ? " none"
+                                                  : batch_dependent.c_str()));
   return claims.ExitCode();
 }
 

@@ -9,12 +9,14 @@
 # hammers the concurrent pieces (runtime query service, network front
 # end, shared feedback stores, concurrent executors, write-path snapshot
 # consistency, metrics registry, span tracer), then a UBSan build over
-# the tracing/metrics/runtime/network/write/storage/optimizer suites,
-# then an AddressSanitizer build over the optimizer's DP table (indexed
-# by table-set bitmasks) and the differential oracle's sample, over the
+# the tracing/metrics/runtime/network/write/storage/optimizer suites and
+# the typed predicate kernels, then an AddressSanitizer build over the
+# optimizer's DP table (indexed by table-set bitmasks) and the
+# differential oracle's sample, over the
 # flat join kernels (CSR index spans, hash-join chain arrays, column
 # gathers) with their storage, operator,
-# write-path and batch-size tests, over the shared row buffers of
+# write-path and batch-size tests, over the columnar base tables' chunk
+# gathers (CSV and DMV tests), over the shared row buffers of
 # reused intermediate results (POP, matview and extension tests), and over
 # the narrow row layouts' position arithmetic (executor builder, layout and
 # merge specs, TPC-H plans, the shard JSON round trip).
@@ -210,7 +212,7 @@ else
   cmake --build build-ubsan -j "$(nproc)" \
         --target runtime_test observability_test operator_test pop_test \
         plan_cache_test differential_test txn_test net_test dist_test \
-        enumerator_test storage_test
+        enumerator_test storage_test expr_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/observability_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/runtime_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/operator_test
@@ -235,11 +237,15 @@ else
   # The index's open-addressing slots and CSR offsets are unsigned index
   # arithmetic over hashes.
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/storage_test
+  # The typed predicate kernels convert int cells to double against double
+  # operands and index chunk columns through selection vectors; expr_test
+  # runs every predicate kind through them over the int64 extremes.
+  UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/expr_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/net_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/dist_test
 fi
 
-echo "=== AddressSanitizer build + optimizer, join-kernel and record tests ==="
+echo "=== AddressSanitizer build + optimizer, join-kernel, storage and record tests ==="
 # The DP table is a flat array indexed by table-set bitmasks and the memo
 # carries it across re-optimizations: out-of-bounds or stale-entry reads
 # are exactly what ASan catches.
@@ -249,7 +255,7 @@ cmake --build build-asan -j "$(nproc)" \
       --target enumerator_test differential_test storage_test \
       operator_test txn_test observability_test net_test pop_test \
       feedback_matview_test extensions_test executor_builder_test \
-      expr_test tpch_test dist_test
+      expr_test tpch_test dist_test csv_test dmv_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/enumerator_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/differential_test \
     --gtest_filter='DifferentialSample*'
@@ -263,6 +269,11 @@ ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/differential_test \
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/storage_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/operator_test
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/txn_test
+# Columnar base tables: scans gather from chunk columns through selection
+# vectors, index NLJN gathers by rid, and CSV ingestion and the DMV
+# generator's checks read stored cells through the snapshot accessors.
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/csv_test
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/dmv_test
 # Per-query records move from the executor to the service to the sink,
 # and the trace store's ring frees a record while a reader may still be
 # rendering it: a lifetime bug there is a use-after-free.

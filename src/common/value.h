@@ -88,6 +88,19 @@ class Value {
     }
   }
 
+  /// In-place setters for the column gathers of typed storage: the string
+  /// flavor reuses this value's buffer when it already holds a string.
+  void SetNull() { rep_.emplace<std::monostate>(); }
+  void SetInt(int64_t v) { rep_ = v; }
+  void SetDouble(double v) { rep_ = v; }
+  void SetString(const std::string& v) {
+    if (std::string* mine = std::get_if<std::string>(&rep_)) {
+      mine->assign(v);
+    } else {
+      rep_ = v;
+    }
+  }
+
   ValueType type() const {
     return static_cast<ValueType>(rep_.index());
   }
@@ -97,6 +110,8 @@ class Value {
   int64_t AsInt() const { return std::get<int64_t>(rep_); }
   double AsDouble() const { return std::get<double>(rep_); }
   const std::string& AsString() const { return std::get<std::string>(rep_); }
+  /// Moves the string out of a string value.
+  std::string TakeString() && { return std::move(std::get<std::string>(rep_)); }
 
   /// Numeric coercion: kInt and kDouble convert to double, anything else is
   /// an error checked by POPDB_DCHECK.

@@ -79,7 +79,7 @@ Result<std::vector<KeyRange>> ComputeRanges(const Catalog& full,
     const TableSnapshot snap = table->Snapshot();
     for (int64_t rid = 0; rid < snap.num_rows(); ++rid) {
       if (!snap.alive(rid)) continue;
-      const Value& v = snap.row(rid)[static_cast<size_t>(key.column)];
+      const Value v = snap.Cell(rid, key.column);
       if (v.is_null()) continue;
       const int64_t k = v.AsInt();
       min_key = std::min(min_key, k);
@@ -124,13 +124,15 @@ Status BuildShardCatalog(const Catalog& full, const PartitionSpec& spec,
     }
     for (int64_t rid = 0; rid < snap.num_rows(); ++rid) {
       if (!snap.alive(rid)) continue;
-      const Row& row = snap.row(rid);
+      Row row = snap.MaterializeRow(rid);
       if (key_col < 0) {
-        copy.AppendRow(row);
+        copy.AppendRow(std::move(row));
         continue;
       }
       const Value& v = row[static_cast<size_t>(key_col)];
-      if (!v.is_null() && range.Contains(v.AsInt())) copy.AppendRow(row);
+      if (!v.is_null() && range.Contains(v.AsInt())) {
+        copy.AppendRow(std::move(row));
+      }
     }
     Status s = out->AddTable(std::move(copy));
     if (!s.ok()) return s;

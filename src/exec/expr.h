@@ -2,10 +2,12 @@
 #define POPDB_EXEC_EXPR_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/value.h"
+#include "storage/table.h"
 
 namespace popdb {
 
@@ -73,8 +75,10 @@ struct ResolvedPredicate {
   std::vector<Value> in_list;
 };
 
-/// Evaluates `pred` against `row`. NULL column values never satisfy a
-/// predicate (SQL three-valued logic collapsed to false).
+/// Evaluates `pred` against `row`. SQL's UNKNOWN collapses to false: a NULL
+/// column value never satisfies a predicate, and neither does any cell
+/// against a comparison, BETWEEN or LIKE with a NULL operand or bound (an
+/// IN list's NULL elements match nothing).
 bool EvalPredicate(const ResolvedPredicate& pred, const Row& row);
 
 /// Evaluates `pred` against a single already-extracted column value (the
@@ -89,6 +93,69 @@ bool EvalPredicateValue(const ResolvedPredicate& pred, const Value& v);
 void EvalPredicateColumn(const ResolvedPredicate& pred,
                          const std::vector<Value>& col,
                          std::vector<int32_t>* sel);
+
+/// A ResolvedPredicate over a base-table column (`pos` is a schema column),
+/// compiled once against the column's stored type into typed loops over a
+/// chunk's cells. For every cell, Test and Filter give exactly
+/// EvalPredicateValue's answer: NULL cells never pass, Int(1) equals
+/// Double(1.0), an int cell against a double operand compares as double,
+/// NaN compares equal to every number, and other cross-type operands
+/// follow the type-tag order (numbers below strings).
+class ColumnPredicate {
+ public:
+  ColumnPredicate(const ResolvedPredicate& pred, ValueType column_type);
+
+  int column() const { return column_; }
+  /// True when the cell at `off` of `col` passes.
+  bool Test(const ColumnChunk& col, size_t off) const;
+  /// Narrows `*sel`, ascending offsets into `col`, to the passing cells.
+  void Filter(const ColumnChunk& col, std::vector<int32_t>* sel) const;
+
+ private:
+  /// One comparison of a cell with an operand in the cell's domain (a
+  /// double for an int cell against a double operand); the predicate's
+  /// operand type decided the rest at compile time.
+  struct Term {
+    enum class Domain : uint8_t { kInt, kDouble, kString, kLike };
+    Domain domain = Domain::kInt;
+    PredKind op = PredKind::kEq;  ///< kEq..kGe; unused for kLike.
+    int64_t i = 0;
+    double d = 0.0;
+    std::string s;
+  };
+  /// Adds `cell op operand` as a term, or returns its outcome for every
+  /// non-null cell when that does not depend on the cell (a NULL or
+  /// cross-type operand, LIKE on a non-string).
+  std::optional<bool> AddTerm(PredKind op, const Value& operand,
+                              ValueType column_type);
+  bool Holds(const Term& t, const ColumnChunk& col, size_t off) const;
+
+  int column_ = -1;
+  bool never_ = false;  ///< No cell passes.
+  bool any_ = false;    ///< IN: a cell passes when any term holds.
+  /// A conjunction unless `any_`; empty: every non-null cell passes.
+  std::vector<Term> terms_;
+};
+
+/// The conjunction of one base table's compiled predicates: what TBSCAN,
+/// an NLJN over a base table and DML WHERE evaluate on a chunk.
+class ChunkFilter {
+ public:
+  ChunkFilter() = default;
+  ChunkFilter(const std::vector<ResolvedPredicate>& preds,
+              const Schema& schema);
+
+  /// True when the row at `off` of `chunk` passes every predicate
+  /// (liveness is the caller's).
+  bool Test(const TableChunk& chunk, size_t off) const;
+  /// Sets `*sel` to the live rows in [begin, end) of `chunk` passing every
+  /// predicate, as ascending offsets.
+  void Select(const TableChunk& chunk, size_t begin, size_t end,
+              std::vector<int32_t>* sel) const;
+
+ private:
+  std::vector<ColumnPredicate> preds_;
+};
 
 /// Resolves `pred`: substitutes the bound parameter (if any) from `params`
 /// and stores `pos` as the evaluation position.

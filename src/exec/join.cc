@@ -16,13 +16,6 @@ NljnOp::NljnOp(std::unique_ptr<Operator> outer, InnerAccess inner,
       inner_(std::move(inner)),
       merge_(std::move(merge)) {}
 
-const Row& NljnOp::InnerRow(int64_t rid) const {
-  if (inner_.mv_rows != nullptr) {
-    return (*inner_.mv_rows)[static_cast<size_t>(rid)];
-  }
-  return inner_.snapshot.row(rid);
-}
-
 int64_t NljnOp::NumInnerRows() const {
   if (inner_.mv_rows != nullptr) {
     return static_cast<int64_t>(inner_.mv_rows->size());
@@ -36,9 +29,11 @@ bool NljnOp::InnerRowVisible(int64_t rid) const {
 }
 
 ExecStatus NljnOp::OpenImpl(ExecContext* ctx) {
-  if (inner_.mv_rows == nullptr && !inner_.snapshot.valid() &&
-      inner_.table != nullptr) {
-    inner_.snapshot = inner_.table->Snapshot();
+  if (inner_.mv_rows == nullptr) {
+    if (!inner_.snapshot.valid()) inner_.snapshot = inner_.table->Snapshot();
+    inner_filter_ = ChunkFilter(inner_.local_preds,
+                                inner_.snapshot.table()->schema());
+    pending_.table = &inner_.snapshot;
   }
   outer_batch_valid_ = false;
   outer_idx_ = 0;
@@ -59,8 +54,36 @@ void NljnOp::StartProbe(ExecContext* ctx, const Value* index_key) {
 }
 
 template <typename OuterAt>
+bool NljnOp::InnerMatches(int64_t rid, OuterAt outer_at) const {
+  // All conditions are evaluated even on the index path: superset
+  // postings mean a candidate may no longer hold the probed value in the
+  // pinned snapshot.
+  if (inner_.mv_rows != nullptr) {
+    const Row& row = (*inner_.mv_rows)[static_cast<size_t>(rid)];
+    for (const InnerAccess::JoinCond& jc : inner_.join_conds) {
+      if (outer_at(jc.outer_pos) != row[static_cast<size_t>(jc.inner_pos)]) {
+        return false;
+      }
+    }
+    for (const ResolvedPredicate& p : inner_.local_preds) {
+      if (!EvalPredicate(p, row)) return false;
+    }
+    return true;
+  }
+  const TableChunk& chunk = inner_.snapshot.chunk_of(rid);
+  const size_t off = ChunkOffset(rid);
+  for (const InnerAccess::JoinCond& jc : inner_.join_conds) {
+    if (!chunk.columns[static_cast<size_t>(jc.inner_pos)].Equals(
+            off, outer_at(jc.outer_pos))) {
+      return false;
+    }
+  }
+  return inner_filter_.Test(chunk, off);
+}
+
+template <typename OuterAt>
 ExecStatus NljnOp::NextMatch(ExecContext* ctx, OuterAt outer_at,
-                             const Row** match) {
+                             int64_t* match) {
   while (true) {
     if (ctx->CancelPending()) return ExecStatus::kCancelled;
     int64_t rid;
@@ -73,28 +96,8 @@ ExecStatus NljnOp::NextMatch(ExecContext* ctx, OuterAt outer_at,
     }
     if (!InnerRowVisible(rid)) continue;
     ++ctx->work;
-    const Row& inner_row = InnerRow(rid);
-    bool pass = true;
-    // All conditions are evaluated even on the index path: superset
-    // postings mean a candidate may no longer hold the probed value in
-    // the pinned snapshot.
-    for (const InnerAccess::JoinCond& jc : inner_.join_conds) {
-      if (outer_at(jc.outer_pos) !=
-          inner_row[static_cast<size_t>(jc.inner_pos)]) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) {
-      for (const ResolvedPredicate& p : inner_.local_preds) {
-        if (!EvalPredicate(p, inner_row)) {
-          pass = false;
-          break;
-        }
-      }
-    }
-    if (pass) {
-      *match = &inner_row;
+    if (InnerMatches(rid, outer_at)) {
+      *match = rid;
       return ExecStatus::kRow;
     }
   }
@@ -142,14 +145,18 @@ ExecStatus NljnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
         merge_.Gather(&outer_batch_, &pending_, out);
         return ExecStatus::kRow;
       }
-      const Row* inner_row = nullptr;
-      const ExecStatus s = NextMatch(ctx, outer_at, &inner_row);
+      int64_t rid = -1;
+      const ExecStatus s = NextMatch(ctx, outer_at, &rid);
       if (s == ExecStatus::kCancelled) {
         merge_.Gather(&outer_batch_, &pending_, out);
         return FlushOrStatus(out, ExecStatus::kCancelled);
       }
       if (s != ExecStatus::kRow) break;
-      pending_.Add(raw, inner_row);
+      if (inner_.mv_rows != nullptr) {
+        pending_.Add(raw, &(*inner_.mv_rows)[static_cast<size_t>(rid)]);
+      } else {
+        pending_.Add(raw, rid);
+      }
     }
     probing_ = false;  // Candidates exhausted; next outer row.
     ++outer_idx_;

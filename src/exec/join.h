@@ -26,7 +26,8 @@ struct InnerAccess {
   /// For a matview inner, rows come from here instead of `table`.
   SharedRows mv_rows;
   int table_id = -1;
-  std::vector<ResolvedPredicate> local_preds;  ///< Positions in inner row.
+  /// Positions in the inner row: schema columns of a base table.
+  std::vector<ResolvedPredicate> local_preds;
 
   struct JoinCond {
     int outer_pos = -1;  ///< Position in the outer child's output row.
@@ -44,7 +45,8 @@ struct InnerAccess {
 /// (Index) nested-loop join: for each outer row, finds matching inner rows
 /// either through a hash-index probe or by scanning the inner table.
 /// This operator pipelines: it never materializes its outer, which is why
-/// the paper guards NLJN outers with LCEM/ECB checkpoints.
+/// the paper guards NLJN outers with LCEM/ECB checkpoints. A base-table
+/// inner is tested on its chunks' typed cells and gathered by rid.
 class NljnOp : public Operator {
  public:
   NljnOp(std::unique_ptr<Operator> outer, InnerAccess inner, MergeSpec merge,
@@ -68,8 +70,11 @@ class NljnOp : public Operator {
   /// cancel (kCancelled). Polls the cancel token once per candidate and
   /// once at the end. `outer_at(pos)` reads the outer row's value at `pos`.
   template <typename OuterAt>
-  ExecStatus NextMatch(ExecContext* ctx, OuterAt outer_at, const Row** match);
-  const Row& InnerRow(int64_t rid) const;
+  ExecStatus NextMatch(ExecContext* ctx, OuterAt outer_at, int64_t* match);
+  /// True when inner row `rid` meets every join condition and local
+  /// predicate: typed cells of a base-table chunk, or a matview row.
+  template <typename OuterAt>
+  bool InnerMatches(int64_t rid, OuterAt outer_at) const;
   int64_t NumInnerRows() const;
   /// True when `rid` exists and is live in the pinned inner snapshot
   /// (matview rows are always visible).
@@ -77,6 +82,8 @@ class NljnOp : public Operator {
 
   std::unique_ptr<Operator> outer_;
   InnerAccess inner_;
+  /// A base-table inner's local predicates, compiled at Open.
+  ChunkFilter inner_filter_;
   MergeSpec merge_;
 
   // The held outer batch and the index of the active row currently being

@@ -52,13 +52,6 @@ MergeSpec MergeSpec::Make(const RowLayout& left, const RowLayout& right,
   return spec;
 }
 
-MergeSpec MergeSpec::Columns(const std::vector<int>& columns) {
-  MergeSpec spec;
-  spec.sources.reserve(columns.size());
-  for (int c : columns) spec.sources.emplace_back(false, c);
-  return spec;
-}
-
 Row MergeSpec::Merge(const Row& left, const Row& right) const {
   Row out;
   out.reserve(sources.size());
@@ -80,19 +73,26 @@ void MergeSpec::Gather(const RowBatch* left, PendingMatches* pending,
     std::vector<Value>& dst = out->cols[c];
     if (dst.size() < r0 + n) dst.resize(r0 + n);
     Value* d = dst.data() + r0;
+    const size_t p = static_cast<size_t>(pos);
     if (from_left) {
-      const Value* src = left->cols[static_cast<size_t>(pos)].data();
+      const Value* src = left->cols[p].data();
       const int32_t* raw = pending->left.data();
       for (size_t k = 0; k < n; ++k) d[k].AssignFrom(src[raw[k]]);
+    } else if (pending->table != nullptr) {
+      const int64_t* rids = pending->right_rids.data();
+      for (size_t k = 0; k < n; ++k) {
+        pending->table->chunk_of(rids[k]).columns[p].Load(
+            ChunkOffset(rids[k]), &d[k]);
+      }
     } else {
       const Row* const* rows = pending->right.data();
-      const size_t p = static_cast<size_t>(pos);
       for (size_t k = 0; k < n; ++k) d[k].AssignFrom((*rows[k])[p]);
     }
   }
   out->num_rows = static_cast<int64_t>(r0 + n);
   pending->left.clear();
   pending->right.clear();
+  pending->right_rids.clear();
 }
 
 }  // namespace popdb

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "exec/expr.h"
+#include "storage/table.h"
 
 namespace popdb {
 
@@ -65,20 +66,26 @@ class RowLayout {
   std::vector<ColRef> columns_;
 };
 
-/// Matches a join or scan collected for its current output batch, before
+/// Matches a join collected for its current output batch, before
 /// MergeSpec::Gather copies them in: the raw row index of each match in the
-/// left (outer or probe) batch — unused when every output column comes from
-/// the right — and a pointer to its right row. Both must stay put until the
-/// gather, so operators gather before they pull their next input batch and
-/// before every return.
+/// left (outer or probe) batch and its right row — a row of a materialized
+/// result, or, when `table` is set, a row id in that pinned base table.
+/// Both must stay put until the gather, so operators gather before they
+/// pull their next input batch and before every return.
 struct PendingMatches {
   std::vector<int32_t> left;
   std::vector<const Row*> right;
+  std::vector<int64_t> right_rids;
+  const TableSnapshot* table = nullptr;
 
-  size_t size() const { return right.size(); }
+  size_t size() const { return left.size(); }
   void Add(int32_t left_raw, const Row* right_row) {
     left.push_back(left_raw);
     right.push_back(right_row);
+  }
+  void Add(int32_t left_raw, int64_t right_rid) {
+    left.push_back(left_raw);
+    right_rids.push_back(right_rid);
   }
 };
 
@@ -93,17 +100,12 @@ struct MergeSpec {
   static MergeSpec Make(const RowLayout& left, const RowLayout& right,
                         const RowLayout& out);
 
-  /// Takes `columns` of the right row, in order (a scan gathering the
-  /// carried columns of its stored rows).
-  static MergeSpec Columns(const std::vector<int>& columns);
-
   Row Merge(const Row& left, const Row& right) const;
 
   /// Appends the merges of `*pending` to `out`, one output column at a
   /// time, in the order the matches were found, then clears `*pending`.
   /// `out` must already have `sources.size()` columns (Reset); `left` is
-  /// the batch the pending left indexes refer to (may be null when no
-  /// source is from the left).
+  /// the batch the pending left indexes refer to.
   void Gather(const RowBatch* left, PendingMatches* pending,
               RowBatch* out) const;
 };

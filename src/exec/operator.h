@@ -192,20 +192,22 @@ struct ExecContext {
   /// and feedback do not depend on this value.
   int64_t batch_rows = kDefaultBatchRows;
 
-  /// Strided poll: checks the token every kCancelPollStride calls so the
-  /// per-row cost is a decrement on the fast path. Returns true once the
-  /// token tripped (explicit cancel or deadline); the polling operator then
-  /// unwinds with ExecStatus::kCancelled.
-  bool CancelPending() {
+  /// Strided poll before reading `rows` rows (at most kCancelPollStride):
+  /// checks the token once per kCancelPollStride rows polled, so the
+  /// per-row cost is a decrement on the fast path, and a window of rows
+  /// polls as its rows one by one would, only sooner. Returns true once
+  /// the token tripped (explicit cancel or deadline); the polling operator
+  /// then unwinds with ExecStatus::kCancelled.
+  bool CancelPending(int64_t rows = 1) {
     if (cancel == nullptr) return false;
-    if (--cancel_poll_countdown_ > 0) return false;
-    cancel_poll_countdown_ = kCancelPollStride;
+    if ((cancel_poll_countdown_ -= rows) > 0) return false;
+    cancel_poll_countdown_ += kCancelPollStride;
     return cancel->Expired();
   }
 
  private:
-  static constexpr int kCancelPollStride = 256;
-  int cancel_poll_countdown_ = 1;
+  static constexpr int64_t kCancelPollStride = 256;
+  int64_t cancel_poll_countdown_ = 1;
 };
 
 /// Per-operator execution counters and wall-clock timings, read by EXPLAIN

@@ -10,10 +10,11 @@
 
 namespace popdb {
 
-/// Sequential scan over a base table, applying resolved local predicates
-/// to the stored rows (positions are schema columns) and gathering
-/// `columns` of each passing row: the table's carried columns in the
-/// query's row layout (exec/layout.h).
+/// Sequential scan over a base table: filters each chunk's rows with the
+/// local predicates compiled against the stored column types (positions
+/// are schema columns) and gathers `columns` of each passing row — the
+/// table's carried columns in the query's row layout (exec/layout.h) —
+/// straight from the chunk's typed columns.
 ///
 /// The scan reads a pinned TableSnapshot, so concurrent writes are
 /// invisible: rows tombstoned in the snapshot are skipped, rows appended
@@ -24,16 +25,16 @@ namespace popdb {
 class TableScanOp : public Operator {
  public:
   TableScanOp(TableSnapshot snapshot, int table_id,
-              std::vector<ResolvedPredicate> preds,
-              const std::vector<int>& columns)
+              const std::vector<ResolvedPredicate>& preds,
+              std::vector<int> columns)
       : Operator(TableBit(table_id)),
         snapshot_(std::move(snapshot)),
-        preds_(std::move(preds)),
-        gather_(MergeSpec::Columns(columns)) {}
+        filter_(preds, snapshot_.table()->schema()),
+        columns_(std::move(columns)) {}
 
   TableScanOp(const Table* table, int table_id,
-              std::vector<ResolvedPredicate> preds)
-      : TableScanOp(table->Snapshot(), table_id, std::move(preds),
+              const std::vector<ResolvedPredicate>& preds)
+      : TableScanOp(table->Snapshot(), table_id, preds,
                     AllColumns(table->schema().num_columns())) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
@@ -45,13 +46,11 @@ class TableScanOp : public Operator {
   void ReturnUnconsumed(ExecContext* ctx, int64_t unconsumed) override;
 
  private:
-  bool Passes(const Row& row) const;
-
   TableSnapshot snapshot_;
-  std::vector<ResolvedPredicate> preds_;
+  ChunkFilter filter_;
+  std::vector<int> columns_;  ///< Carried schema columns, in output order.
   int64_t next_rid_ = 0;
-  MergeSpec gather_;        ///< Stored row -> carried columns.
-  PendingMatches pending_;  ///< Batch path: passing rows (right only).
+  std::vector<int32_t> sel_;  ///< Passing offsets of the current window.
 };
 
 }  // namespace popdb

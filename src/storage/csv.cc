@@ -1,6 +1,7 @@
 #include "storage/csv.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -70,14 +71,19 @@ Result<std::vector<std::optional<std::string>>> SplitRecord(
   return fields;
 }
 
-bool ParsesAsInt(const std::string& s) {
-  if (s.empty()) return false;
+/// `s` as an int64: an optional sign, digits only, and in range (strtoll
+/// saturates an out-of-range digit string, so its ERANGE is checked).
+std::optional<int64_t> ParseInt(const std::string& s) {
+  if (s.empty()) return std::nullopt;
   size_t i = (s[0] == '-' || s[0] == '+') ? 1 : 0;
-  if (i == s.size()) return false;
+  if (i == s.size()) return std::nullopt;
   for (; i < s.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(s[i]))) return false;
+    if (!std::isdigit(static_cast<unsigned char>(s[i]))) return std::nullopt;
   }
-  return true;
+  errno = 0;
+  const int64_t v = std::strtoll(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) return std::nullopt;
+  return v;
 }
 
 bool ParsesAsDouble(const std::string& s) {
@@ -143,7 +149,7 @@ Result<Table> ParseCsv(const std::string& name, const std::string& text,
       if (!records[r][c].has_value()) continue;
       const std::string& s = *records[r][c];
       saw_value[c] = true;
-      if (types[c] == ValueType::kInt && !ParsesAsInt(s)) {
+      if (types[c] == ValueType::kInt && !ParseInt(s)) {
         types[c] = ParsesAsDouble(s) ? ValueType::kDouble : ValueType::kString;
       } else if (types[c] == ValueType::kDouble && !ParsesAsDouble(s)) {
         types[c] = ValueType::kString;
@@ -170,14 +176,16 @@ Result<Table> ParseCsv(const std::string& name, const std::string& text,
       }
       const std::string& s = *records[r][c];
       switch (types[c]) {
-        case ValueType::kInt:
-          if (!ParsesAsInt(s)) {
+        case ValueType::kInt: {
+          const std::optional<int64_t> v = ParseInt(s);
+          if (!v) {
             return Status::InvalidArgument(StrFormat(
                 "record %zu, column '%s': '%s' is not an integer", r,
                 names[c].c_str(), s.c_str()));
           }
-          row.push_back(Value::Int(std::strtoll(s.c_str(), nullptr, 10)));
+          row.push_back(Value::Int(*v));
           break;
+        }
         case ValueType::kDouble:
           if (!ParsesAsDouble(s)) {
             return Status::InvalidArgument(StrFormat(

@@ -14,10 +14,41 @@ size_t SlotCapacity(size_t count) {
   return std::bit_ceil(std::max<size_t>(2 * count, 4));
 }
 
+/// The indexed cells of a pinned table, read in place; tombstoned rows are
+/// left out.
+struct TableCells {
+  const TableSnapshot& snap;
+  size_t column;
+
+  const ColumnChunk& Col(int64_t rid) const {
+    return snap.chunk_of(rid).columns[column];
+  }
+  bool Skip(int64_t rid) const { return !snap.alive(rid); }
+  size_t Hash(int64_t rid) const { return Col(rid).Hash(ChunkOffset(rid)); }
+  bool Equals(int64_t rid, const Value& key) const {
+    return Col(rid).Equals(ChunkOffset(rid), key);
+  }
+  Value Get(int64_t rid) const { return Col(rid).Get(ChunkOffset(rid)); }
+};
+
+/// The indexed cells of a materialized row vector.
+struct RowCells {
+  const std::vector<Row>& rows;
+  size_t column;
+
+  const Value& At(int64_t rid) const {
+    return rows[static_cast<size_t>(rid)][column];
+  }
+  bool Skip(int64_t) const { return false; }
+  size_t Hash(int64_t rid) const { return At(rid).Hash(); }
+  bool Equals(int64_t rid, const Value& key) const { return At(rid) == key; }
+  Value Get(int64_t rid) const { return At(rid); }
+};
+
 }  // namespace
 
-template <typename KeyAt>
-void HashIndex::BuildBase(int64_t n, KeyAt key_at) {
+template <typename Cells>
+void HashIndex::BuildBase(int64_t n, const Cells& cells) {
   // Pass 1: give every indexed row the id of its distinct key (first-seen
   // order) and count postings per key. The slot table is sized for the
   // worst case of all-distinct keys here and shrunk below.
@@ -27,17 +58,16 @@ void HashIndex::BuildBase(int64_t n, KeyAt key_at) {
   std::vector<uint32_t> counts;
   size_t mask = slots_.size() - 1;
   for (int64_t rid = 0; rid < n; ++rid) {
-    const Value* key = key_at(rid);
-    if (key == nullptr) continue;
-    const size_t h = key->Hash();
+    if (cells.Skip(rid)) continue;
+    const size_t h = cells.Hash(rid);
     size_t s = h & mask;
     while (slots_[s] != 0) {
       const uint32_t k = slots_[s] - 1;
-      if (key_hash_[k] == h && keys_[k] == *key) break;
+      if (key_hash_[k] == h && cells.Equals(rid, keys_[k])) break;
       s = (s + 1) & mask;
     }
     if (slots_[s] == 0) {
-      keys_.push_back(*key);
+      keys_.push_back(cells.Get(rid));
       key_hash_.push_back(h);
       counts.push_back(0);
       slots_[s] = static_cast<uint32_t>(keys_.size());
@@ -76,18 +106,15 @@ void HashIndex::BuildBase(int64_t n, KeyAt key_at) {
 HashIndex::HashIndex(const Table& table, int column)
     : table_name_(table.name()), column_(column) {
   const TableSnapshot snap = table.Snapshot();
-  BuildBase(snap.num_rows(), [&](int64_t rid) -> const Value* {
-    if (!snap.alive(rid)) return nullptr;
-    return &snap.row(rid)[static_cast<size_t>(column)];
-  });
+  BuildBase(snap.num_rows(),
+            TableCells{snap, static_cast<size_t>(column)});
 }
 
 HashIndex::HashIndex(const std::vector<Row>& rows, int column,
                      std::string name)
     : table_name_(std::move(name)), column_(column) {
-  BuildBase(static_cast<int64_t>(rows.size()), [&](int64_t rid) {
-    return &rows[static_cast<size_t>(rid)][static_cast<size_t>(column)];
-  });
+  BuildBase(static_cast<int64_t>(rows.size()),
+            RowCells{rows, static_cast<size_t>(column)});
 }
 
 int64_t HashIndex::FindBaseKey(const Value& key, size_t hash) const {

@@ -73,10 +73,11 @@ class HashIndex {
   int64_t num_keys() const;
 
  private:
-  /// Base build over `n` rows; `key_at(rid)` returns the indexed value of
-  /// row `rid`, or null for rows to leave out.
-  template <typename KeyAt>
-  void BuildBase(int64_t n, KeyAt key_at);
+  /// Base build over `n` rows whose indexed cells `cells` hashes, compares
+  /// with a key and copies out by rid (Value semantics), skipping the rows
+  /// it marks to leave out.
+  template <typename Cells>
+  void BuildBase(int64_t n, const Cells& cells);
   /// Base key index of `key`, or -1.
   int64_t FindBaseKey(const Value& key, size_t hash) const;
 

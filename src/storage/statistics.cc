@@ -103,17 +103,18 @@ void BuildHistogram(const std::vector<double>& sorted, int histogram_buckets,
   }
 }
 
-/// Column stats over cells of any mix of types: distinct values counted in
-/// a hash map under Value equality (Int(1) == Double(1.0); NaN equals
-/// every number), min/max the first-seen extremes.
+/// Column stats under Value semantics, for a double column holding a NaN
+/// (which Value comparison finds equal to every number, so no typed sort
+/// orders it): distinct values counted in a hash map under Value equality,
+/// min/max the first-seen extremes.
 void CollectGeneric(const TableSnapshot& snap, const std::vector<int64_t>& rids,
-                    int c, bool numeric, bool sampled, double sample_fraction,
+                    int c, bool sampled, double sample_fraction,
                     int64_t row_count, int histogram_buckets,
                     ColumnStats* cs) {
   std::unordered_map<Value, int64_t, ValueHash> counts;
   std::vector<double> numeric_values;
   for (int64_t r : rids) {
-    const Value& v = snap.row(r)[static_cast<size_t>(c)];
+    const Value v = snap.Cell(r, c);
     if (v.is_null()) {
       ++cs->null_count;
       continue;
@@ -121,7 +122,7 @@ void CollectGeneric(const TableSnapshot& snap, const std::vector<int64_t>& rids,
     ++counts[v];
     if (!cs->min || v < *cs->min) cs->min = v;
     if (!cs->max || v > *cs->max) cs->max = v;
-    if (numeric) numeric_values.push_back(v.AsNumeric());
+    numeric_values.push_back(v.AsNumeric());
   }
   DistinctRuns runs;
   runs.distinct = static_cast<int64_t>(counts.size());
@@ -134,11 +135,10 @@ void CollectGeneric(const TableSnapshot& snap, const std::vector<int64_t>& rids,
 }
 
 /// Shared stats computation over a row-id subset of one pinned snapshot.
-/// Each column's non-null cells are sorted once as typed values — int64,
-/// double or string pointers — and the distinct count, GEE frequencies,
-/// min/max and histogram are read off the sorted runs. A column whose
-/// cells mix types or hold a NaN takes the generic Value path, whose
-/// equality those cells need.
+/// Each column's non-null cells are read from its typed vector and sorted
+/// once — int64, double or string pointers — and the distinct count, GEE
+/// frequencies, min/max and histogram are read off the sorted runs. A
+/// double column holding a NaN takes the generic Value path.
 TableStats CollectOverRows(const TableSnapshot& snap, const Schema& schema,
                            const std::vector<int64_t>& rids,
                            bool sampled, double sample_fraction,
@@ -153,42 +153,37 @@ TableStats CollectOverRows(const TableSnapshot& snap, const Schema& schema,
   std::vector<const std::string*> strings;
   for (int c = 0; c < ncols; ++c) {
     ColumnStats& cs = stats.columns[static_cast<size_t>(c)];
-    const bool numeric = schema.column(c).type == ValueType::kInt ||
-                         schema.column(c).type == ValueType::kDouble;
+    const ValueType type = schema.column(c).type;
     ints.clear();
     doubles.clear();
     strings.clear();
-    ValueType kind = ValueType::kNull;
-    bool generic = false;
+    bool has_nan = false;
     for (int64_t r : rids) {
-      const Value& v = snap.row(r)[static_cast<size_t>(c)];
-      if (v.is_null()) {
+      const ColumnChunk& col =
+          snap.chunk_of(r).columns[static_cast<size_t>(c)];
+      const size_t off = ChunkOffset(r);
+      if (col.nulls[off] != 0) {
         ++cs.null_count;
-        continue;
-      }
-      if (kind == ValueType::kNull) kind = v.type();
-      if (v.type() != kind) {
-        generic = true;
-        break;
-      }
-      if (kind == ValueType::kInt) {
-        ints.push_back(v.AsInt());
-      } else if (kind == ValueType::kDouble) {
-        if (std::isnan(v.AsDouble())) {
-          generic = true;
+      } else if (type == ValueType::kInt) {
+        ints.push_back(col.ints[off]);
+      } else if (type == ValueType::kDouble) {
+        if (std::isnan(col.doubles[off])) {
+          has_nan = true;
           break;
         }
-        doubles.push_back(v.AsDouble());
+        doubles.push_back(col.doubles[off]);
       } else {
-        strings.push_back(&v.AsString());
+        strings.push_back(&col.strings[off]);
       }
     }
-    if (generic) {
+    if (has_nan) {
       cs = ColumnStats();
-      CollectGeneric(snap, rids, c, numeric, sampled, sample_fraction,
+      CollectGeneric(snap, rids, c, sampled, sample_fraction,
                      stats.row_count, histogram_buckets, &cs);
       continue;
     }
+    const bool any = !ints.empty() || !doubles.empty() || !strings.empty();
+    const ValueType kind = any ? type : ValueType::kNull;
 
     DistinctRuns runs;
     if (kind == ValueType::kInt) {
@@ -196,12 +191,10 @@ TableStats CollectOverRows(const TableSnapshot& snap, const Schema& schema,
       runs = CountRuns(ints, std::equal_to<int64_t>());
       cs.min = Value::Int(ints.front());
       cs.max = Value::Int(ints.back());
-      if (numeric) {
-        // int64 -> double is monotone, so the converted sorted ints are
-        // the sorted doubles.
-        doubles.assign(ints.begin(), ints.end());
-        BuildHistogram(doubles, histogram_buckets, &cs.histogram);
-      }
+      // int64 -> double is monotone, so the converted sorted ints are the
+      // sorted doubles.
+      doubles.assign(ints.begin(), ints.end());
+      BuildHistogram(doubles, histogram_buckets, &cs.histogram);
     } else if (kind == ValueType::kDouble) {
       // The first-seen extremes, as Value comparison keeps them: -0.0 and
       // 0.0 are equal but not the same bits.
@@ -215,7 +208,7 @@ TableStats CollectOverRows(const TableSnapshot& snap, const Schema& schema,
       cs.max = Value::Double(hi);
       std::sort(doubles.begin(), doubles.end());
       runs = CountRuns(doubles, std::equal_to<double>());
-      if (numeric) BuildHistogram(doubles, histogram_buckets, &cs.histogram);
+      BuildHistogram(doubles, histogram_buckets, &cs.histogram);
     } else if (kind == ValueType::kString) {
       std::sort(strings.begin(), strings.end(),
                 [](const std::string* a, const std::string* b) {

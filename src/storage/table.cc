@@ -17,25 +17,99 @@ void CheckRowShape(const Schema& schema, const Row& row) {
   (void)row;
 }
 
-/// Appends `row` to `version`, growing the chunk list as needed. The last
-/// chunk must be exclusively owned by `version` (fresh or copy-on-written).
-void AppendToVersion(TableVersion* version, Row row) {
+Row MaterializeChunkRow(const TableChunk& chunk, size_t off) {
+  Row row(chunk.columns.size());
+  for (size_t c = 0; c < row.size(); ++c) chunk.columns[c].Load(off, &row[c]);
+  return row;
+}
+
+/// Appends `row` to `version`, opening a chunk typed by `schema` when the
+/// last one is full. The last chunk must be exclusively owned by `version`
+/// (fresh or copy-on-written).
+void AppendToVersion(const Schema& schema, TableVersion* version, Row row) {
   if (version->chunks.empty() ||
-      static_cast<int64_t>(version->chunks.back()->rows.size()) ==
+      static_cast<int64_t>(version->chunks.back()->size()) ==
           kTableChunkRows) {
     auto chunk = std::make_shared<TableChunk>();
-    chunk->rows.reserve(static_cast<size_t>(kTableChunkRows));
-    chunk->live.reserve(static_cast<size_t>(kTableChunkRows));
+    const size_t n = static_cast<size_t>(kTableChunkRows);
+    chunk->columns.resize(static_cast<size_t>(schema.num_columns()));
+    for (int c = 0; c < schema.num_columns(); ++c) {
+      ColumnChunk& col = chunk->columns[static_cast<size_t>(c)];
+      col.type = schema.column(c).type;
+      if (col.type == ValueType::kInt) col.ints.reserve(n);
+      if (col.type == ValueType::kDouble) col.doubles.reserve(n);
+      if (col.type == ValueType::kString) col.strings.reserve(n);
+      col.nulls.reserve(n);
+    }
+    chunk->live.reserve(n);
     version->chunks.push_back(std::move(chunk));
   }
   TableChunk& last = *version->chunks.back();
-  last.rows.push_back(std::move(row));
+  for (size_t c = 0; c < row.size(); ++c) {
+    last.columns[c].Append(std::move(row[c]));
+  }
   last.live.push_back(1);
   ++version->num_rows;
   ++version->live_rows;
 }
 
+bool IsNumeric(ValueType t) {
+  return t == ValueType::kInt || t == ValueType::kDouble;
+}
+
 }  // namespace
+
+bool ColumnChunk::EqualsSlow(size_t off, const Value& v) const {
+  if (nulls[off] != 0 || v.is_null()) return nulls[off] != 0 && v.is_null();
+  if (type == ValueType::kString || v.type() == ValueType::kString) {
+    return type == v.type() && strings[off] == v.AsString();
+  }
+  POPDB_DCHECK(IsNumeric(type));
+  // Value::Compare's numeric order: NaN is neither below nor above.
+  const double a = type == ValueType::kInt ? static_cast<double>(ints[off])
+                                           : doubles[off];
+  const double b = v.AsNumeric();
+  return !(a < b) && !(a > b);
+}
+
+size_t ColumnChunk::Hash(size_t off) const {
+  if (nulls[off] != 0) return Value().Hash();
+  switch (type) {
+    case ValueType::kInt:
+      return std::hash<double>()(static_cast<double>(ints[off]));
+    case ValueType::kDouble:
+      return std::hash<double>()(doubles[off]);
+    default:
+      return std::hash<std::string>()(strings[off]);
+  }
+}
+
+void ColumnChunk::Append(Value v) {
+  nulls.push_back(v.is_null() ? 1 : 0);
+  if (type == ValueType::kInt) {
+    ints.push_back(v.is_null() ? 0 : v.AsInt());
+  } else if (type == ValueType::kDouble) {
+    doubles.push_back(v.is_null() ? 0.0 : v.AsDouble());
+  } else if (type == ValueType::kString) {
+    strings.emplace_back();
+    if (!v.is_null()) strings.back() = std::move(v).TakeString();
+  }
+}
+
+void ColumnChunk::Set(size_t off, Value v) {
+  nulls[off] = v.is_null() ? 1 : 0;
+  if (type == ValueType::kInt) {
+    ints[off] = v.is_null() ? 0 : v.AsInt();
+  } else if (type == ValueType::kDouble) {
+    doubles[off] = v.is_null() ? 0.0 : v.AsDouble();
+  } else if (type == ValueType::kString) {
+    strings[off] = v.is_null() ? std::string() : std::move(v).TakeString();
+  }
+}
+
+Row TableSnapshot::MaterializeRow(int64_t rid) const {
+  return MaterializeChunkRow(chunk_of(rid), ChunkOffset(rid));
+}
 
 Table::Table(std::string name, Schema schema)
     : name_(std::move(name)),
@@ -72,13 +146,6 @@ int64_t Table::live_rows() const {
   return head_->live_rows;
 }
 
-const Row& Table::row(int64_t rid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const TableChunk& c =
-      *head_->chunks[static_cast<size_t>(rid >> kTableChunkShift)];
-  return c.rows[static_cast<size_t>(rid & (kTableChunkRows - 1))];
-}
-
 bool Table::HeadUnsharedLocked() const {
   // A dropped snapshot decrements use counts without ordering its reads
   // before our writes, so counts alone cannot prove exclusivity — once a
@@ -96,42 +163,29 @@ std::shared_ptr<TableVersion> Table::CloneHeadLocked() const {
   return next;
 }
 
-void Table::AppendRow(Row row) {
-  CheckRowShape(schema_, row);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (HeadUnsharedLocked()) {
-    // Bulk-load fast path: no snapshot can observe the head (use counts
-    // are checked under the same mutex Snapshot() pins through), so the
-    // append is invisible until a reader pins after us.
-    AppendToVersion(head_.get(), std::move(row));
-    return;
-  }
-  std::shared_ptr<TableVersion> next = CloneHeadLocked();
-  if (!next->chunks.empty() &&
-      static_cast<int64_t>(next->chunks.back()->rows.size()) <
-          kTableChunkRows) {
-    next->chunks.back() = std::make_shared<TableChunk>(*next->chunks.back());
-  }
-  AppendToVersion(next.get(), std::move(row));
-  head_ = std::move(next);
-}
+void Table::AppendRow(Row row) { AppendSpan({&row, 1}); }
 
-int64_t Table::AppendRows(std::vector<Row> rows) {
+int64_t Table::AppendRows(std::vector<Row> rows) { return AppendSpan(rows); }
+
+int64_t Table::AppendSpan(std::span<Row> rows) {
   for (const Row& row : rows) CheckRowShape(schema_, row);
   std::lock_guard<std::mutex> lock(mu_);
   const int64_t first_rid = head_->num_rows;
-  if (HeadUnsharedLocked()) {
-    for (Row& row : rows) AppendToVersion(head_.get(), std::move(row));
-    return first_rid;
+  // Bulk-load fast path: while no snapshot can observe the head (checked
+  // under the same mutex Snapshot() pins through), append in place; the
+  // rows are invisible until a reader pins after us.
+  TableVersion* target = head_.get();
+  std::shared_ptr<TableVersion> next;
+  if (!HeadUnsharedLocked()) {
+    next = CloneHeadLocked();
+    if (!next->chunks.empty() &&
+        static_cast<int64_t>(next->chunks.back()->size()) < kTableChunkRows) {
+      next->chunks.back() = std::make_shared<TableChunk>(*next->chunks.back());
+    }
+    target = next.get();
   }
-  std::shared_ptr<TableVersion> next = CloneHeadLocked();
-  if (!next->chunks.empty() &&
-      static_cast<int64_t>(next->chunks.back()->rows.size()) <
-          kTableChunkRows) {
-    next->chunks.back() = std::make_shared<TableChunk>(*next->chunks.back());
-  }
-  for (Row& row : rows) AppendToVersion(next.get(), std::move(row));
-  head_ = std::move(next);
+  for (Row& row : rows) AppendToVersion(schema_, target, std::move(row));
+  if (next != nullptr) head_ = std::move(next);
   return first_rid;
 }
 
@@ -143,18 +197,21 @@ int64_t Table::UpdateRows(const std::vector<int64_t>& rids,
   int64_t updated = 0;
   for (int64_t rid : rids) {
     if (rid < 0 || rid >= next->num_rows) continue;
-    const size_t ci = static_cast<size_t>(rid >> kTableChunkShift);
-    const size_t off = static_cast<size_t>(rid & (kTableChunkRows - 1));
+    const size_t ci = ChunkIndex(rid);
+    const size_t off = ChunkOffset(rid);
     if (next->chunks[ci]->live[off] == 0) continue;
     if (next->chunks[ci].use_count() > 1) {
       // Copy-on-write: the chunk is shared with the (possibly pinned)
       // previous version.
       next->chunks[ci] = std::make_shared<TableChunk>(*next->chunks[ci]);
     }
-    Row copy = next->chunks[ci]->rows[off];
+    TableChunk& chunk = *next->chunks[ci];
+    Row copy = MaterializeChunkRow(chunk, off);
     mutate(&copy);
     CheckRowShape(schema_, copy);
-    next->chunks[ci]->rows[off] = std::move(copy);
+    for (size_t c = 0; c < copy.size(); ++c) {
+      chunk.columns[c].Set(off, std::move(copy[c]));
+    }
     ++updated;
   }
   head_ = std::move(next);  // Single publish: the statement is atomic.
@@ -168,8 +225,8 @@ int64_t Table::DeleteRows(const std::vector<int64_t>& rids) {
   int64_t deleted = 0;
   for (int64_t rid : rids) {
     if (rid < 0 || rid >= next->num_rows) continue;
-    const size_t ci = static_cast<size_t>(rid >> kTableChunkShift);
-    const size_t off = static_cast<size_t>(rid & (kTableChunkRows - 1));
+    const size_t ci = ChunkIndex(rid);
+    const size_t off = ChunkOffset(rid);
     if (next->chunks[ci]->live[off] == 0) continue;
     if (next->chunks[ci].use_count() > 1) {
       next->chunks[ci] = std::make_shared<TableChunk>(*next->chunks[ci]);

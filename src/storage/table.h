@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,13 +22,69 @@ class Table;
 inline constexpr int kTableChunkShift = 10;
 inline constexpr int64_t kTableChunkRows = int64_t{1} << kTableChunkShift;
 
-/// One fixed-capacity slice of a table's row space. Chunks are immutable
-/// once shared: a writer may mutate a chunk in place only while it is
-/// provably unreachable by any reader (see Table's copy-on-write protocol).
+inline size_t ChunkIndex(int64_t rid) {
+  return static_cast<size_t>(rid >> kTableChunkShift);
+}
+inline size_t ChunkOffset(int64_t rid) {
+  return static_cast<size_t>(rid & (kTableChunkRows - 1));
+}
+
+/// One column of a chunk: the cells of the column's type in `ints`,
+/// `doubles` or `strings` (the other two vectors stay empty) plus a null
+/// mask. A NULL cell holds 0 or "" in its typed vector.
+struct ColumnChunk {
+  ValueType type = ValueType::kNull;
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<std::string> strings;
+  std::vector<uint8_t> nulls;  ///< 1 = NULL.
+
+  /// The cell at `off` as a Value.
+  Value Get(size_t off) const {
+    Value v;
+    Load(off, &v);
+    return v;
+  }
+  /// Sets `*out` to the cell at `off`, reusing its string buffer.
+  void Load(size_t off, Value* out) const {
+    if (nulls[off] != 0) {
+      out->SetNull();
+    } else if (type == ValueType::kInt) {
+      out->SetInt(ints[off]);
+    } else if (type == ValueType::kDouble) {
+      out->SetDouble(doubles[off]);
+    } else {
+      out->SetString(strings[off]);
+    }
+  }
+  /// Value equality of the cell at `off` and `v` (NULL equals NULL, Int(1)
+  /// equals Double(1.0), NaN equals every number), read in place.
+  bool Equals(size_t off, const Value& v) const {
+    if (type == ValueType::kInt && v.type() == ValueType::kInt) {
+      return nulls[off] == 0 && ints[off] == v.AsInt();
+    }
+    return EqualsSlow(off, v);
+  }
+  /// Equals for every case but an int cell against an int value.
+  bool EqualsSlow(size_t off, const Value& v) const;
+  /// Value::Hash of the cell at `off`.
+  size_t Hash(size_t off) const;
+  /// Appends `v` (NULL or of the column's type), moving a string in.
+  void Append(Value v);
+  /// Overwrites the cell at `off` with `v`.
+  void Set(size_t off, Value v);
+};
+
+/// One fixed-capacity slice of a table's row space, stored by column.
+/// Chunks are immutable once shared: a writer may mutate a chunk in place
+/// only while it is provably unreachable by any reader (see Table's
+/// copy-on-write protocol).
 struct TableChunk {
-  std::vector<Row> rows;
-  /// 1 = live, 0 = tombstoned by a DELETE. Parallel to `rows`.
+  std::vector<ColumnChunk> columns;  ///< One per schema column.
+  /// 1 = live, 0 = tombstoned by a DELETE. One entry per row slot.
   std::vector<uint8_t> live;
+
+  size_t size() const { return live.size(); }
 };
 
 /// An immutable version of a table's contents: the chunk list plus row
@@ -44,7 +101,8 @@ struct TableVersion {
 /// pointers); keeps the version (and every chunk it references) alive for
 /// as long as any snapshot holds it. Row ids are stable across versions:
 /// appends extend the id space, deletes tombstone in place, updates replace
-/// the row at its id.
+/// the row at its id. Readers take the typed cells of a chunk in place;
+/// MaterializeRow copies one row out for the cold paths.
 class TableSnapshot {
  public:
   TableSnapshot() = default;
@@ -60,23 +118,31 @@ class TableSnapshot {
   int64_t live_rows() const {
     return version_ == nullptr ? 0 : version_->live_rows;
   }
+  size_t num_chunks() const {
+    return version_ == nullptr ? 0 : version_->chunks.size();
+  }
+  const TableChunk& chunk(size_t i) const { return *version_->chunks[i]; }
+  /// The chunk holding `rid` (its offset there is ChunkOffset(rid)).
+  const TableChunk& chunk_of(int64_t rid) const {
+    return chunk(ChunkIndex(rid));
+  }
   bool alive(int64_t rid) const {
-    const TableChunk& c =
-        *version_->chunks[static_cast<size_t>(rid >> kTableChunkShift)];
-    return c.live[static_cast<size_t>(rid & (kTableChunkRows - 1))] != 0;
+    return chunk_of(rid).live[ChunkOffset(rid)] != 0;
   }
-  const Row& row(int64_t rid) const {
-    const TableChunk& c =
-        *version_->chunks[static_cast<size_t>(rid >> kTableChunkShift)];
-    return c.rows[static_cast<size_t>(rid & (kTableChunkRows - 1))];
+  /// The cell of `column` at `rid`, by value.
+  Value Cell(int64_t rid, int column) const {
+    return chunk_of(rid).columns[static_cast<size_t>(column)].Get(
+        ChunkOffset(rid));
   }
+  /// Copies the row at `rid` out of its columns.
+  Row MaterializeRow(int64_t rid) const;
 
  private:
   const Table* table_ = nullptr;
   std::shared_ptr<const TableVersion> version_;
 };
 
-/// An in-memory heap table with chunked copy-on-write multi-versioning.
+/// An in-memory columnar table with chunked copy-on-write multi-versioning.
 ///
 /// Readers call Snapshot() and see a frozen, consistent version; writers
 /// mutate through AppendRow(s)/UpdateRows/DeleteRows, each of which
@@ -110,12 +176,6 @@ class Table {
   int64_t num_rows() const;
   int64_t live_rows() const;
 
-  /// Convenience accessor into the head version for load-time and
-  /// single-threaded test code. Not safe under concurrent writes (the
-  /// reference may dangle when a writer copy-on-writes the chunk) — engine
-  /// read paths pin a TableSnapshot instead.
-  const Row& row(int64_t rid) const;
-
   /// Appends a row; it must match the schema arity (types are checked in
   /// debug via POPDB_DCHECK against non-null cells).
   void AppendRow(Row row);
@@ -146,6 +206,8 @@ class Table {
   /// of 1 would not happens-before-order the reader's loads against our
   /// in-place stores. Caller holds mu_.
   bool HeadUnsharedLocked() const;
+  /// AppendRow(s): appends `rows` under one publish, returns the first rid.
+  int64_t AppendSpan(std::span<Row> rows);
   /// Clones head_ for copy-on-write: fresh version object, shared chunk
   /// pointers. Caller holds mu_.
   std::shared_ptr<TableVersion> CloneHeadLocked() const;

@@ -69,19 +69,16 @@ Status CheckRowAgainstSchema(const Schema& schema, const Row& row) {
 /// a snapshot pinned *inside* the write lane — the lane serializes writers,
 /// so this snapshot is the table's definitive current state.
 std::vector<int64_t> MatchingRids(const TableSnapshot& snap,
+                                  const Schema& schema,
                                   const std::vector<ResolvedPredicate>& where) {
+  const ChunkFilter filter(where, schema);
   std::vector<int64_t> rids;
-  for (int64_t rid = 0; rid < snap.num_rows(); ++rid) {
-    if (!snap.alive(rid)) continue;
-    const Row& row = snap.row(rid);
-    bool pass = true;
-    for (const ResolvedPredicate& p : where) {
-      if (!EvalPredicate(p, row)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) rids.push_back(rid);
+  std::vector<int32_t> sel;
+  for (size_t ci = 0; ci < snap.num_chunks(); ++ci) {
+    const TableChunk& chunk = snap.chunk(ci);
+    filter.Select(chunk, 0, chunk.size(), &sel);
+    const int64_t base = static_cast<int64_t>(ci) << kTableChunkShift;
+    for (int32_t off : sel) rids.push_back(base + off);
   }
   return rids;
 }
@@ -138,7 +135,7 @@ Result<int64_t> WriteManager::ApplyUpdate(const WriteStatement& stmt,
     }
   }
   const TableSnapshot snap = table->Snapshot();
-  const std::vector<int64_t> rids = MatchingRids(snap, stmt.where);
+  const std::vector<int64_t> rids = MatchingRids(snap, schema, stmt.where);
   if (rids.empty()) return int64_t{0};
   // Before-images come from the lane's snapshot, which is exactly what
   // UpdateRows will rewrite (the lane serializes writers), so the new rows
@@ -164,7 +161,7 @@ Result<int64_t> WriteManager::ApplyUpdate(const WriteStatement& stmt,
   before.reserve(rids.size());
   after.reserve(rids.size());
   for (int64_t rid : rids) {
-    before.push_back(snap.row(rid));
+    before.push_back(snap.MaterializeRow(rid));
     after.push_back(before.back());
     apply_sets(&after.back());
   }
@@ -191,11 +188,14 @@ Result<int64_t> WriteManager::ApplyUpdate(const WriteStatement& stmt,
 Result<int64_t> WriteManager::ApplyDelete(const WriteStatement& stmt,
                                           Table* table, Lane* lane) {
   const TableSnapshot snap = table->Snapshot();
-  const std::vector<int64_t> rids = MatchingRids(snap, stmt.where);
+  const std::vector<int64_t> rids =
+      MatchingRids(snap, table->schema(), stmt.where);
   if (rids.empty()) return int64_t{0};
   const int64_t deleted = table->DeleteRows(rids);
   // Tombstoned postings stay in the indexes; probes re-check liveness.
-  for (int64_t rid : rids) lane->delta->RecordDelete(snap.row(rid));
+  for (int64_t rid : rids) {
+    lane->delta->RecordDelete(snap.MaterializeRow(rid));
+  }
   return deleted;
 }
 

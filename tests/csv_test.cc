@@ -18,8 +18,8 @@ TEST(CsvTest, HeaderAndTypeInference) {
   EXPECT_EQ(ValueType::kDouble, table.schema().column(1).type);  // Widened.
   EXPECT_EQ(ValueType::kString, table.schema().column(2).type);
   EXPECT_EQ("id", table.schema().column(0).name);
-  EXPECT_EQ(Value::Double(3.0), table.row(1)[1]);
-  EXPECT_EQ(Value::String("carol"), table.row(2)[2]);
+  EXPECT_EQ(Value::Double(3.0), table.Snapshot().Cell(1, 1));
+  EXPECT_EQ(Value::String("carol"), table.Snapshot().Cell(2, 2));
 }
 
 TEST(CsvTest, NoHeaderNamesColumns) {
@@ -36,22 +36,22 @@ TEST(CsvTest, QuotedFieldsAndEscapedQuotes) {
   Result<Table> t = ParseCsv(
       "t", "a,b\n\"hello, world\",\"say \"\"hi\"\"\"\nplain,text\n");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-  EXPECT_EQ(Value::String("hello, world"), t.value().row(0)[0]);
-  EXPECT_EQ(Value::String("say \"hi\""), t.value().row(0)[1]);
+  EXPECT_EQ(Value::String("hello, world"), t.value().Snapshot().Cell(0, 0));
+  EXPECT_EQ(Value::String("say \"hi\""), t.value().Snapshot().Cell(0, 1));
 }
 
 TEST(CsvTest, QuotedNewlines) {
   Result<Table> t = ParseCsv("t", "a\n\"line1\nline2\"\n");
   ASSERT_TRUE(t.ok());
-  EXPECT_EQ(Value::String("line1\nline2"), t.value().row(0)[0]);
+  EXPECT_EQ(Value::String("line1\nline2"), t.value().Snapshot().Cell(0, 0));
 }
 
 TEST(CsvTest, EmptyFieldsAreNull) {
   Result<Table> t = ParseCsv("t", "a,b\n1,\n,2\n");
   ASSERT_TRUE(t.ok());
-  EXPECT_TRUE(t.value().row(0)[1].is_null());
-  EXPECT_TRUE(t.value().row(1)[0].is_null());
-  EXPECT_EQ(Value::Int(2), t.value().row(1)[1]);
+  EXPECT_TRUE(t.value().Snapshot().Cell(0, 1).is_null());
+  EXPECT_TRUE(t.value().Snapshot().Cell(1, 0).is_null());
+  EXPECT_EQ(Value::Int(2), t.value().Snapshot().Cell(1, 1));
 }
 
 TEST(CsvTest, CustomNullText) {
@@ -59,7 +59,7 @@ TEST(CsvTest, CustomNullText) {
   options.null_text = "NA";
   Result<Table> t = ParseCsv("t", "a\n1\nNA\n3\n", options);
   ASSERT_TRUE(t.ok());
-  EXPECT_TRUE(t.value().row(1)[0].is_null());
+  EXPECT_TRUE(t.value().Snapshot().Cell(1, 0).is_null());
   EXPECT_EQ(ValueType::kInt, t.value().schema().column(0).type);
 }
 
@@ -67,7 +67,7 @@ TEST(CsvTest, CrLfHandled) {
   Result<Table> t = ParseCsv("t", "a,b\r\n1,2\r\n3,4\r\n");
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(2, t.value().num_rows());
-  EXPECT_EQ(Value::Int(4), t.value().row(1)[1]);
+  EXPECT_EQ(Value::Int(4), t.value().Snapshot().Cell(1, 1));
 }
 
 TEST(CsvTest, CustomDelimiter) {
@@ -75,14 +75,37 @@ TEST(CsvTest, CustomDelimiter) {
   options.delimiter = '|';
   Result<Table> t = ParseCsv("t", "a|b\n1|2\n", options);
   ASSERT_TRUE(t.ok());
-  EXPECT_EQ(Value::Int(2), t.value().row(0)[1]);
+  EXPECT_EQ(Value::Int(2), t.value().Snapshot().Cell(0, 1));
 }
 
 TEST(CsvTest, NegativeNumbers) {
   Result<Table> t = ParseCsv("t", "a,b\n-5,-2.5\n");
   ASSERT_TRUE(t.ok());
-  EXPECT_EQ(Value::Int(-5), t.value().row(0)[0]);
-  EXPECT_EQ(Value::Double(-2.5), t.value().row(0)[1]);
+  EXPECT_EQ(Value::Int(-5), t.value().Snapshot().Cell(0, 0));
+  EXPECT_EQ(Value::Double(-2.5), t.value().Snapshot().Cell(0, 1));
+}
+
+TEST(CsvTest, IntegerBeyondInt64WidensToDouble) {
+  // strtoll saturates: a digit string past int64 must not load as
+  // INT64_MAX. Inference widens its column to double, as it does for 1.5.
+  Result<Table> t = ParseCsv(
+      "t", "a,b\n99999999999999999999,1\n-9223372036854775808,2\n");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(ValueType::kDouble, t.value().schema().column(0).type);
+  EXPECT_EQ(Value::Double(1e20), t.value().Snapshot().Cell(0, 0));
+  EXPECT_EQ(ValueType::kInt, t.value().schema().column(1).type);
+}
+
+TEST(CsvTest, IntegerBeyondInt64AfterInferenceSampleRejected) {
+  // Past the inference sample the column is already int: an out-of-range
+  // cell fails like any other non-integer instead of saturating.
+  CsvOptions options;
+  options.type_inference_rows = 1;
+  Result<Table> t = ParseCsv(
+      "t", "a\n9223372036854775807\n9223372036854775808\n", options);
+  ASSERT_FALSE(t.ok());
+  EXPECT_NE(std::string::npos, t.status().message().find("is not an integer"))
+      << t.status().ToString();
 }
 
 TEST(CsvTest, RaggedRecordRejected) {

@@ -35,9 +35,9 @@ TEST_F(DmvTest, AllTablesPresent) {
 }
 
 TEST_F(DmvTest, ModelDeterminesMakeAndWeight) {
-  const Table* car = catalog_->GetTable("car");
-  for (int64_t i = 0; i < car->num_rows(); ++i) {
-    const Row& r = car->row(i);
+  const TableSnapshot car = catalog_->GetTable("car")->Snapshot();
+  for (int64_t i = 0; i < car.num_rows(); ++i) {
+    const Row r = car.MaterializeRow(i);
     const int64_t model = r[dmv::Car::kModel].AsInt();
     EXPECT_EQ(model / dmv::kModelsPerMake, r[dmv::Car::kMake].AsInt());
     EXPECT_EQ(model % dmv::kNumWeights, r[dmv::Car::kWeight].AsInt());
@@ -45,34 +45,34 @@ TEST_F(DmvTest, ModelDeterminesMakeAndWeight) {
 }
 
 TEST_F(DmvTest, ColorFollowsModelMostOfTheTime) {
-  const Table* car = catalog_->GetTable("car");
+  const TableSnapshot car = catalog_->GetTable("car")->Snapshot();
   int64_t follows = 0;
-  for (int64_t i = 0; i < car->num_rows(); ++i) {
-    const Row& r = car->row(i);
+  for (int64_t i = 0; i < car.num_rows(); ++i) {
+    const Row r = car.MaterializeRow(i);
     if (r[dmv::Car::kColor].AsInt() ==
         (r[dmv::Car::kModel].AsInt() * 7) % dmv::kNumColors) {
       ++follows;
     }
   }
   const double rate =
-      static_cast<double>(follows) / static_cast<double>(car->num_rows());
+      static_cast<double>(follows) / static_cast<double>(car.num_rows());
   EXPECT_GT(rate, 0.72);  // Configured 0.8 plus random coincidences.
 }
 
 TEST_F(DmvTest, ZipMakeJoinCorrelationHolds) {
-  const Table* car = catalog_->GetTable("car");
-  const Table* owner = catalog_->GetTable("owner");
+  const TableSnapshot car = catalog_->GetTable("car")->Snapshot();
+  const TableSnapshot owner = catalog_->GetTable("owner")->Snapshot();
   const int64_t band = dmv::kNumZips / dmv::kNumMakes;
   int64_t in_band = 0;
-  for (int64_t i = 0; i < car->num_rows(); ++i) {
-    const Row& r = car->row(i);
+  for (int64_t i = 0; i < car.num_rows(); ++i) {
+    const Row r = car.MaterializeRow(i);
     const int64_t make = r[dmv::Car::kMake].AsInt();
     const int64_t zip =
-        owner->row(r[dmv::Car::kOwnerId].AsInt())[dmv::Owner::kZip].AsInt();
+        owner.Cell(r[dmv::Car::kOwnerId].AsInt(), dmv::Owner::kZip).AsInt();
     if (zip >= make * band && zip < (make + 1) * band) ++in_band;
   }
   const double rate =
-      static_cast<double>(in_band) / static_cast<double>(car->num_rows());
+      static_cast<double>(in_band) / static_cast<double>(car.num_rows());
   // Configured correlation 0.8 (minus empty-bucket fallbacks at small
   // scales); uncorrelated owners land in-band only 2% of the time, so
   // anything above 0.6 confirms the trap exists.
@@ -80,9 +80,9 @@ TEST_F(DmvTest, ZipMakeJoinCorrelationHolds) {
 }
 
 TEST_F(DmvTest, AgeCorrelatedWithZip) {
-  const Table* owner = catalog_->GetTable("owner");
-  for (int64_t i = 0; i < owner->num_rows(); ++i) {
-    const Row& r = owner->row(i);
+  const TableSnapshot owner = catalog_->GetTable("owner")->Snapshot();
+  for (int64_t i = 0; i < owner.num_rows(); ++i) {
+    const Row r = owner.MaterializeRow(i);
     const int64_t zip = r[dmv::Owner::kZip].AsInt();
     const int64_t age = r[dmv::Owner::kAge].AsInt();
     EXPECT_GE(age, 18 + (zip % 50));

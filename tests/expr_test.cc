@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "exec/expr.h"
 #include "exec/layout.h"
+#include "storage/table.h"
 
 namespace popdb {
 namespace {
@@ -16,28 +23,61 @@ ResolvedPredicate RP(int pos, PredKind kind, Value op,
   return p;
 }
 
+/// The column types a stored cell can sit in: its own, or any for NULL.
+std::vector<ValueType> StoredTypes(const Value& v) {
+  if (!v.is_null()) return {v.type()};
+  return {ValueType::kInt, ValueType::kDouble, ValueType::kString};
+}
+
+/// EvalPredicate's answer on `row`, checked against the typed kernels: the
+/// row stored in a one-row table (each NULL cell in a column of every
+/// type), tested as a single row and filtered as a chunk.
+bool Eval(const ResolvedPredicate& p, const Row& row) {
+  const bool expected = EvalPredicate(p, row);
+  for (ValueType type : StoredTypes(row[static_cast<size_t>(p.pos)])) {
+    std::vector<ColumnDef> defs;
+    for (size_t c = 0; c < row.size(); ++c) {
+      defs.push_back({"c" + std::to_string(c),
+                      static_cast<int>(c) == p.pos
+                          ? type
+                          : StoredTypes(row[c]).front()});
+    }
+    Table t("t", Schema(defs));
+    t.AppendRow(row);
+    const TableSnapshot snap = t.Snapshot();
+    const ColumnPredicate kernel(p, type);
+    const ColumnChunk& col =
+        snap.chunk(0).columns[static_cast<size_t>(p.pos)];
+    EXPECT_EQ(expected, kernel.Test(col, 0)) << ValueTypeName(type);
+    std::vector<int32_t> sel = {0};
+    kernel.Filter(col, &sel);
+    EXPECT_EQ(expected, sel.size() == 1) << ValueTypeName(type);
+  }
+  return expected;
+}
+
 // ----------------------------------------------------------- predicates.
 
 TEST(EvalPredicateTest, Comparisons) {
   const Row row = {Value::Int(5)};
-  EXPECT_TRUE(EvalPredicate(RP(0, PredKind::kEq, Value::Int(5)), row));
-  EXPECT_FALSE(EvalPredicate(RP(0, PredKind::kEq, Value::Int(6)), row));
-  EXPECT_TRUE(EvalPredicate(RP(0, PredKind::kNe, Value::Int(6)), row));
-  EXPECT_TRUE(EvalPredicate(RP(0, PredKind::kLt, Value::Int(6)), row));
-  EXPECT_FALSE(EvalPredicate(RP(0, PredKind::kLt, Value::Int(5)), row));
-  EXPECT_TRUE(EvalPredicate(RP(0, PredKind::kLe, Value::Int(5)), row));
-  EXPECT_TRUE(EvalPredicate(RP(0, PredKind::kGt, Value::Int(4)), row));
-  EXPECT_TRUE(EvalPredicate(RP(0, PredKind::kGe, Value::Int(5)), row));
-  EXPECT_FALSE(EvalPredicate(RP(0, PredKind::kGe, Value::Int(6)), row));
+  EXPECT_TRUE(Eval(RP(0, PredKind::kEq, Value::Int(5)), row));
+  EXPECT_FALSE(Eval(RP(0, PredKind::kEq, Value::Int(6)), row));
+  EXPECT_TRUE(Eval(RP(0, PredKind::kNe, Value::Int(6)), row));
+  EXPECT_TRUE(Eval(RP(0, PredKind::kLt, Value::Int(6)), row));
+  EXPECT_FALSE(Eval(RP(0, PredKind::kLt, Value::Int(5)), row));
+  EXPECT_TRUE(Eval(RP(0, PredKind::kLe, Value::Int(5)), row));
+  EXPECT_TRUE(Eval(RP(0, PredKind::kGt, Value::Int(4)), row));
+  EXPECT_TRUE(Eval(RP(0, PredKind::kGe, Value::Int(5)), row));
+  EXPECT_FALSE(Eval(RP(0, PredKind::kGe, Value::Int(6)), row));
 }
 
 TEST(EvalPredicateTest, Between) {
   const Row row = {Value::Int(5)};
-  EXPECT_TRUE(EvalPredicate(
+  EXPECT_TRUE(Eval(
       RP(0, PredKind::kBetween, Value::Int(5), Value::Int(7)), row));
-  EXPECT_TRUE(EvalPredicate(
+  EXPECT_TRUE(Eval(
       RP(0, PredKind::kBetween, Value::Int(3), Value::Int(5)), row));
-  EXPECT_FALSE(EvalPredicate(
+  EXPECT_FALSE(Eval(
       RP(0, PredKind::kBetween, Value::Int(6), Value::Int(9)), row));
 }
 
@@ -46,35 +86,180 @@ TEST(EvalPredicateTest, InList) {
   p.pos = 0;
   p.kind = PredKind::kIn;
   p.in_list = {Value::Int(1), Value::Int(3), Value::Int(5)};
-  EXPECT_TRUE(EvalPredicate(p, {Value::Int(3)}));
-  EXPECT_FALSE(EvalPredicate(p, {Value::Int(2)}));
+  EXPECT_TRUE(Eval(p, {Value::Int(3)}));
+  EXPECT_FALSE(Eval(p, {Value::Int(2)}));
 }
 
 TEST(EvalPredicateTest, Like) {
   const Row row = {Value::String("PROMO BRASS")};
   EXPECT_TRUE(
-      EvalPredicate(RP(0, PredKind::kLike, Value::String("%BRASS%")), row));
+      Eval(RP(0, PredKind::kLike, Value::String("%BRASS%")), row));
   EXPECT_FALSE(
-      EvalPredicate(RP(0, PredKind::kLike, Value::String("%STEEL%")), row));
+      Eval(RP(0, PredKind::kLike, Value::String("%STEEL%")), row));
 }
 
 TEST(EvalPredicateTest, LikeOnNonStringIsFalse) {
-  EXPECT_FALSE(EvalPredicate(RP(0, PredKind::kLike, Value::String("%")),
+  EXPECT_FALSE(Eval(RP(0, PredKind::kLike, Value::String("%")),
                              {Value::Int(1)}));
 }
 
+/// One predicate of every kind on column 0, with `operand` as its
+/// operand, both BETWEEN bounds and the IN list's one element.
+std::vector<ResolvedPredicate> EveryKind(const Value& operand) {
+  std::vector<ResolvedPredicate> preds;
+  for (PredKind kind :
+       {PredKind::kEq, PredKind::kNe, PredKind::kLt, PredKind::kLe,
+        PredKind::kGt, PredKind::kGe, PredKind::kBetween, PredKind::kIn,
+        PredKind::kLike}) {
+    ResolvedPredicate p = RP(0, kind, operand, operand);
+    if (kind == PredKind::kIn) p.in_list = {operand};
+    preds.push_back(p);
+  }
+  return preds;
+}
+
 TEST(EvalPredicateTest, NullNeverSatisfies) {
-  const Row row = {Value::Null()};
-  EXPECT_FALSE(EvalPredicate(RP(0, PredKind::kEq, Value::Null()), row));
-  EXPECT_FALSE(EvalPredicate(RP(0, PredKind::kLt, Value::Int(100)), row));
-  EXPECT_FALSE(EvalPredicate(RP(0, PredKind::kNe, Value::Int(1)), row));
+  // A NULL cell satisfies no predicate of any kind, whatever the operand.
+  for (const Value& operand : {Value::Int(1), Value::Double(1.5),
+                               Value::String("%"), Value::Null()}) {
+    for (const ResolvedPredicate& p : EveryKind(operand)) {
+      EXPECT_FALSE(Eval(p, {Value::Null()}))
+          << PredKindName(p.kind) << " " << operand.ToString();
+    }
+  }
+  // A NULL operand or bound is SQL's UNKNOWN: no cell satisfies it, so
+  // `5 <> NULL`, `5 > NULL` and `5 >= NULL` are false, not true.
+  for (const Value& cell :
+       {Value::Int(5), Value::Double(5.0), Value::String("x")}) {
+    for (const ResolvedPredicate& p : EveryKind(Value::Null())) {
+      EXPECT_FALSE(Eval(p, {cell}))
+          << PredKindName(p.kind) << " on " << cell.ToString();
+    }
+    EXPECT_FALSE(Eval(RP(0, PredKind::kBetween, Value::Null(), Value::Int(9)),
+                      {cell}));
+    EXPECT_FALSE(Eval(RP(0, PredKind::kBetween, Value::Int(0), Value::Null()),
+                      {cell}));
+  }
+  // An IN list's NULL elements match nothing; its other elements still do.
+  ResolvedPredicate in = RP(0, PredKind::kIn, Value::Null());
+  in.in_list = {Value::Null(), Value::Int(5)};
+  EXPECT_TRUE(Eval(in, {Value::Int(5)}));
+  EXPECT_FALSE(Eval(in, {Value::Int(6)}));
 }
 
 TEST(EvalPredicateTest, PositionIsRespected) {
   const Row row = {Value::Int(1), Value::Int(2)};
-  EXPECT_TRUE(EvalPredicate(RP(1, PredKind::kEq, Value::Int(2)), row));
-  EXPECT_FALSE(EvalPredicate(RP(0, PredKind::kEq, Value::Int(2)), row));
+  EXPECT_TRUE(Eval(RP(1, PredKind::kEq, Value::Int(2)), row));
+  EXPECT_FALSE(Eval(RP(0, PredKind::kEq, Value::Int(2)), row));
 }
+
+// Property: over random int, double and string columns whose cells include
+// NULL, NaN, +-0.0, ints around +-2^53 and the int64 extremes, a predicate
+// of every kind with operands of every type (BETWEEN with lo > hi, IN lists
+// mixing types, LIKE) gives exactly EvalPredicateValue's answer on every
+// cell, through the chunk filter over a random window and through the
+// single-row test; tombstoned rows never pass the filter.
+class KernelPropertyTest : public ::testing::TestWithParam<int> {};
+
+Value RandomValue(Rng* rng, ValueType type) {
+  constexpr int64_t k53 = int64_t{1} << 53;
+  static const int64_t kInts[] = {0,       1,        -1,
+                                  k53 - 1, k53,      k53 + 1,
+                                  -k53,    -k53 - 1, std::numeric_limits<int64_t>::max(),
+                                  std::numeric_limits<int64_t>::min()};
+  static const double kDoubles[] = {
+      0.0, -0.0, std::numeric_limits<double>::quiet_NaN(), 1.0, -1.0, 0.5,
+      static_cast<double>(k53), static_cast<double>(k53) + 2.0, 9.3e18,
+      -9.3e18, std::numeric_limits<double>::infinity()};
+  static const char* kStrings[] = {"", "a", "ab", "abc", "b", "%", "a%",
+                                   "%b%", "_b", "a_c", "PROMO BRASS"};
+  const bool special = rng->Bernoulli(0.5);
+  switch (type) {
+    case ValueType::kInt:
+      return Value::Int(special ? kInts[rng->UniformInt(0, 9)]
+                                : rng->UniformInt(-3, 3));
+    case ValueType::kDouble:
+      return Value::Double(special ? kDoubles[rng->UniformInt(0, 10)]
+                                   : 0.5 * static_cast<double>(
+                                               rng->UniformInt(-6, 6)));
+    case ValueType::kString:
+      return Value::String(kStrings[rng->UniformInt(0, 10)]);
+    default:
+      return Value::Null();
+  }
+}
+
+/// NULL one time in eight, else a value of `type` (any type when kNull).
+Value RandomCellOrOperand(Rng* rng, ValueType type) {
+  if (rng->Bernoulli(0.125)) return Value::Null();
+  if (type == ValueType::kNull) {
+    type = static_cast<ValueType>(rng->UniformInt(1, 3));
+  }
+  return RandomValue(rng, type);
+}
+
+TEST_P(KernelPropertyTest, FilterAndTestMatchEvalPredicateValue) {
+  Rng rng(static_cast<uint64_t>(GetParam()) + 1);
+  Table t("t", Schema({{"i", ValueType::kInt},
+                       {"d", ValueType::kDouble},
+                       {"s", ValueType::kString}}));
+  for (int64_t r = 0; r < 2500; ++r) {  // Three chunks, the last partial.
+    Row row;
+    for (int c = 0; c < 3; ++c) {
+      row.push_back(RandomCellOrOperand(&rng, t.schema().column(c).type));
+    }
+    t.AppendRow(std::move(row));
+  }
+  std::vector<int64_t> dead;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    if (rng.Bernoulli(0.1)) dead.push_back(r);
+  }
+  t.DeleteRows(dead);
+  const TableSnapshot snap = t.Snapshot();
+  std::vector<int32_t> sel;
+  for (int trial = 0; trial < 300; ++trial) {
+    ResolvedPredicate p;
+    p.pos = static_cast<int>(rng.UniformInt(0, 2));
+    p.kind = static_cast<PredKind>(rng.UniformInt(0, 8));
+    p.operand = RandomCellOrOperand(&rng, ValueType::kNull);
+    p.operand2 = RandomCellOrOperand(&rng, ValueType::kNull);
+    for (int64_t k = rng.UniformInt(0, 4); k > 0; --k) {
+      p.in_list.push_back(RandomCellOrOperand(&rng, ValueType::kNull));
+    }
+    SCOPED_TRACE(StrFormat("trial %d: c%d %s %s / %s", trial, p.pos,
+                           PredKindName(p.kind),
+                           p.operand.ToString().c_str(),
+                           p.operand2.ToString().c_str()));
+    const ColumnPredicate kernel(p, t.schema().column(p.pos).type);
+    const ChunkFilter filter({p}, t.schema());
+    for (size_t ci = 0; ci < snap.num_chunks(); ++ci) {
+      const TableChunk& chunk = snap.chunk(ci);
+      const ColumnChunk& col = chunk.columns[static_cast<size_t>(p.pos)];
+      const size_t begin = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(chunk.size())));
+      const size_t end = static_cast<size_t>(rng.UniformInt(
+          static_cast<int64_t>(begin), static_cast<int64_t>(chunk.size())));
+      filter.Select(chunk, begin, end, &sel);
+      size_t k = 0;
+      for (size_t off = 0; off < chunk.size(); ++off) {
+        const int64_t rid = (static_cast<int64_t>(ci) << kTableChunkShift) +
+                            static_cast<int64_t>(off);
+        const Value cell = snap.Cell(rid, p.pos);
+        const bool want = EvalPredicateValue(p, cell);
+        ASSERT_EQ(want, kernel.Test(col, off)) << "cell " << cell.ToString();
+        if (off < begin || off >= end) continue;
+        const bool selected =
+            k < sel.size() && sel[k] == static_cast<int32_t>(off);
+        if (selected) ++k;
+        ASSERT_EQ(want && chunk.live[off] != 0, selected)
+            << "cell " << cell.ToString();
+      }
+      ASSERT_EQ(k, sel.size());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelPropertyTest, ::testing::Range(0, 8));
 
 TEST(ResolvePredicateTest, BindsParameterMarker) {
   Predicate p;
@@ -191,13 +376,6 @@ TEST(MergeSpecTest, NarrowsAStoredRightRow) {
       spec.Merge({Value::Int(7)}, {Value::Int(10), Value::Int(11),
                                    Value::Int(12), Value::Int(13)});
   EXPECT_EQ(Row({Value::Int(7), Value::Int(11), Value::Int(13)}), merged);
-}
-
-TEST(MergeSpecTest, ColumnsGathersListedColumnsInOrder) {
-  const Row stored = {Value::Int(0), Value::Int(1), Value::Int(2)};
-  EXPECT_EQ(Row({Value::Int(0), Value::Int(2)}),
-            MergeSpec::Columns({0, 2}).Merge({}, stored));
-  EXPECT_TRUE(MergeSpec::Columns({}).Merge({}, stored).empty());
 }
 
 // Property: for any disjoint pair of table sets and any carried column

@@ -477,9 +477,11 @@ TEST(MatViewIndexing, OptimizerIndexesViewForNljnProbes) {
   q.AddJoin({d, 2}, {e, 2});  // d_region = e_age: no index on e_age.
 
   // Offer a materialized view that is an exact copy of emp.
-  const Table* emp = catalog.GetTable("emp");
+  const TableSnapshot emp = catalog.GetTable("emp")->Snapshot();
   std::vector<Row> mv_rows;
-  for (int64_t r = 0; r < emp->num_rows(); ++r) mv_rows.push_back(emp->row(r));
+  for (int64_t r = 0; r < emp.num_rows(); ++r) {
+    mv_rows.push_back(emp.MaterializeRow(r));
+  }
   std::vector<AvailableMatView> mvs = {
       {"mv_emp", TableBit(e), static_cast<double>(mv_rows.size()),
        std::make_shared<const std::vector<Row>>(std::move(mv_rows)), {}}};
@@ -516,9 +518,11 @@ TEST(MatViewIndexing, BaseIndexStillPreferredWhenPresent) {
   const int e = q.AddTable("emp");
   q.AddJoin({d, 0}, {e, 1});  // e_dept has a base index.
   q.AddPred({d, 0}, PredKind::kEq, Value::Int(2));
-  const Table* emp = catalog.GetTable("emp");
+  const TableSnapshot emp = catalog.GetTable("emp")->Snapshot();
   std::vector<Row> mv_rows;
-  for (int64_t r = 0; r < emp->num_rows(); ++r) mv_rows.push_back(emp->row(r));
+  for (int64_t r = 0; r < emp.num_rows(); ++r) {
+    mv_rows.push_back(emp.MaterializeRow(r));
+  }
   std::vector<AvailableMatView> mvs = {
       {"mv_emp", TableBit(e), static_cast<double>(mv_rows.size()),
        std::make_shared<const std::vector<Row>>(std::move(mv_rows)), {}}};

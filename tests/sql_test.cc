@@ -296,6 +296,30 @@ TEST_F(SqlBinderTest, EndToEndParameterMarker) {
   CheckSql("SELECT e_id FROM emp WHERE e_age < ?", {Value::Int(30)});
 }
 
+TEST_F(SqlBinderTest, NullOperandReturnsNoRows) {
+  // SQL's UNKNOWN: a comparison or BETWEEN with a NULL literal or a marker
+  // bound to NULL holds for no row, `<>` included.
+  for (const std::string& sql :
+       {"SELECT e_id FROM emp WHERE e_age <> NULL",
+        "SELECT e_id FROM emp WHERE e_age >= NULL",
+        "SELECT e_id FROM emp WHERE e_age BETWEEN NULL AND 99"}) {
+    Result<BoundStatement> bound = BindSql(sql);
+    ASSERT_TRUE(bound.ok()) << sql << ": " << bound.status().ToString();
+    ProgressiveExecutor exec(catalog_, OptimizerConfig{}, PopConfig{});
+    Result<std::vector<Row>> rows = exec.Execute(bound.value().query);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_TRUE(rows.value().empty()) << sql;
+    EXPECT_TRUE(ReferenceExecute(catalog_, bound.value().query).empty());
+  }
+  Result<BoundStatement> marker =
+      BindSql("SELECT e_id FROM emp WHERE e_age > ?", {Value::Null()});
+  ASSERT_TRUE(marker.ok()) << marker.status().ToString();
+  ProgressiveExecutor exec(catalog_, OptimizerConfig{}, PopConfig{});
+  Result<std::vector<Row>> rows = exec.Execute(marker.value().query);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_TRUE(rows.value().empty());
+}
+
 TEST_F(SqlBinderTest, OrderByAppliesToOutput) {
   Result<BoundStatement> b = BindSql(
       "SELECT e_dept, COUNT(*) AS n FROM emp GROUP BY e_dept ORDER BY n "

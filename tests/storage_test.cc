@@ -46,14 +46,112 @@ TEST(TableTest, AppendAndRead) {
   t.AppendRow({Value::Int(1), Value::String("x")});
   t.AppendRow({Value::Int(2), Value::String("y")});
   ASSERT_EQ(2, t.num_rows());
-  EXPECT_EQ(Value::Int(2), t.row(1)[0]);
-  EXPECT_EQ(Value::String("x"), t.row(0)[1]);
+  const TableSnapshot snap = t.Snapshot();
+  EXPECT_EQ(Value::Int(2), snap.MaterializeRow(1)[0]);
+  EXPECT_EQ(Value::String("x"), snap.Cell(0, 1));
 }
 
 TEST(TableTest, NullsAllowedInAnyColumn) {
   Table t("t", TwoColSchema());
   t.AppendRow({Value::Null(), Value::Null()});
-  EXPECT_TRUE(t.row(0)[0].is_null());
+  EXPECT_EQ(Row({Value::Null(), Value::Null()}),
+            t.Snapshot().MaterializeRow(0));
+}
+
+// Copy-on-write over columnar chunks: each write publishes a new version
+// and copies only the chunks it touches, so a snapshot pinned before the
+// write reads its own version's typed cells and materialized rows, and the
+// new version reads the written ones. Rows hold a NULL in every column
+// type.
+
+Schema TypedSchema() {
+  return Schema({{"i", ValueType::kInt},
+                 {"d", ValueType::kDouble},
+                 {"s", ValueType::kString}});
+}
+
+/// Row `r` as first appended: a NULL in column r % 4 (none when 3).
+Row OriginalRow(int64_t r) {
+  Row row = {Value::Int(r), Value::Double(0.5 * static_cast<double>(r)),
+             Value::String("s" + std::to_string(r))};
+  if (r % 4 < 3) row[static_cast<size_t>(r % 4)] = Value::Null();
+  return row;
+}
+
+/// The row at `rid` of `snap` equals `want`, through MaterializeRow, Cell
+/// and the chunk's typed vectors and null mask.
+void ExpectStoredRow(const TableSnapshot& snap, int64_t rid, const Row& want) {
+  SCOPED_TRACE("rid " + std::to_string(rid));
+  EXPECT_EQ(RowToString(want), RowToString(snap.MaterializeRow(rid)));
+  const TableChunk& chunk = snap.chunk_of(rid);
+  const size_t off = ChunkOffset(rid);
+  for (size_t c = 0; c < want.size(); ++c) {
+    const ColumnChunk& col = chunk.columns[c];
+    const Value& v = want[c];
+    EXPECT_EQ(v.is_null(), col.nulls[off] != 0) << "column " << c;
+    EXPECT_EQ(RowToString({v}),
+              RowToString({snap.Cell(rid, static_cast<int>(c))}));
+    if (v.is_null()) continue;
+    switch (col.type) {
+      case ValueType::kInt:
+        EXPECT_EQ(v.AsInt(), col.ints[off]);
+        break;
+      case ValueType::kDouble:
+        EXPECT_EQ(v.AsDouble(), col.doubles[off]);
+        break;
+      default:
+        EXPECT_EQ(v.AsString(), col.strings[off]);
+        break;
+    }
+  }
+}
+
+TEST(TableTest, PinnedSnapshotsKeepTheirTypedCellsAcrossWrites) {
+  Table t("t", TypedSchema());
+  for (int64_t r = 0; r < 1000; ++r) t.AppendRow(OriginalRow(r));
+  const TableSnapshot v0 = t.Snapshot();
+
+  // AppendRows across the chunk boundary at rid 1024.
+  std::vector<Row> more;
+  for (int64_t r = 1000; r < 1100; ++r) more.push_back(OriginalRow(r));
+  EXPECT_EQ(1000, t.AppendRows(more));
+  const TableSnapshot v1 = t.Snapshot();
+
+  // UpdateRows in both chunks: every column rewritten, NULLs in and out.
+  const std::vector<int64_t> updated = {1, 2, 3, 1030};
+  const auto rewrite = [](Row* row) {
+    (*row)[0] = (*row)[0].is_null() ? Value::Int(-1) : Value::Null();
+    (*row)[1] = Value::Double(-2.5);
+    (*row)[2] = (*row)[2].is_null() ? Value::String("new") : Value::Null();
+  };
+  EXPECT_EQ(4, t.UpdateRows(updated, rewrite));
+  const TableSnapshot v2 = t.Snapshot();
+
+  // DeleteRows in both chunks.
+  EXPECT_EQ(2, t.DeleteRows({5, 1050}));
+  const TableSnapshot v3 = t.Snapshot();
+
+  EXPECT_EQ(1000, v0.num_rows());
+  EXPECT_EQ(1100, v1.num_rows());
+  EXPECT_EQ(2u, v1.num_chunks());
+  EXPECT_EQ(1098, v3.live_rows());
+  for (int64_t r = 0; r < 1100; ++r) {
+    const Row original = OriginalRow(r);
+    Row now = original;
+    const bool was_updated =
+        std::find(updated.begin(), updated.end(), r) != updated.end();
+    if (was_updated) rewrite(&now);
+    if (r < 1000) ExpectStoredRow(v0, r, original);
+    ExpectStoredRow(v1, r, original);
+    ExpectStoredRow(v2, r, now);
+    ExpectStoredRow(v3, r, now);
+    EXPECT_TRUE(v2.alive(r));
+    EXPECT_EQ(r != 5 && r != 1050, v3.alive(r)) << "rid " << r;
+  }
+  // Each write copied the chunks it touched.
+  EXPECT_NE(&v0.chunk(0), &v1.chunk(0));
+  EXPECT_NE(&v1.chunk(1), &v2.chunk(1));
+  EXPECT_NE(&v2.chunk(0), &v3.chunk(0));
 }
 
 // -------------------------------------------------------------- HashIndex.
@@ -109,7 +207,7 @@ Postings ScanPostings(const TableSnapshot& snap, int column) {
   Postings out;
   for (int64_t rid = 0; rid < snap.num_rows(); ++rid) {
     if (!snap.alive(rid)) continue;
-    out[snap.row(rid)[static_cast<size_t>(column)]].push_back(rid);
+    out[snap.Cell(rid, column)].push_back(rid);
   }
   return out;
 }
@@ -132,7 +230,7 @@ void ExpectEveryLiveRowFound(const HashIndex& idx, const TableSnapshot& snap) {
   for (int64_t rid = 0; rid < snap.num_rows(); ++rid) {
     if (!snap.alive(rid)) continue;
     const std::vector<int64_t> c =
-        Candidates(idx, snap.row(rid)[static_cast<size_t>(idx.column())]);
+        Candidates(idx, snap.Cell(rid, idx.column()));
     ASSERT_NE(c.end(), std::find(c.begin(), c.end(), rid)) << "rid " << rid;
   }
 }
@@ -259,7 +357,8 @@ TEST(HashIndexScanTest, WritesAppendPostingsInOrder) {
   {
     const TableSnapshot before = t->Snapshot();
     for (int64_t rid = 0; rid < before.num_rows(); ++rid) {
-      if (before.alive(rid) && EvalPredicate(small_v, before.row(rid))) {
+      if (before.alive(rid) &&
+          EvalPredicate(small_v, before.MaterializeRow(rid))) {
         model[Value::Int(7)].push_back(rid);
       }
     }

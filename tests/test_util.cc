@@ -284,6 +284,7 @@ namespace {
 /// to one bound at an earlier level, those rows keyed on its side of it.
 struct RefLevel {
   int table_id = 0;
+  std::vector<Row> stored;  ///< The table's rows passing its predicates.
   std::vector<const Row*> rows;
   int probe_pos = -1;  ///< Layout position of the earlier side; -1 = none.
   std::unordered_map<Value, std::vector<const Row*>, ValueHash> by_key;
@@ -345,8 +346,9 @@ void PlanReference(const Catalog& catalog, const QuerySpec& query,
     RefLevel& l = tables[static_cast<size_t>(t)];
     l.table_id = t;
     const Table* table = catalog.GetTable(query.table_name(t));
-    for (int64_t r = 0; r < table->num_rows(); ++r) {
-      const Row& row = table->row(r);
+    const TableSnapshot snap = table->Snapshot();
+    for (int64_t r = 0; r < snap.num_rows(); ++r) {
+      Row row = snap.MaterializeRow(r);
       bool pass = true;
       for (const ResolvedPredicate& p : local[static_cast<size_t>(t)]) {
         if (!EvalPredicate(p, row)) {
@@ -354,8 +356,9 @@ void PlanReference(const Catalog& catalog, const QuerySpec& query,
           break;
         }
       }
-      if (pass) l.rows.push_back(&row);
+      if (pass) l.stored.push_back(std::move(row));
     }
+    for (const Row& row : l.stored) l.rows.push_back(&row);
   }
   std::vector<bool> bound(static_cast<size_t>(n), false);
   for (int level = 0; level < n; ++level) {

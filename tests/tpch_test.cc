@@ -43,27 +43,25 @@ TEST_F(TpchTest, RowCountsMatchScaleContract) {
 }
 
 TEST_F(TpchTest, ForeignKeysAreJoinable) {
-  const Table* lineitem = catalog_->GetTable("lineitem");
-  const Table* orders = catalog_->GetTable("orders");
-  const int64_t n_orders = orders->num_rows();
-  for (int64_t i = 0; i < lineitem->num_rows(); ++i) {
-    const int64_t okey =
-        lineitem->row(i)[tpch::Lineitem::kOrderKey].AsInt();
+  const TableSnapshot lineitem = catalog_->GetTable("lineitem")->Snapshot();
+  const int64_t n_orders = catalog_->GetTable("orders")->num_rows();
+  for (int64_t i = 0; i < lineitem.num_rows(); ++i) {
+    const int64_t okey = lineitem.Cell(i, tpch::Lineitem::kOrderKey).AsInt();
     ASSERT_GE(okey, 0);
     ASSERT_LT(okey, n_orders);
   }
 }
 
 TEST_F(TpchTest, DerivedColumnsConsistent) {
-  const Table* orders = catalog_->GetTable("orders");
-  for (int64_t i = 0; i < orders->num_rows(); ++i) {
-    const Row& r = orders->row(i);
+  const TableSnapshot orders = catalog_->GetTable("orders")->Snapshot();
+  for (int64_t i = 0; i < orders.num_rows(); ++i) {
+    const Row r = orders.MaterializeRow(i);
     EXPECT_EQ(1992 + r[tpch::Orders::kOrderDate].AsInt() / 365,
               r[tpch::Orders::kOrderYear].AsInt());
   }
-  const Table* lineitem = catalog_->GetTable("lineitem");
-  for (int64_t i = 0; i < lineitem->num_rows(); ++i) {
-    const int64_t sel = lineitem->row(i)[tpch::Lineitem::kSel].AsInt();
+  const TableSnapshot lineitem = catalog_->GetTable("lineitem")->Snapshot();
+  for (int64_t i = 0; i < lineitem.num_rows(); ++i) {
+    const int64_t sel = lineitem.Cell(i, tpch::Lineitem::kSel).AsInt();
     EXPECT_GE(sel, 0);
     EXPECT_LT(sel, 100);
   }
@@ -81,11 +79,12 @@ TEST_F(TpchTest, GenerationIsDeterministic) {
   tpch::GenConfig gen;
   gen.scale = 0.001;
   ASSERT_TRUE(tpch::BuildCatalog(gen, &other).ok());
-  const Table* a = catalog_->GetTable("lineitem");
-  const Table* b = other.GetTable("lineitem");
-  ASSERT_EQ(a->num_rows(), b->num_rows());
-  for (int64_t i = 0; i < a->num_rows(); i += 97) {
-    EXPECT_EQ(RowToString(a->row(i)), RowToString(b->row(i)));
+  const TableSnapshot a = catalog_->GetTable("lineitem")->Snapshot();
+  const TableSnapshot b = other.GetTable("lineitem")->Snapshot();
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (int64_t i = 0; i < a.num_rows(); i += 97) {
+    EXPECT_EQ(RowToString(a.MaterializeRow(i)),
+              RowToString(b.MaterializeRow(i)));
   }
 }
 

@@ -284,7 +284,7 @@ TEST_F(WriteManagerTest, InsertAppendsRowsAndMaintainsIndex) {
   std::vector<int64_t> scratch;
   int found = 0;
   for (const int64_t rid : idx->Probe(Value::Int(77), &scratch)) {
-    if (snap.alive(rid) && snap.row(rid)[0].AsInt() == 77) ++found;
+    if (snap.alive(rid) && snap.Cell(rid, 0).AsInt() == 77) ++found;
   }
   EXPECT_EQ(2, found);
 }
@@ -306,8 +306,8 @@ TEST_F(WriteManagerTest, UpdateAppliesDeltaAndReindexesNewKeys) {
     const TableSnapshot snap = t->Snapshot();
     int bumped = 0;
     for (int64_t rid = 0; rid < snap.num_rows(); ++rid) {
-      if (snap.alive(rid) && snap.row(rid)[0].AsInt() == 3) {
-        EXPECT_GE(snap.row(rid)[1].AsInt(), 1000);
+      if (snap.alive(rid) && snap.Cell(rid, 0).AsInt() == 3) {
+        EXPECT_GE(snap.Cell(rid, 1).AsInt(), 1000);
         ++bumped;
       }
     }
@@ -326,7 +326,7 @@ TEST_F(WriteManagerTest, UpdateAppliesDeltaAndReindexesNewKeys) {
   std::vector<int64_t> scratch;
   int found = 0;
   for (const int64_t rid : idx->Probe(Value::Int(99), &scratch)) {
-    if (snap.alive(rid) && snap.row(rid)[0].AsInt() == 99) ++found;
+    if (snap.alive(rid) && snap.Cell(rid, 0).AsInt() == 99) ++found;
   }
   EXPECT_EQ(8, found);
 }
@@ -347,6 +347,34 @@ TEST_F(WriteManagerTest, DeleteTombstonesMatchingRows) {
 
   // Idempotent: the rows are gone, a re-run matches nothing.
   EXPECT_EQ(0, wm.Apply(del).value().affected_rows);
+}
+
+TEST_F(WriteManagerTest, NullOperandWhereAffectsNoRows) {
+  // SQL's UNKNOWN: `k <> NULL` and friends match no row, so the DELETE and
+  // UPDATE below change nothing (NULL marker bindings included).
+  txn::WriteManager wm(&catalog_);
+  const Table* t = catalog_.GetTable("t");
+  const int64_t before = t->live_rows();
+  const std::vector<std::pair<std::string, std::vector<Value>>> stmts = {
+      {"DELETE FROM t WHERE k <> NULL", {}},
+      {"DELETE FROM t WHERE k > ?", {Value::Null()}},
+      {"DELETE FROM t WHERE k BETWEEN NULL AND 9", {}},
+      {"UPDATE t SET v = 0 WHERE k >= NULL", {}},
+      {"UPDATE t SET v = v + 1 WHERE k <> ?", {Value::Null()}},
+  };
+  for (const auto& [text, params] : stmts) {
+    Result<sql::BoundStatement> b =
+        sql::ParseSqlStatement(catalog_, text, params);
+    ASSERT_TRUE(b.ok()) << text << ": " << b.status().message();
+    Result<txn::WriteResult> r = wm.Apply(b.value().write);
+    ASSERT_TRUE(r.ok()) << text << ": " << r.status().message();
+    EXPECT_EQ(0, r.value().affected_rows) << text;
+  }
+  EXPECT_EQ(before, t->live_rows());
+  const TableSnapshot snap = t->Snapshot();
+  for (int64_t rid = 0; rid < snap.num_rows(); ++rid) {
+    EXPECT_EQ(rid, snap.Cell(rid, 1).AsInt());
+  }
 }
 
 TEST_F(WriteManagerTest, UnknownTableFails) {
@@ -462,7 +490,7 @@ TEST(SnapshotConsistencyTest, ConcurrentWriterReaderHammer) {
           for (int64_t rid = 0; rid < snap.num_rows(); ++rid) {
             if (!snap.alive(rid)) continue;
             ++live;
-            sum += snap.row(rid)[1].AsInt();
+            sum += snap.Cell(rid, 1).AsInt();
           }
           if (sum != 0 || live % 2 != 0) failures.fetch_add(1);
         }
@@ -471,7 +499,7 @@ TEST(SnapshotConsistencyTest, ConcurrentWriterReaderHammer) {
           int64_t first = -1;
           for (int64_t rid = 0; rid < snap.num_rows(); ++rid) {
             if (!snap.alive(rid)) continue;
-            const int64_t bal = snap.row(rid)[1].AsInt();
+            const int64_t bal = snap.Cell(rid, 1).AsInt();
             if (first < 0) first = bal;
             if (bal != first) {
               failures.fetch_add(1);
@@ -515,7 +543,7 @@ TEST(SnapshotConsistencyTest, IndexFindsNewestRowOfEverySnapshot) {
       const TableSnapshot snap = table->Snapshot();
       const int64_t rid = snap.num_rows() - 1;
       const std::span<const int64_t> candidates =
-          idx->Probe(snap.row(rid)[0], &scratch);
+          idx->Probe(snap.Cell(rid, 0), &scratch);
       if (std::find(candidates.begin(), candidates.end(), rid) ==
           candidates.end()) {
         misses.fetch_add(1, std::memory_order_relaxed);
